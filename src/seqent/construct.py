@@ -64,11 +64,6 @@ class WindPlan:
             return self.p + offset
         return -self.jump_depth + (offset - self.right_length)
 
-    def indices(self) -> list[int]:
-        if self.w > 1_000_000:
-            raise ValueError("wind too long to materialize")
-        return [self.symbol_index_at(i) for i in range(self.w)]
-
 
 def plan_wind(p: int, q: int, w: int) -> WindPlan:
     """Plan the unique wind of length w from a_p to a_q.

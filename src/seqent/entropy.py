@@ -10,6 +10,7 @@ independence sets of the requested length alive at every tested level.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -88,10 +89,6 @@ class PartitionSpec:
                 return i
         return -1
 
-    def tracked_symbols(self):
-        for _name, syms in self.classes:
-            yield from sorted(syms, key=lambda s: (s.kind, s.index))
-
 
 def make_partition(*symbol_groups, names=None, rest_name="rest") -> PartitionSpec:
     """Convenience builder: each group becomes one class."""
@@ -107,7 +104,6 @@ def make_partition(*symbol_groups, names=None, rest_name="rest") -> PartitionSpe
 
 
 def _symbol_hits(sym: Symbol, traj: Trajectory, horizon: int):
-    import bisect
     if sym.kind == KIND_HEAD:
         hits = traj.head_hits(sym.index)
     elif sym.kind == KIND_DENSE:

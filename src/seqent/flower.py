@@ -14,6 +14,7 @@ infinite value as soon as any petal is active.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .checks import CheckReport, _Timer
@@ -187,7 +188,6 @@ def value_calculus(comp: CompositeSystem) -> Value:
 def _petal_pair_hits(traj: Trajectory, spec: NeighborhoodSpec,
                      horizon: int) -> list[int]:
     """Orbit hit times of a petal neighborhood, junction excluded."""
-    import bisect
     occ = occupancy(spec, traj)
     times = occ.times[:bisect.bisect_right(occ.times, horizon)]
     return [t for t in times if t >= 1]

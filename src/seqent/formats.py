@@ -312,7 +312,6 @@ def report_string(report, config_fingerprint: str | None = None) -> str:
         lines.append(f"counterexample: {report.counterexample}")
     for d in report.details:
         lines.append(f"detail: {d}")
-    lines.append(f"elapsed: {report.elapsed:.3f}")
     return "\n".join(lines) + "\n"
 
 

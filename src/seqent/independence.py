@@ -20,7 +20,6 @@ without a normalized shape is a size without any set at all.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import time as _time
 from dataclasses import dataclass, field
@@ -37,7 +36,6 @@ from .model import (
     Trajectory,
     head_member,
     infinity_window,
-    orbit_member,
     resolve,
 )
 
@@ -68,12 +66,6 @@ class TupleSpec:
     def __getitem__(self, i):
         return self.specs[i]
 
-    @property
-    def is_intrinsic(self) -> bool:
-        """Pairwise distinct centers (the interesting tuples)."""
-        centers = [s.center for s in self.specs]
-        return len(set(centers)) == len(centers)
-
     def render(self) -> str:
         return ",".join(s.render() for s in self.specs)
 
@@ -90,9 +82,6 @@ class IndependenceWitness:
 
     times: tuple[int, ...]
     realizers: dict[tuple[int, ...], ModelPoint]
-
-    def point_for(self, assignment: tuple[int, ...]) -> ModelPoint:
-        return self.realizers[assignment]
 
 
 @dataclass
@@ -128,7 +117,13 @@ class MaxIndependenceResult:
 
 
 class SearchBudget:
-    """Node and wall-clock budget shared across one search."""
+    """Node and wall-clock budget shared across one search.
+
+    The clock is read each time the node count passes the next multiple of
+    CLOCK_EVERY, so bulk spends cannot step over every check.
+    """
+
+    CLOCK_EVERY = 4096
 
     def __init__(self, max_nodes: int | None = None,
                  max_seconds: float | None = None):
@@ -136,13 +131,16 @@ class SearchBudget:
         self.max_seconds = max_seconds
         self.nodes = 0
         self.started = _time.monotonic()
+        self._next_clock = self.CLOCK_EVERY
 
     def spend(self, n: int = 1):
         self.nodes += n
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise ResourceBudgetExceeded(
                 f"node budget {self.max_nodes} exhausted; result inconclusive")
-        if self.max_seconds is not None and self.nodes % 4096 == 0:
+        if self.max_seconds is not None and self.nodes >= self._next_clock:
+            every = self.CLOCK_EVERY
+            self._next_clock = (self.nodes // every + 1) * every
             if _time.monotonic() - self.started > self.max_seconds:
                 raise ResourceBudgetExceeded(
                     f"time budget {self.max_seconds}s exhausted; "
@@ -154,11 +152,11 @@ class SearchBudget:
 
 
 class OccupancyVector:
-    """Bit-vector over orbit indices for one neighborhood.
+    """Orbit indices inside one neighborhood, as a sorted hit list.
 
     Stored sparsely: either the hit times themselves or, for the dense
-    orbit part of an infinity neighborhood, the miss times. Small builds can
-    materialize a genuine int bitmask.
+    orbit part of an infinity neighborhood, the miss times. Short dense
+    builds can also materialize a literal int bitmask.
     """
 
     def __init__(self, n_points: int, times: tuple[int, ...] | None = None,
@@ -178,22 +176,9 @@ class OccupancyVector:
     def test(self, t: int) -> bool:
         if not 0 <= t < self.n_points:
             return False
-        if self.complement:
+        if self._miss_set is not None:
             return t not in self._miss_set
         return t in self._times_set
-
-    def popcount(self, lo: int = 0, hi: int | None = None) -> int:
-        import bisect
-        if hi is None:
-            hi = self.n_points - 1
-        hi = min(hi, self.n_points - 1)
-        if hi < lo:
-            return 0
-        base = self.times if not self.complement else self.miss_times
-        inside = (bisect.bisect_right(base, hi) - bisect.bisect_left(base, lo))
-        if self.complement:
-            return (hi - lo + 1) - inside
-        return inside
 
     def as_int(self, hi: int | None = None) -> int:
         """Literal bitmask; only for short builds."""
@@ -217,11 +202,8 @@ class OccupancyVector:
 
 
 def occupancy(spec: NeighborhoodSpec, traj: Trajectory) -> OccupancyVector:
-    """Occupancy bit-vector of a neighborhood over orbit indices."""
-    cache = getattr(traj, "_occ_cache", None)
-    if cache is None:
-        cache = {}
-        traj._occ_cache = cache
+    """Occupancy of a neighborhood over orbit indices."""
+    cache = traj._occ_cache
     got = cache.get(spec)
     if got is not None:
         return got
@@ -235,10 +217,7 @@ def occupancy(spec: NeighborhoodSpec, traj: Trajectory) -> OccupancyVector:
 
 
 def _mask_for(spec: NeighborhoodSpec, traj: Trajectory) -> int:
-    cache = getattr(traj, "_mask_cache", None)
-    if cache is None:
-        cache = {}
-        traj._mask_cache = cache
+    cache = traj._mask_cache
     got = cache.get(spec)
     if got is None:
         got = occupancy(spec, traj).as_int()
@@ -283,14 +262,12 @@ def _head_realizer(J, sigma, specs, traj) -> ModelPoint | None:
     return None
 
 
-def _sparse_candidates(J, sigma, specs, traj, horizon, start_range):
+def _sparse_candidates(J, occs, horizon, start_range):
     """Ascending orbit start candidates from the sparsest finite anchor."""
     best = None
-    for t, c in zip(J, sigma):
-        spec = specs[c]
-        if spec.center.kind == KIND_HEAD_INF:
+    for t, occ in zip(J, occs):
+        if occ.complement:
             continue
-        occ = occupancy(spec, traj)
         if best is None or len(occ.times) < len(best[1].times):
             best = (t, occ)
     if best is None:
@@ -382,18 +359,17 @@ def satisfiable(J, sigma, specs, traj: Trajectory, horizon: int | None = None,
                 u = (mask & -mask).bit_length() - 1
                 return ModelPoint.orbit(u)
         else:
-            cands = _sparse_candidates(J, sigma, specs, traj, horizon,
-                                       start_range)
+            occs = [occupancy(specs[c], traj) for c in sigma]
+            cands = _sparse_candidates(J, occs, horizon, start_range)
             if cands is not None:
+                probes = [(t, occ.test) for t, occ in zip(J, occs)]
                 for u in cands:
                     if budget is not None:
                         budget.spend(len(J))
-                    ok = True
-                    for t, c in zip(J, sigma):
-                        if not orbit_member(specs[c], u + t, traj):
-                            ok = False
+                    for t, test in probes:
+                        if not test(u + t):
                             break
-                    if ok:
+                    else:
                         return ModelPoint.orbit(u)
             elif start_range is not None or not allow_heads:
                 point = _infinity_orbit_scan(J, sigma, specs, traj, horizon,
@@ -458,100 +434,89 @@ def _fixed_head_everywhere(specs, traj) -> ModelPoint | None:
     return None
 
 
-def _diff_universe(specs, traj, horizon) -> tuple[int, ...] | None:
-    """All positive differences within the sparsest finite hit list."""
-    best = None
-    for s in specs:
-        if s.center.kind == KIND_HEAD_INF:
-            continue
-        occ = occupancy(s, traj)
-        hits = [t for t in occ.times if t <= horizon]
-        if best is None or len(hits) < len(best):
-            best = hits
-    if best is None:
-        return None
-    diffs = set()
-    for i, u in enumerate(best):
-        for v in best[i + 1:]:
-            diffs.add(v - u)
-    return tuple(sorted(diffs))
+def _pair_diffs(tspec, traj, horizon, budget) -> tuple[int, ...]:
+    """Exact ascending list of the d in [1, horizon] making (0, d) an
+    independence set.
 
+    An assignment (i, j) whose neighborhoods share a dense center is
+    realized at every d by that fixed head, so it imposes nothing. Every
+    other assignment (i, j) of finite-center neighborhoods is realized
+    exactly at the orbit hit differences b - a (a in A_i, b in A_j) and, on
+    the head-indexed family, at the head difference c_j - c_i.
 
-def _diff_stream(hits: list[int]):
-    """Lazily yield the distinct positive differences of a sorted list."""
-    heap = [(hits[i + 1] - hits[i], i, i + 1) for i in range(len(hits) - 1)]
-    heapq.heapify(heap)
-    last = None
-    while heap:
-        d, i, j = heapq.heappop(heap)
-        if j + 1 < len(hits):
-            heapq.heappush(heap, (hits[j + 1] - hits[i], i, j + 1))
-        if d != last:
-            last = d
-            yield d
-
-
-def _sparsest_hits(specs, traj, horizon) -> list[int] | None:
-    best = None
-    for s in specs:
-        if s.center.kind == KIND_HEAD_INF:
-            continue
-        occ = occupancy(s, traj)
-        hits = [t for t in occ.times if t <= horizon]
-        if best is None or len(hits) < len(best):
-            best = hits
-    return best
-
-
-def _viable_pair_diffs(tspec, traj, horizon, budget) -> tuple[int, ...] | None:
-    """Exact ascending list of d > 0 making (0, d) an independence set.
-
-    Dense-family bitmask shortcut: an off-diagonal assignment (i, j) is
-    realizable exactly when some orbit time sits in A_i with its d-step
-    image in A_j, so OR-ing the shifted occupancy of A_j over the hits of
-    A_i marks every workable d at once; AND across assignments intersects
-    them. Diagonal assignments are always realizable through the center's
-    own head (a fixed point), so they impose nothing. Returns None when the
-    shortcut does not apply (non-dense centers or an oversized build).
+    Short all-dense builds OR the shifted literal masks of A_j over the
+    hits of A_i, which is exact since dense heads realize nothing else.
+    Everywhere else the hit differences are intersected over the finite
+    assignments, and each survivor is confirmed by the full pair check,
+    which covers the infinity-centered assignments.
     """
     specs = tspec.specs
-    if traj.n_points > DENSE_BITMASK_LIMIT:
-        return None
-    if any(s.center.kind != KIND_DENSE for s in specs):
-        return None
-    span = (1 << (horizon + 1)) - 1
-    masks = [_mask_for(s, traj) & span for s in specs]
-    combined = span
-    for i, spec_i in enumerate(specs):
-        occ = occupancy(spec_i, traj)
-        hits_i = occ.times[:bisect.bisect_right(occ.times, horizon)]
-        if budget is not None:
+    log_m = traj.family == FAMILY_LOG_M
+    if (not log_m and traj.n_points <= DENSE_BITMASK_LIMIT
+            and all(s.center.kind == KIND_DENSE for s in specs)):
+        span = (1 << (horizon + 1)) - 1
+        masks = [_mask_for(s, traj) & span for s in specs]
+        combined = span
+        for i, spec_i in enumerate(specs):
+            occ = occupancy(spec_i, traj)
+            hits_i = occ.times[:bisect.bisect_right(occ.times, horizon)]
             budget.spend(len(hits_i) * (len(specs) - 1))
-        for j, _spec_j in enumerate(specs):
-            if i == j:
-                continue
-            acc = 0
-            mj = masks[j]
-            for t in hits_i:
-                acc |= mj >> t
-            combined &= acc
-            if not combined:
-                return ()
-    combined >>= 1  # bit b now means d = b + 1
-    out = []
-    buf = combined.to_bytes((combined.bit_length() + 7) // 8, "little")
-    for byte_i, byte in enumerate(buf):
-        while byte:
-            low = byte & -byte
-            out.append(byte_i * 8 + low.bit_length())
-            byte ^= low
-    return tuple(out)
+            for j, spec_j in enumerate(specs):
+                if spec_j.center == spec_i.center:
+                    continue
+                acc = 0
+                mj = masks[j]
+                for t in hits_i:
+                    acc |= mj >> t
+                combined &= acc
+                if not combined:
+                    return ()
+        combined >>= 1  # bit b now means d = b + 1
+        out = []
+        buf = combined.to_bytes((combined.bit_length() + 7) // 8, "little")
+        for byte_i, byte in enumerate(buf):
+            while byte:
+                low = byte & -byte
+                out.append(byte_i * 8 + low.bit_length())
+                byte ^= low
+        return tuple(out)
+
+    finite = [s for s in specs if s.center.kind != KIND_HEAD_INF]
+    if not finite:
+        # no finite anchor and no all-covering fixed head: impossible for
+        # built families, guarded for safety
+        raise ValueError("tuple has no finite-center neighborhood to anchor on")
+    hits = {}
+    for s in finite:
+        occ = occupancy(s, traj)
+        hits[s] = occ.times[:bisect.bisect_right(occ.times, horizon)]
+    viable = None
+    for spec_i, spec_j in itertools.product(finite, repeat=2):
+        if not log_m and spec_i.center == spec_j.center:
+            continue
+        hits_i, hits_j = hits[spec_i], hits[spec_j]
+        budget.spend(len(hits_i) * len(hits_j))
+        diffs = {b - a for a in hits_i for b in hits_j if b > a}
+        head = spec_j.center.index - spec_i.center.index
+        if log_m and 1 <= head <= horizon:
+            diffs.add(head)
+        viable = diffs if viable is None else viable & diffs
+        if not viable:
+            return ()
+    if viable is None:  # every finite assignment sits on one dense head
+        viable = range(1, horizon + 1)
+    return tuple(d for d in sorted(viable)
+                 if is_independence_set((0, d), tspec, traj, horizon=horizon,
+                                        budget=budget).ok)
 
 
-def _cap_result(tspec, traj, horizon, shape, budget) -> MaxIndependenceResult:
+def _cap_result(tspec, traj, horizon, shape, budget,
+                cert: ExhaustionCertificate | None = None
+                ) -> MaxIndependenceResult:
+    """Result of length len(shape) carrying the shape's witness table."""
     res = is_independence_set(shape, tspec, traj, horizon=horizon,
                               budget=budget)
-    return MaxIndependenceResult(len(shape), res.witness, None)
+    return MaxIndependenceResult(len(shape), res.witness, cert)
 
 
 def max_independence(specs, cap: int, traj: Trajectory,
@@ -595,27 +560,7 @@ def max_independence(specs, cap: int, traj: Trajectory,
 
 def _max_level(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
     frontier_sizes = [1]  # the singleton shape (0,)
-    viable = _viable_pair_diffs(tspec, traj, horizon, budget)
-    if viable is not None:
-        current = [(0, d) for d in viable]
-    else:
-        universe = _diff_universe(tspec.specs, traj, horizon)
-        if universe is None:
-            # no finite anchor and no all-covering fixed head: impossible
-            # for built families, guarded for safety
-            raise ValueError(
-                "tuple has no finite-center neighborhood to anchor on")
-        pair_ok: dict[int, bool] = {}
-
-        def pair_check(d: int) -> bool:
-            got = pair_ok.get(d)
-            if got is None:
-                got = is_independence_set((0, d), tspec, traj,
-                                          horizon=horizon, budget=budget).ok
-                pair_ok[d] = got
-            return got
-
-        current = [(0, d) for d in universe if d <= horizon and pair_check(d)]
+    current = [(0, d) for d in _pair_diffs(tspec, traj, horizon, budget)]
     frontier_sizes.append(len(current))
     size = 2
     while current and size < cap:
@@ -644,10 +589,8 @@ def _max_level(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
                 horizon=horizon, search="level-shapes",
                 frontier_sizes=tuple(frontier_sizes),
                 died_level=size + 1, nodes_used=budget.nodes)
-            best = sorted(current)[0]
-            res = is_independence_set(best, tspec, traj, horizon=horizon,
-                                      budget=budget)
-            return MaxIndependenceResult(size, res.witness, cert)
+            return _cap_result(tspec, traj, horizon, sorted(current)[0],
+                               budget, cert)
         current = nxt
         size += 1
     if size >= cap and current:
@@ -657,13 +600,7 @@ def _max_level(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
         tuple_rendered=tspec.render(), target_length=cap, horizon=horizon,
         search="level-shapes", frontier_sizes=tuple(frontier_sizes),
         died_level=2, nodes_used=budget.nodes)
-    return _cap_result_level1(tspec, traj, horizon, cert, budget)
-
-
-def _cap_result_level1(tspec, traj, horizon, cert, budget):
-    res = is_independence_set((0,), tspec, traj, horizon=horizon,
-                              budget=budget)
-    return MaxIndependenceResult(1, res.witness, cert)
+    return _cap_result(tspec, traj, horizon, (0,), budget, cert)
 
 
 def _subshapes_survive(cand: tuple[int, ...], survivors: set) -> bool:
@@ -680,54 +617,18 @@ def _subshapes_survive(cand: tuple[int, ...], survivors: set) -> bool:
 
 
 def _max_dfs(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
-    hits = _sparsest_hits(tspec.specs, traj, horizon)
-    if hits is None:
-        raise ValueError("tuple has no finite-center neighborhood to anchor on")
-    if len(hits) < 2:
-        return _cap_result_level1(
-            tspec, traj, horizon,
-            ExhaustionCertificate(tspec.render(), cap, horizon, "depth-first",
-                                  (1, 0), 2, budget.nodes), budget)
+    viable = _pair_diffs(tspec, traj, horizon, budget)
+    viable_set = set(viable)
     visited = [0] * (cap + 1)
     visited[1] = 1
-
-    viable = _viable_pair_diffs(tspec, traj, horizon, budget)
-    if viable is not None:
-        viable_set = set(viable)
-
-        def pair_check(d: int) -> bool:
-            return d in viable_set
-
-        def candidates_after(lo: int):
-            return viable[bisect.bisect_right(viable, lo):]
-    else:
-        pair_ok: dict[int, bool] = {}
-
-        def pair_check(d: int) -> bool:
-            got = pair_ok.get(d)
-            if got is None:
-                got = is_independence_set((0, d), tspec, traj,
-                                          horizon=horizon, budget=budget).ok
-                pair_ok[d] = got
-            return got
-
-        def candidates_after(lo: int):
-            for d in _diff_stream(hits):
-                if d > lo:
-                    yield d
-
     best_shape = (0,)
 
     def extend(shape: tuple[int, ...]):
         nonlocal best_shape
         if len(shape) == cap:
             return shape
-        for d in candidates_after(shape[-1]):
-            if d > horizon:
-                break
-            if not pair_check(d):
-                continue
-            if any(not pair_check(d - s) for s in shape[1:]):
+        for d in viable[bisect.bisect_right(viable, shape[-1]):]:
+            if any(d - s not in viable_set for s in shape[1:]):
                 continue
             cand = shape + (d,)
             if not is_independence_set(cand, tspec, traj, horizon=horizon,
@@ -749,9 +650,7 @@ def _max_dfs(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
         tuple_rendered=tspec.render(), target_length=cap, horizon=horizon,
         search="depth-first", frontier_sizes=tuple(visited[1:died] + [0]),
         died_level=died, nodes_used=budget.nodes)
-    res = is_independence_set(best_shape, tspec, traj, horizon=horizon,
-                              budget=budget)
-    return MaxIndependenceResult(len(best_shape), res.witness, cert)
+    return _cap_result(tspec, traj, horizon, best_shape, budget, cert)
 
 
 # ---------------------------------------------------------------------------

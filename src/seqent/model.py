@@ -304,6 +304,9 @@ class Trajectory:
         self._segment_starts = [s.start for s in manifest.segments]
         self._hit_cache: dict[int, tuple[int, ...]] = {}
         self._window_cache: dict[int, tuple[int, ...]] = {}
+        # search caches filled by ``independence``, keyed by neighborhood
+        self._occ_cache: dict = {}
+        self._mask_cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -339,9 +342,6 @@ class Trajectory:
         self.check_time(t)
         i = bisect.bisect_right(self._segment_starts, t) - 1
         return self.manifest.segments[i]
-
-    def segment_path_at(self, t: int) -> str:
-        return self.segment_at(t).path
 
     def block_of_time(self, t: int) -> int:
         """Block number whose span (block proper plus trailing gap) holds t."""
@@ -533,19 +533,13 @@ class ResolvedNeighborhood:
             raise ValueError("only infinity neighborhoods expose a complement")
         return self.traj.near_head_times(infinity_window(self.spec.level) - 1)
 
-    def to_points(self) -> set[ModelPoint]:
-        """Materialize a finite-center neighborhood as an explicit set."""
-        pts = {ModelPoint.head(self.spec.center)}
-        pts.update(ModelPoint.orbit(t) for t in self.orbit_times())
-        return pts
-
 
 def resolve(spec: NeighborhoodSpec, traj: Trajectory) -> ResolvedNeighborhood:
     """Resolve a neighborhood spec against a trajectory.
 
     The result behaves like a set of model points (``in`` tests work for both
-    orbit points and heads). Finite-center neighborhoods can be materialized
-    with ``to_points``; infinity-centered ones are infinite by design.
+    orbit points and heads). Finite-center neighborhoods list their orbit
+    times; infinity-centered ones are infinite by design.
     """
     if spec.level < 1:
         raise ValueError("neighborhood levels are 1-based")

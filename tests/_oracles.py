@@ -135,6 +135,35 @@ def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None,
     return True
 
 
+def naive_max_independence(specs, cap, traj, horizon=None):
+    """Largest independence-set size up to cap, over every normalized shape.
+
+    Shapes (0, d_1, ..., d_{n-1}) with d_{n-1} <= horizon are enumerated in
+    full at each size, without pruning, until a size has no shape.
+    """
+    specs = tuple(specs)
+    if horizon is None:
+        horizon = traj.horizon
+    horizon = min(horizon, traj.horizon)
+    syms = materialize(traj, horizon)
+    best = 0
+    for size in range(1, cap + 1):
+        found = False
+        for rest in itertools.combinations(range(1, horizon + 1), size - 1):
+            J = (0,) + rest
+            candidates = candidate_points(specs, J, traj, horizon, None, True)
+            if all(any(_realizes(p, J, sigma, specs, syms, traj)
+                       for p in candidates)
+                   for sigma in itertools.product(range(len(specs)),
+                                                  repeat=size)):
+                found = True
+                break
+        if not found:
+            break
+        best = size
+    return best
+
+
 def naive_words(seq, partition, traj, horizon, syms=None):
     """Set of itinerary words over the time sequence, by enumeration.
 

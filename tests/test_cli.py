@@ -135,6 +135,18 @@ class TestVerifySuites:
             hashes.add(line)
         assert len(hashes) == 1
 
+    def test_identical_runs_write_identical_reports(self, tmp_path, capsys):
+        texts = []
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            code, _, _ = run_cli(capsys, "verify", "--suite", "section3",
+                                 "--nmax", "3", "--out", str(out_dir))
+            assert code == EXIT_PASS
+            texts.append({p.name: p.read_bytes()
+                          for p in sorted(out_dir.glob("report-*.txt"))})
+        assert texts[0]
+        assert texts[0] == texts[1]
+
     def test_output_files_use_inf_token(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         run_cli(capsys, "verify", "--suite", "R2", "--m", "2", "--kmax", "2",

@@ -1,16 +1,19 @@
 """Search engine: satisfiability, independence, maxima, certificates."""
 
 import random
+import time
 
 import pytest
 
 from _oracles import (
     naive_is_independence_set,
+    naive_max_independence,
     naive_satisfiable,
     random_small_build,
     random_times,
     random_tuple,
 )
+from seqent import independence
 from seqent.errors import ResourceBudgetExceeded
 from seqent.independence import (
     ExhaustionCertificate,
@@ -22,9 +25,15 @@ from seqent.independence import (
     occupancy,
     satisfiable,
     shift_property_check,
-    _viable_pair_diffs,
+    _pair_diffs,
 )
-from seqent.model import ModelPoint, NeighborhoodSpec, Symbol
+from seqent.model import (
+    FAMILY_LOG_INFTY,
+    KIND_HEAD_INF,
+    ModelPoint,
+    NeighborhoodSpec,
+    Symbol,
+)
 
 
 def U(center, level, offset=0):
@@ -34,7 +43,8 @@ def U(center, level, offset=0):
 class TestOccupancy:
     def test_level_one_origin_hits(self, m2k3):
         vec = occupancy(U(Symbol.head(0), 1), m2k3)
-        assert vec.popcount(0, m2k3.block_range(1)[1]) == 8
+        block_end = m2k3.block_range(1)[1]
+        assert sum(1 for t in vec.times if t <= block_end) == 8
         assert len(vec.times) == 96
 
     def test_bitmask_matches_membership(self, dense2):
@@ -149,21 +159,115 @@ class TestMaxIndependence:
             max_independence(specs, cap=5, traj=m2k3,
                              budget=SearchBudget(max_nodes=10))
 
-    def test_dense_shortcut_agrees_with_generic_search(self, dense2):
+
+class TestSearchBudget:
+    def test_bulk_spend_checks_the_clock(self):
+        budget = SearchBudget(max_seconds=0)
+        time.sleep(0.001)
+        with pytest.raises(ResourceBudgetExceeded):
+            for _ in range(1000):
+                budget.spend(SearchBudget.CLOCK_EVERY - 1)
+        assert budget.nodes < 3 * SearchBudget.CLOCK_EVERY
+
+    def test_unit_spends_check_at_each_multiple(self):
+        budget = SearchBudget(max_seconds=0)
+        time.sleep(0.001)
+        for _ in range(SearchBudget.CLOCK_EVERY - 1):
+            budget.spend()
+        with pytest.raises(ResourceBudgetExceeded):
+            budget.spend()
+
+
+# the bitmask pair stage runs on short dense builds; the sparse one on the
+# rest, and on dense builds too once the mask limit is forced to zero
+PAIR_PATHS = pytest.mark.parametrize(
+    "limit", [independence.DENSE_BITMASK_LIMIT, 0], ids=["bitmask", "sparse"])
+
+
+def _dense_or_random_builds(rng, dense2, count):
+    """Random small builds of both families plus random dense2 tuples."""
+    for i in range(count):
+        if i % 4 == 3:
+            traj = dense2
+            specs = tuple(U(Symbol.dense(rng.randrange(1, 6)),
+                            rng.randrange(1, 3))
+                          for _ in range(rng.randrange(1, 4)))
+        else:
+            traj = random_small_build(rng)
+            specs = random_tuple(rng, traj)
+        yield traj, specs
+
+
+class TestPairStage:
+    @PAIR_PATHS
+    def test_pair_diffs_match_oracle(self, limit, dense2, m2k2, monkeypatch):
+        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
+        rng = random.Random(2718)
+        cases = [(traj, specs, min(traj.horizon, rng.randrange(40, 121)))
+                 for traj, specs in _dense_or_random_builds(rng, dense2, 48)]
+        # every finite assignment admits d = 7 here; only the
+        # infinity-centered ones rule it out
+        cases.append((m2k2, (U(Symbol.head(3), 1), U(Symbol.head_inf(), 2)),
+                      300))
+        checked = 0
+        for traj, specs, horizon in cases:
+            if limit == 0 and traj.family != FAMILY_LOG_INFTY:
+                continue  # head-indexed builds always take the sparse path
+            if all(s.center.kind == KIND_HEAD_INF for s in specs):
+                continue  # the limit head covers these before the pair stage
+            got = _pair_diffs(as_tuple_spec(specs), traj, horizon,
+                              SearchBudget())
+            want = tuple(d for d in range(1, horizon + 1)
+                         if naive_is_independence_set((0, d), specs, traj,
+                                                      horizon=horizon))
+            assert got == want, (traj.family, horizon,
+                                 [s.render() for s in specs])
+            checked += 1
+        assert checked >= 10
+
+    def test_dense_pair_stage_is_exact_on_both_paths(self, dense2,
+                                                     monkeypatch):
         specs = tuple(U(Symbol.dense(j), 1) for j in (1, 2, 3))
         tspec = as_tuple_spec(specs)
-        diffs = _viable_pair_diffs(tspec, dense2, dense2.horizon, None)
-        assert diffs is not None
-        for d in list(diffs[:5]) + [diffs[-1]]:
-            assert is_independence_set((0, d), specs, dense2).ok
-        complement = sorted(set(range(1, 60)) - set(diffs))
-        for d in complement[:5]:
-            assert not is_independence_set((0, d), specs, dense2).ok
+        bitmask = _pair_diffs(tspec, dense2, dense2.horizon, SearchBudget())
+        for d in range(1, 60):
+            assert (d in bitmask) == is_independence_set(
+                (0, d), specs, dense2).ok
+        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
+        assert _pair_diffs(tspec, dense2, dense2.horizon,
+                           SearchBudget()) == bitmask
 
-    def test_dense_shortcut_not_used_for_log_m(self, m2k2):
-        specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))
-        assert _viable_pair_diffs(as_tuple_spec(specs), m2k2,
-                                  m2k2.horizon, None) is None
+    @pytest.mark.parametrize("mode", ["level", "dfs"])
+    def test_sparse_path_certificate_matches_bitmask(self, mode, dense2,
+                                                     monkeypatch):
+        # the sparse pair stage once took candidates only from same-symbol
+        # hit differences and lost the pairs that fixed dense heads realize
+        specs = (U(Symbol.dense(1), 1), U(Symbol.dense(2), 1))
+        want = max_independence(specs, cap=6, traj=dense2, mode=mode)
+        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
+        got = max_independence(specs, cap=6, traj=dense2, mode=mode)
+        assert want.certificate.frontier_sizes[1] == 166
+        assert got.length == want.length
+        assert (got.certificate.frontier_sizes
+                == want.certificate.frontier_sizes)
+        assert got.certificate.died_level == want.certificate.died_level
+        assert got.witness.times == want.witness.times
+
+    @PAIR_PATHS
+    def test_max_independence_matches_oracle(self, limit, dense2,
+                                             monkeypatch):
+        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
+        rng = random.Random(1618)
+        for traj, specs in _dense_or_random_builds(rng, dense2, 40):
+            horizon = min(traj.horizon, rng.randrange(8, 19))
+            if limit == 0 and traj.family != FAMILY_LOG_INFTY:
+                continue
+            want = naive_max_independence(specs, 3, traj, horizon=horizon)
+            for mode in ("level", "dfs"):
+                got = max_independence(specs, cap=3, traj=traj,
+                                       horizon=horizon, mode=mode)
+                assert got.length == want, (traj.family, horizon, mode,
+                                            [s.render() for s in specs])
 
 
 class TestShiftProperty:
