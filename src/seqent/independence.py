@@ -277,15 +277,10 @@ def _sparse_candidates(J, occs, horizon, start_range):
     hi = horizon - J[-1]
     if start_range is not None:
         hi = min(hi, start_range[1])
-    out = []
-    for h in occ.times:
-        u = h - t0
-        if u < lo:
-            continue
-        if u > hi:
-            break
-        out.append(u)
-    return out
+    times = occ.times
+    first = bisect.bisect_left(times, lo + t0)
+    last = bisect.bisect_right(times, hi + t0)
+    return [h - t0 for h in times[first:last]]
 
 
 def _infinity_orbit_scan(J, sigma, specs, traj, horizon, start_range, budget):
@@ -503,7 +498,7 @@ def _pair_diffs(tspec, traj, horizon, budget) -> tuple[int, ...]:
         viable = diffs if viable is None else viable & diffs
         if not viable:
             return ()
-    if viable is None:  # every finite assignment sits on one dense head
+    if viable is None:  # one dense center throughout: its head realizes all
         viable = range(1, horizon + 1)
     return tuple(d for d in sorted(viable)
                  if is_independence_set((0, d), tspec, traj, horizon=horizon,
@@ -547,41 +542,108 @@ def max_independence(specs, cap: int, traj: Trajectory,
         return MaxIndependenceResult(
             cap, IndependenceWitness(shape, realizers), None)
 
+    occs = [occupancy(s, traj) for s in tspec.specs]
     # singletons always embed through the center's own head
     if cap == 1:
         return _cap_result(tspec, traj, horizon, (0,), budget)
 
     if mode == "level":
-        return _max_level(tspec, traj, horizon, cap, budget)
+        return _max_level(tspec, traj, horizon, cap, occs, budget)
     if mode == "dfs":
-        return _max_dfs(tspec, traj, horizon, cap, budget)
+        return _max_dfs(tspec, traj, horizon, cap, occs, budget)
     raise ValueError(f"unknown search mode {mode!r}")
 
 
-def _max_level(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
+def _root_table(occs, horizon):
+    """Realizer table of the singleton shape (0,): each hit list up to the
+    horizon, None for an infinity-centered neighborhood."""
+    return tuple(None if occ.complement
+                 else occ.times[:bisect.bisect_right(occ.times, horizon)]
+                 for occ in occs)
+
+
+def _extend_table(shape, table, d, occs, specs, traj, horizon, budget):
+    """Realizer table of shape + (d,), or None once an assignment dies.
+
+    A table lists, per assignment in ``itertools.product`` order, the
+    ascending orbit starts u <= horizon - shape[-1] that realize it on
+    shape. It holds None where every neighborhood of the assignment is
+    infinity-centered: that set is co-finite and the limit head realizes
+    the assignment anyway. Extending keeps the starts whose u + d lands in
+    the new neighborhood, so no assignment is solved from scratch; one left
+    without starts survives only through a closed-form head witness. Each
+    list element examined spends one node.
+    """
+    cand = shape + (d,)
+    cut = horizon - d
+    out = []
+    sigmas = itertools.product(range(len(occs)), repeat=len(shape))
+    for sigma, starts in zip(sigmas, table):
+        if starts is None:
+            misses = [(t, occs[c]._miss_set) for t, c in zip(shape, sigma)]
+        else:
+            starts = starts[:bisect.bisect_right(starts, cut)]
+        for c, occ in enumerate(occs):
+            if starts is not None:
+                budget.spend(len(starts))
+                if occ.complement:
+                    miss = occ._miss_set
+                    kept = tuple([u for u in starts if u + d not in miss])
+                else:
+                    hit = occ._times_set
+                    kept = tuple([u for u in starts if u + d in hit])
+            elif occ.complement:
+                out.append(None)
+                continue
+            else:
+                # anchor on the new neighborhood's hits b = u + d
+                times = occ.times
+                anchors = times[bisect.bisect_left(times, d):
+                                bisect.bisect_right(times, horizon)]
+                budget.spend(len(anchors))
+                kept = tuple([b - d for b in anchors
+                              if all(b - d + t not in miss
+                                     for t, miss in misses)])
+            if not kept and _head_realizer(cand, sigma + (c,), specs,
+                                           traj) is None:
+                return None
+            out.append(kept)
+    return tuple(out)
+
+
+def _max_level(tspec, traj, horizon, cap, occs,
+               budget) -> MaxIndependenceResult:
+    specs = tspec.specs
     frontier_sizes = [1]  # the singleton shape (0,)
     current = [(0, d) for d in _pair_diffs(tspec, traj, horizon, budget)]
     frontier_sizes.append(len(current))
+    # realizer tables of the prefixes that the current shapes extend; a
+    # shape's own table is rebuilt from its prefix's when it is joined
+    tables = {(0,): _root_table(occs, horizon)}
     size = 2
     while current and size < cap:
-        survivors = set(current)
         nxt = []
-        by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        next_tables = {}
+        by_prefix: dict[tuple[int, ...], list[int]] = {}
         for shape in current:
-            by_prefix.setdefault(shape[:-1], []).append(shape)
-        for prefix, group in sorted(by_prefix.items()):
-            group.sort()
-            for a_i in range(len(group)):
-                for b_i in range(a_i + 1, len(group)):
-                    x, y = group[a_i][-1], group[b_i][-1]
-                    cand = prefix + (x, y)
-                    if not _subshapes_survive(cand, survivors):
-                        continue
-                    if is_independence_set(cand, tspec, traj,
-                                           horizon=horizon,
-                                           budget=budget).ok:
-                        nxt.append(cand)
-        nxt.sort()
+            by_prefix.setdefault(shape[:-1], []).append(shape[-1])
+        tails = {prefix: set(lasts) for prefix, lasts in by_prefix.items()}
+        for prefix, lasts in sorted(by_prefix.items()):
+            prefix_table = tables.pop(prefix)
+            lasts.sort()
+            for a_i, x in enumerate(lasts):
+                head = prefix + (x,)
+                ys = _closed_tails(head, lasts[a_i + 1:], tails)
+                if not ys:
+                    continue
+                table = _extend_table(prefix, prefix_table, x, occs, specs,
+                                      traj, horizon, budget)
+                for y in ys:
+                    if _extend_table(head, table, y, occs, specs, traj,
+                                     horizon, budget) is not None:
+                        nxt.append(head + (y,))
+                        if size + 1 < cap:
+                            next_tables[head] = table
         frontier_sizes.append(len(nxt))
         if not nxt:
             cert = ExhaustionCertificate(
@@ -589,12 +651,13 @@ def _max_level(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
                 horizon=horizon, search="level-shapes",
                 frontier_sizes=tuple(frontier_sizes),
                 died_level=size + 1, nodes_used=budget.nodes)
-            return _cap_result(tspec, traj, horizon, sorted(current)[0],
+            return _cap_result(tspec, traj, horizon, min(current),
                                budget, cert)
         current = nxt
+        tables = next_tables
         size += 1
     if size >= cap and current:
-        return _cap_result(tspec, traj, horizon, sorted(current)[0], budget)
+        return _cap_result(tspec, traj, horizon, min(current), budget)
     # cap 2 with an empty pair level
     cert = ExhaustionCertificate(
         tuple_rendered=tspec.render(), target_length=cap, horizon=horizon,
@@ -603,46 +666,54 @@ def _max_level(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
     return _cap_result(tspec, traj, horizon, (0,), budget, cert)
 
 
-def _subshapes_survive(cand: tuple[int, ...], survivors: set) -> bool:
-    """Downward closure: every one-smaller normalized subshape survived."""
-    n = len(cand)
-    for drop in range(n):
-        sub = cand[:drop] + cand[drop + 1:]
-        if drop == 0:
-            base = sub[0]
-            sub = tuple(v - base for v in sub)
-        if sub not in survivors:
-            return False
-    return True
+def _closed_tails(head, lasts, tails) -> list[int]:
+    """The y in lasts for which head + (y,) passes downward closure.
+
+    head + (y,) joins the survivors head and head[:-1] + (y,), so only the
+    one-smaller subshapes that drop a time of head[:-1] are checked. Each
+    must end in a last time that its normalized prefix kept; tails maps
+    every surviving prefix to the set of last times it kept.
+    """
+    for drop in range(len(head) - 1):
+        sub = head[:drop] + head[drop + 1:]
+        base = sub[0]
+        kept = tails.get(tuple([v - base for v in sub]))
+        if not kept:
+            return []
+        lasts = [y for y in lasts if y - base in kept]
+    return lasts
 
 
-def _max_dfs(tspec, traj, horizon, cap, budget) -> MaxIndependenceResult:
+def _max_dfs(tspec, traj, horizon, cap, occs,
+             budget) -> MaxIndependenceResult:
+    specs = tspec.specs
     viable = _pair_diffs(tspec, traj, horizon, budget)
     viable_set = set(viable)
     visited = [0] * (cap + 1)
     visited[1] = 1
     best_shape = (0,)
 
-    def extend(shape: tuple[int, ...]):
+    def extend(shape: tuple[int, ...], table):
         nonlocal best_shape
-        if len(shape) == cap:
-            return shape
         for d in viable[bisect.bisect_right(viable, shape[-1]):]:
             if any(d - s not in viable_set for s in shape[1:]):
                 continue
-            cand = shape + (d,)
-            if not is_independence_set(cand, tspec, traj, horizon=horizon,
-                                       budget=budget).ok:
+            cand_table = _extend_table(shape, table, d, occs, specs, traj,
+                                       horizon, budget)
+            if cand_table is None:
                 continue
+            cand = shape + (d,)
             visited[len(cand)] += 1
             if len(cand) > len(best_shape):
                 best_shape = cand
-            got = extend(cand)
+            if len(cand) == cap:
+                return cand
+            got = extend(cand, cand_table)
             if got is not None:
                 return got
         return None
 
-    found = extend((0,))
+    found = extend((0,), _root_table(occs, horizon))
     if found is not None:
         return _cap_result(tspec, traj, horizon, found, budget)
     died = len(best_shape) + 1

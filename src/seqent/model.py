@@ -22,7 +22,7 @@ import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import HorizonExceeded, UnknownBlock
+from .errors import HorizonExceeded, InvalidConfig, UnknownBlock
 
 KIND_HEAD = "head"
 KIND_HEAD_INF = "head-inf"
@@ -543,6 +543,10 @@ def resolve(spec: NeighborhoodSpec, traj: Trajectory) -> ResolvedNeighborhood:
     """
     if spec.level < 1:
         raise ValueError("neighborhood levels are 1-based")
+    if spec.center.kind == KIND_HEAD_INF and traj.family != FAMILY_LOG_M:
+        # the dense family has no limit head to center on
+        raise InvalidConfig(
+            f"{spec.render()} needs the head-indexed family")
     if spec.center.kind != KIND_HEAD_INF:
         # levels are tied to built blocks through their thresholds
         traj.manifest.block(spec.level)

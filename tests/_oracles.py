@@ -117,6 +117,19 @@ def naive_satisfiable(J, sigma, specs, traj, horizon=None, start_range=None,
     return None
 
 
+def naive_orbit_starts(J, sigma, specs, traj, horizon=None, syms=None):
+    """Every orbit start u <= horizon - max(J) realizing the assignment."""
+    specs = tuple(specs)
+    J = tuple(J)
+    if horizon is None:
+        horizon = traj.horizon
+    horizon = min(horizon, traj.horizon)
+    if syms is None:
+        syms = materialize(traj, horizon)
+    return tuple(u for u in range(0, horizon - J[-1] + 1)
+                 if _realizes((ORBIT, u), J, tuple(sigma), specs, syms, traj))
+
+
 def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None,
                               allow_heads=True):
     """Scan all assignments over J against all candidate points."""
@@ -162,6 +175,49 @@ def naive_max_independence(specs, cap, traj, horizon=None):
             break
         best = size
     return best
+
+
+def naive_frontier_sizes(specs, cap, traj, horizon=None):
+    """Number of normalized independence shapes of each size up to cap.
+
+    Each shape (0, d_1, ..., d_{n-1}) with d_{n-1} <= horizon is checked
+    against every candidate point. Shapes of size n + 1 are the one-time
+    extensions of the size-n independence shapes: a point realizing an
+    assignment also realizes its restriction to a prefix, so no shape is
+    missed. The list stops after the first size with no shape, as an
+    exhaustion certificate does.
+    """
+    specs = tuple(specs)
+    if horizon is None:
+        horizon = traj.horizon
+    horizon = min(horizon, traj.horizon)
+    syms = materialize(traj, horizon)
+    inside = {}
+
+    def classes(point, t):
+        key = (point, t)
+        got = inside.get(key)
+        if got is None:
+            got = tuple(c for c in range(len(specs))
+                        if _realizes(point, (t,), (c,), specs, syms, traj))
+            inside[key] = got
+        return got
+
+    def independent(J):
+        words = set()
+        for point in candidate_points(specs, J, traj, horizon, None, True):
+            words.update(itertools.product(*(classes(point, t) for t in J)))
+        return len(words) == len(specs) ** len(J)
+
+    sizes = []
+    shapes = [(0,)]
+    while True:
+        shapes = [J for J in shapes if independent(J)]
+        sizes.append(len(shapes))
+        if not shapes or len(sizes) == cap:
+            return tuple(sizes)
+        shapes = [J + (d,) for J in shapes
+                  for d in range(J[-1] + 1, horizon + 1)]
 
 
 def naive_words(seq, partition, traj, horizon, syms=None):

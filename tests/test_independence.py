@@ -1,20 +1,25 @@
 """Search engine: satisfiability, independence, maxima, certificates."""
 
+import itertools
 import random
 import time
 
 import pytest
 
 from _oracles import (
+    materialize,
+    naive_frontier_sizes,
     naive_is_independence_set,
     naive_max_independence,
+    naive_orbit_starts,
     naive_satisfiable,
     random_small_build,
     random_times,
     random_tuple,
 )
 from seqent import independence
-from seqent.errors import ResourceBudgetExceeded
+from seqent.construct import build_log_infty
+from seqent.errors import InvalidConfig, ResourceBudgetExceeded
 from seqent.independence import (
     ExhaustionCertificate,
     OccupancyVector,
@@ -29,10 +34,12 @@ from seqent.independence import (
 )
 from seqent.model import (
     FAMILY_LOG_INFTY,
+    FAMILY_LOG_M,
     KIND_HEAD_INF,
     ModelPoint,
     NeighborhoodSpec,
     Symbol,
+    resolve,
 )
 
 
@@ -60,6 +67,19 @@ class TestOccupancy:
         mask = vec.as_int(hi)
         for t in range(hi + 1):
             assert bool((mask >> t) & 1) == vec.test(t)
+
+    def test_limit_head_center_rejected_on_dense_family(self):
+        # the dense family has no limit head, so U(a_inf) names nothing
+        traj = build_log_infty(1)
+        spec = U(Symbol.head_inf(), 1)
+        with pytest.raises(InvalidConfig):
+            resolve(spec, traj)
+        with pytest.raises(InvalidConfig):
+            occupancy(spec, traj)
+        for specs in ((spec,), (U(Symbol.dense(1), 1), spec)):
+            for mode in ("level", "dfs"):
+                with pytest.raises(InvalidConfig):
+                    max_independence(specs, cap=3, traj=traj, mode=mode)
 
 
 class TestSatisfiable:
@@ -270,6 +290,103 @@ class TestPairStage:
                                             [s.render() for s in specs])
 
 
+class TestFrontiers:
+    def test_searches_match_brute_force(self, dense2, m2k2):
+        rng = random.Random(31415)
+        cases = []
+        for traj, specs in _dense_or_random_builds(rng, dense2, 40):
+            if traj.family == FAMILY_LOG_M and rng.random() < 0.6:
+                # adjacent centers share the block's designated times
+                a = rng.randrange(-1, traj.m)
+                specs = [U(Symbol.head(a + i), 1)
+                         for i in range(rng.randrange(1, 3))]
+                if len(specs) == 1 or rng.random() < 0.5:
+                    specs.append(U(Symbol.head_inf(), 1))
+                rng.shuffle(specs)
+            if len({s.center for s in specs}) == 1:
+                continue  # one assignment per shape; the brute force swamps
+            cases.append((traj, specs, min(traj.horizon,
+                                           rng.randrange(40, 151))))
+        for level in (1, 2):
+            cases.append((dense2, (U(Symbol.dense(1), level),
+                                   U(Symbol.dense(2), level)), 200))
+        # no pair survives here, though every finite assignment admits d = 7
+        cases.append((m2k2, (U(Symbol.head(3), 1), U(Symbol.head_inf(), 2)),
+                      300))
+        deep = with_inf = 0
+        for traj, specs, horizon in cases:
+            label = (traj.family, horizon, [s.render() for s in specs])
+            want = naive_frontier_sizes(specs, 4, traj, horizon=horizon)
+            level = max_independence(specs, cap=4, traj=traj,
+                                     horizon=horizon, mode="level")
+            if level.certificate is None:
+                assert level.length == len(want) == 4 and want[-1], label
+            else:
+                assert level.certificate.frontier_sizes == want, label
+            dfs = max_independence(specs, cap=4, traj=traj,
+                                   horizon=horizon, mode="dfs")
+            assert dfs.length == sum(1 for n in want if n), label
+            for res in (level, dfs):
+                assert naive_is_independence_set(
+                    res.witness.times, specs, traj, horizon=horizon), label
+            deep += level.certificate is not None and len(want) >= 4
+            with_inf += len(want) >= 3 and any(
+                s.center.kind == KIND_HEAD_INF for s in specs)
+        assert deep >= 2 and with_inf >= 3, (deep, with_inf)
+
+
+def _assert_table_is_exact(shape, table, specs, traj, horizon, syms):
+    """Each assignment's list equals every orbit start realizing it."""
+    sigmas = itertools.product(range(len(specs)), repeat=len(shape))
+    for sigma, starts in zip(sigmas, table):
+        if all(specs[c].center.kind == KIND_HEAD_INF for c in sigma):
+            assert starts is None
+        else:
+            assert starts == naive_orbit_starts(
+                shape, sigma, specs, traj, horizon, syms), (
+                shape, sigma, [s.render() for s in specs])
+    return len(table)
+
+
+class TestRealizerTables:
+    def test_tables_list_every_orbit_start(self, dense2):
+        rng = random.Random(2024)
+        checked = 0
+        for traj, specs in _dense_or_random_builds(rng, dense2, 40):
+            if all(s.center.kind == KIND_HEAD_INF for s in specs):
+                continue  # the limit head covers these before any search
+            occs = [occupancy(s, traj) for s in specs]
+            horizon = min(traj.horizon, rng.randrange(40, 121))
+            # a hit just past the horizon realizes nothing
+            edges = [b - 1 for occ in occs if not occ.complement
+                     for b in occ.times if 40 < b <= horizon]
+            if edges and rng.random() < 0.5:
+                horizon = rng.choice(edges)
+            syms = materialize(traj, horizon)
+            budget = SearchBudget()
+            viable = set(_pair_diffs(as_tuple_spec(specs), traj, horizon,
+                                     budget))
+            for _walk in range(3):
+                # extend along random shapes whose pairs all survive
+                shape = (0,)
+                table = independence._root_table(occs, horizon)
+                while table is not None:
+                    checked += _assert_table_is_exact(shape, table, specs,
+                                                      traj, horizon, syms)
+                    ds = [d for d in range(shape[-1] + 1, horizon + 1)
+                          if all(d - s in viable for s in shape)]
+                    if not ds or len(shape) == 4:
+                        break
+                    d = rng.choice(ds)
+                    table = independence._extend_table(
+                        shape, table, d, occs, specs, traj, horizon, budget)
+                    shape += (d,)
+                if table is None:
+                    assert not naive_is_independence_set(
+                        shape, specs, traj, horizon=horizon)
+        assert checked >= 200
+
+
 class TestShiftProperty:
     def test_block_times_shift(self, m2k3):
         for k in (2, 3):
@@ -323,3 +440,29 @@ class TestEngineAgainstOracle:
             want = naive_satisfiable(J, sigma, specs, traj, horizon=horizon)
             assert (got is None) == (want is None), (
                 traj.family, J, sigma, [s.render() for s in specs])
+
+    @PAIR_PATHS
+    def test_randomized_start_range_agreement(self, limit, monkeypatch):
+        # restricted systems hold orbit points only, first start ascending
+        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
+        rng = random.Random(77)
+        for _ in range(120):
+            traj = random_small_build(rng)
+            horizon = min(traj.horizon, rng.randrange(40, 151))
+            specs = random_tuple(rng, traj)
+            J = random_times(rng, horizon)
+            sigma = tuple(rng.randrange(len(specs)) for _ in J)
+            starts = naive_orbit_starts(J, sigma, specs, traj, horizon)
+            if starts and rng.random() < 0.5:
+                lo = rng.choice(starts) + 1  # starts just below are out
+            else:
+                lo = rng.randrange(0, horizon // 2)
+            start_range = (lo, lo + rng.randrange(0, horizon))
+            got = satisfiable(J, sigma, specs, traj, horizon=horizon,
+                              start_range=start_range)
+            want = naive_satisfiable(J, sigma, specs, traj, horizon=horizon,
+                                     start_range=start_range)
+            assert (None if got is None else got.time) == (
+                None if want is None else want[1]), (
+                traj.family, J, sigma, start_range,
+                [s.render() for s in specs])
