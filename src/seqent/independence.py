@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceeded, ResourceBudgetExceeded
 from .model import (
@@ -155,8 +155,9 @@ class OccupancyVector:
     """Orbit indices inside one neighborhood, as a sorted hit list.
 
     Stored sparsely: either the hit times themselves or, for the dense
-    orbit part of an infinity neighborhood, the miss times. Short dense
-    builds can also materialize a literal int bitmask.
+    orbit part of an infinity neighborhood, the miss times. A hit list on a
+    short build can also be read as a literal int bitmask, which only the
+    all-dense pair stage does.
     """
 
     def __init__(self, n_points: int, times: tuple[int, ...] | None = None,
@@ -180,24 +181,13 @@ class OccupancyVector:
             return t not in self._miss_set
         return t in self._times_set
 
-    def as_int(self, hi: int | None = None) -> int:
-        """Literal bitmask; only for short builds."""
-        if hi is None:
-            hi = self.n_points - 1
-        if hi + 1 > DENSE_BITMASK_LIMIT:
+    def as_int(self) -> int:
+        """Literal bitmask of the hit times; only for short builds."""
+        if self.n_points > DENSE_BITMASK_LIMIT:
             raise ValueError("trajectory too long for a literal bitmask")
-        nbytes = hi // 8 + 1
-        if self.complement:
-            buf = bytearray(b"\xff" * nbytes)
-            for t in self.miss_times:
-                if t <= hi:
-                    buf[t >> 3] &= ~(1 << (t & 7)) & 0xFF
-            mask = int.from_bytes(buf, "little")
-            return mask & ((1 << (hi + 1)) - 1)
-        buf = bytearray(nbytes)
+        buf = bytearray((self.n_points - 1) // 8 + 1)
         for t in self.times:
-            if t <= hi:
-                buf[t >> 3] |= 1 << (t & 7)
+            buf[t >> 3] |= 1 << (t & 7)
         return int.from_bytes(buf, "little")
 
 
@@ -229,80 +219,67 @@ def _mask_for(spec: NeighborhoodSpec, traj: Trajectory) -> int:
 # satisfiability of one assignment
 
 
-def _head_realizer(J, sigma, specs, traj) -> ModelPoint | None:
-    """Closed-form head witness for one assignment, or None.
+def _head_keys(specs, traj):
+    """Per neighborhood, the finite center index (None for a_inf), and the
+    infinity windows on the head-indexed family (None on the dense one)."""
+    centers = tuple(None if s.center.kind == KIND_HEAD_INF else s.center.index
+                    for s in specs)
+    log_m = traj.family == FAMILY_LOG_M
+    return centers, (tuple(infinity_window(s.level) for s in specs)
+                     if log_m else None)
 
-    Heads never need enumeration: finite centers pin the head index through
-    consistency (index = center - time), the limit head covers assignments
-    made purely of infinity neighborhoods, and dense heads are fixed points
-    so they realize exactly the constant assignments centered on them.
+
+def _head_index(J, sigma, heads) -> int | None:
+    """Index of the head realizing an assignment that names a finite
+    center, or None.
+
+    Finite centers pin the index (index = center - time), and infinity
+    neighborhoods then need the head's image outside their windows. Dense
+    heads are fixed points: they realize exactly the constant assignments.
     """
-    chosen = [specs[c] for c in sigma]
-    if traj.family == FAMILY_LOG_M:
-        if all(s.center.kind == KIND_HEAD_INF for s in chosen):
-            return ModelPoint.head(Symbol.head_inf())
-        idx = None
-        for t, s in zip(J, chosen):
-            if s.center.kind == KIND_HEAD:
-                want = s.center.index - t
-                if idx is None:
-                    idx = want
-                elif idx != want:
-                    return None
-        # idx is set: at least one finite center exists here
-        for t, s in zip(J, chosen):
-            if s.center.kind == KIND_HEAD_INF:
-                if abs(idx + t) < infinity_window(s.level):
-                    return None
-        return ModelPoint.head(Symbol.head(idx))
-    # dense family: heads are fixed, only constant assignments work
-    first = chosen[0].center
-    if all(s.center == first for s in chosen):
-        return ModelPoint.head(first)
-    return None
-
-
-def _sparse_candidates(J, occs, horizon, start_range):
-    """Ascending orbit start candidates from the sparsest finite anchor."""
-    best = None
-    for t, occ in zip(J, occs):
-        if occ.complement:
+    centers, windows = heads
+    if windows is None:
+        first = centers[sigma[0]]
+        return first if all(centers[c] == first for c in sigma) else None
+    idx = None
+    for t, c in zip(J, sigma):
+        center = centers[c]
+        if center is None:
             continue
-        if best is None or len(occ.times) < len(best[1].times):
-            best = (t, occ)
-    if best is None:
-        return None  # no finite anchor; caller falls back to heads
-    t0, occ = best
-    lo = 0 if start_range is None else start_range[0]
-    hi = horizon - J[-1]
-    if start_range is not None:
-        hi = min(hi, start_range[1])
-    times = occ.times
-    first = bisect.bisect_left(times, lo + t0)
-    last = bisect.bisect_right(times, hi + t0)
-    return [h - t0 for h in times[first:last]]
+        if idx is None:
+            idx = center - t
+        elif idx != center - t:
+            return None
+    for t, c in zip(J, sigma):
+        if centers[c] is None and abs(idx + t) < windows[c]:
+            return None
+    return idx
 
 
-def _infinity_orbit_scan(J, sigma, specs, traj, horizon, start_range, budget):
-    """Orbit witness when every chosen neighborhood is infinity-centered.
+def _head_realizer(J, sigma, heads) -> ModelPoint | None:
+    """Closed-form head witness for one assignment, or None: the limit
+    head for one made purely of infinity neighborhoods, else the head that
+    ``_head_index`` names."""
+    centers, windows = heads
+    if all(centers[c] is None for c in sigma):
+        return ModelPoint.head(Symbol.head_inf())
+    idx = _head_index(J, sigma, heads)
+    if idx is None:
+        return None
+    return ModelPoint.head(Symbol.dense(idx) if windows is None
+                           else Symbol.head(idx))
+
+
+def _infinity_orbit_scan(J, occs, lo, hi, budget):
+    """First orbit start in [lo, hi] realizing an assignment made purely of
+    infinity neighborhoods (``occs[i]`` at time J[i]), or None.
 
     The orbit complements of infinity neighborhoods are sparse (a handful of
     near-zero indices per run), so the first start clearing all of them is
     found by skipping the finitely many collisions.
     """
-    if traj.family != FAMILY_LOG_M:
-        return None
-    lo = 0 if start_range is None else max(start_range[0], 0)
-    hi = horizon - J[-1]
-    if start_range is not None:
-        hi = min(hi, start_range[1])
-    blocked = set()
-    for t, c in zip(J, sigma):
-        spec = specs[c]
-        for h in traj.near_head_times(infinity_window(spec.level) - 1):
-            u = h - t
-            if lo <= u <= hi:
-                blocked.add(u)
+    blocked = {h - t for t, occ in zip(J, occs) for h in occ.miss_times
+               if lo <= h - t <= hi}
     if budget is not None:
         budget.spend(len(blocked) + 1)
     u = lo
@@ -315,15 +292,16 @@ def _infinity_orbit_scan(J, sigma, specs, traj, horizon, start_range, budget):
 
 def satisfiable(J, sigma, specs, traj: Trajectory, horizon: int | None = None,
                 start_range: tuple[int, int] | None = None,
-                allow_heads: bool = True,
                 budget: SearchBudget | None = None) -> ModelPoint | None:
     """First model point realizing the assignment, or None.
 
-    Search order follows the engine design: orbit candidates ascending
-    (literal bitmask intersection on short builds, sparsest-anchor scan
-    otherwise), then head candidates in closed form. ``start_range`` limits
-    orbit start times (used by block-restricted verification) and disables
-    head witnesses, since a restricted system consists of orbit points only.
+    Orbit candidates come ascending from the sparsest finite anchor's hit
+    list, each probed against every occupancy; then heads in closed form.
+    ``start_range`` limits orbit start times and disables head witnesses,
+    since a restricted system consists of orbit points only; an assignment
+    made purely of infinity neighborhoods then takes the first start
+    clearing their sparse complements. ``is_independence_set`` answers all
+    assignments of a set at once and does not call this.
     """
     specs = as_tuple_spec(specs).specs
     J = tuple(J)
@@ -333,63 +311,113 @@ def satisfiable(J, sigma, specs, traj: Trajectory, horizon: int | None = None,
     if horizon is None:
         horizon = traj.horizon
     horizon = min(horizon, traj.horizon)
-    if J and J[-1] > horizon:
-        raise ValueError("times exceed the queried horizon")
-
-    if J:
-        if traj.n_points <= DENSE_BITMASK_LIMIT:
-            mask = (1 << (horizon - J[-1] + 1)) - 1
-            for t, c in zip(J, sigma):
-                mask &= _mask_for(specs[c], traj) >> t
-                if not mask:
-                    break
-            if start_range is not None and mask:
-                lo, hi = start_range
-                lo = max(lo, 0)
-                span = ((1 << (hi - lo + 1)) - 1) << lo if hi >= lo else 0
-                mask &= span
-            if budget is not None:
-                budget.spend(len(J))
-            if mask:
-                u = (mask & -mask).bit_length() - 1
-                return ModelPoint.orbit(u)
-        else:
-            occs = [occupancy(specs[c], traj) for c in sigma]
-            cands = _sparse_candidates(J, occs, horizon, start_range)
-            if cands is not None:
-                probes = [(t, occ.test) for t, occ in zip(J, occs)]
-                for u in cands:
-                    if budget is not None:
-                        budget.spend(len(J))
-                    for t, test in probes:
-                        if not test(u + t):
-                            break
-                    else:
-                        return ModelPoint.orbit(u)
-            elif start_range is not None or not allow_heads:
-                point = _infinity_orbit_scan(J, sigma, specs, traj, horizon,
-                                             start_range, budget)
-                if point is not None:
-                    return point
-
     if not J:
         # the empty assignment is realized by any point at all
         return ModelPoint.orbit(0 if start_range is None else start_range[0])
-    if start_range is not None or not allow_heads:
+    if J[-1] > horizon:
+        raise ValueError("times exceed the queried horizon")
+
+    lo, hi = (0, horizon) if start_range is None else start_range
+    lo, hi = max(lo, 0), min(hi, horizon - J[-1])
+    occs = [occupancy(specs[c], traj) for c in sigma]
+    anchors = [(t, occ.times) for t, occ in zip(J, occs)
+               if not occ.complement]
+    if not anchors:
+        if start_range is None:
+            return _head_realizer(J, sigma, _head_keys(specs, traj))
+        return _infinity_orbit_scan(J, occs, lo, hi, budget)
+    t0, times = min(anchors, key=lambda a: len(a[1]))
+    probes = [(t, occ.test) for t, occ in zip(J, occs)]
+    for h in times[bisect.bisect_left(times, lo + t0):
+                   bisect.bisect_right(times, hi + t0)]:
+        if budget is not None:
+            budget.spend(len(J))
+        for t, test in probes:
+            if not test(h - t0 + t):
+                break
+        else:
+            return ModelPoint.orbit(h - t0)
+    if start_range is not None:
         return None
-    return _head_realizer(J, sigma, specs, traj)
+    return _head_realizer(J, sigma, _head_keys(specs, traj))
+
+
+# ---------------------------------------------------------------------------
+# realizer tables
+
+
+def _root_table(occs, horizon, lo=0):
+    """Realizer table of the singleton shape (0,): each hit list cut to
+    [lo, horizon], None for an infinity-centered neighborhood."""
+    return tuple(None if occ.complement
+                 else occ.times[bisect.bisect_left(occ.times, lo):
+                                bisect.bisect_right(occ.times, horizon)]
+                 for occ in occs)
+
+
+def _extend_table(shape, table, d, occs, heads, horizon, budget):
+    """Realizer table of shape + (d,).
+
+    A table lists, per assignment in ``itertools.product`` order, the
+    ascending orbit starts u <= horizon - shape[-1] that realize it on
+    shape, or None where every neighborhood is infinity-centered (a
+    co-finite set, and the limit head realizes the assignment anyway).
+    Extending keeps the starts whose u + d lands in the new neighborhood.
+    With the tuple's ``heads`` (``_head_keys``) a list left empty survives
+    only through a closed-form head, and the first assignment without one
+    makes the result None; with ``heads`` None every list is kept. Each
+    list element examined spends one node.
+    """
+    cand = shape + (d,)
+    cut = horizon - d
+    out = []
+    sigmas = itertools.product(range(len(occs)), repeat=len(shape))
+    for sigma, starts in zip(sigmas, table):
+        if starts is None:
+            misses = [(t, occs[c]._miss_set) for t, c in zip(shape, sigma)]
+        else:
+            starts = starts[:bisect.bisect_right(starts, cut)]
+        for c, occ in enumerate(occs):
+            if starts is not None:
+                budget.spend(len(starts))
+                if occ.complement:
+                    miss = occ._miss_set
+                    kept = tuple([u for u in starts if u + d not in miss])
+                else:
+                    hit = occ._times_set
+                    kept = tuple([u for u in starts if u + d in hit])
+            elif occ.complement:
+                out.append(None)
+                continue
+            else:
+                # anchor on the new neighborhood's hits b = u + d
+                times = occ.times
+                anchors = times[bisect.bisect_left(times, d):
+                                bisect.bisect_right(times, horizon)]
+                budget.spend(len(anchors))
+                kept = tuple([b - d for b in anchors
+                              if all(b - d + t not in miss
+                                     for t, miss in misses)])
+            if (not kept and heads is not None
+                    and _head_index(cand, sigma + (c,), heads) is None):
+                return None
+            out.append(kept)
+    return tuple(out)
 
 
 def is_independence_set(J, specs, traj: Trajectory,
                         horizon: int | None = None,
                         start_range: tuple[int, int] | None = None,
-                        allow_heads: bool = True,
-                        max_assignments: int = DEFAULT_ASSIGNMENT_CAP,
                         budget: SearchBudget | None = None) -> IndependenceResult:
     """Check every assignment over J; empty J is vacuously independent.
 
     Returns the full witness table on success, or the lexicographically
-    first failing assignment.
+    first failing assignment. Folds the search drivers' realizer table
+    over the shape J - J[0], keeping every list, since an assignment
+    earlier in product order may die later than one whose prefix died
+    first. A witness is the first orbit start, else the closed-form head;
+    ``start_range`` rules heads out, and the infinity scan then serves the
+    assignments made purely of infinity neighborhoods.
     """
     tspec = as_tuple_spec(specs)
     J = tuple(sorted(J))
@@ -398,14 +426,50 @@ def is_independence_set(J, specs, traj: Trajectory,
     if any(t < 0 for t in J):
         raise ValueError("times are nonnegative")
     k = len(tspec)
-    if J and k ** len(J) > max_assignments:
-        raise CapExceeded(
-            f"{k}^{len(J)} assignments exceed the cap {max_assignments}")
+    if k ** len(J) > DEFAULT_ASSIGNMENT_CAP:
+        raise CapExceeded(f"{k}^{len(J)} assignments exceed the cap "
+                          f"{DEFAULT_ASSIGNMENT_CAP}")
+    if horizon is None:
+        horizon = traj.horizon
+    horizon = min(horizon, traj.horizon)
+    if not J:
+        # the empty assignment is realized by any point at all
+        point = ModelPoint.orbit(0 if start_range is None else start_range[0])
+        return IndependenceResult(True, witness=IndependenceWitness(
+            J, {(): point}))
+    if J[-1] > horizon:
+        raise ValueError("times exceed the queried horizon")
+    if budget is None:
+        budget = SearchBudget()
+
+    specs = tspec.specs
+    occs = [occupancy(s, traj) for s in specs]
+    lo, hi = (0, horizon) if start_range is None else start_range
+    lo, hi = max(lo, 0), min(hi, horizon - J[-1])
+    # the starts of J, shifted by t0, are the starts of its shape
+    t0 = J[0]
+    shape = (0,)
+    table = _root_table(occs, hi + t0, lo + t0)
+    for t in J[1:]:
+        table = _extend_table(shape, table, t - t0, occs, None, horizon,
+                              budget)
+        shape += (t - t0,)
+
+    heads = _head_keys(specs, traj)
     realizers: dict[tuple[int, ...], ModelPoint] = {}
-    for sigma in itertools.product(range(k), repeat=len(J)):
-        point = satisfiable(J, sigma, tspec, traj, horizon=horizon,
-                            start_range=start_range, allow_heads=allow_heads,
-                            budget=budget)
+    sigmas = itertools.product(range(k), repeat=len(J))
+    for sigma, starts in zip(sigmas, table):
+        # lists anchored after an all-infinity prefix ignore [lo, hi]
+        i = bisect.bisect_left(starts or (), lo + t0)
+        if starts and i < len(starts) and starts[i] <= hi + t0:
+            point = ModelPoint.orbit(starts[i] - t0)
+        elif start_range is None:
+            point = _head_realizer(J, sigma, heads)
+        elif starts is None:
+            point = _infinity_orbit_scan(J, [occs[c] for c in sigma], lo,
+                                         hi, budget)
+        else:
+            point = None
         if point is None:
             return IndependenceResult(False, failing=sigma)
         realizers[sigma] = point
@@ -554,69 +618,12 @@ def max_independence(specs, cap: int, traj: Trajectory,
     raise ValueError(f"unknown search mode {mode!r}")
 
 
-def _root_table(occs, horizon):
-    """Realizer table of the singleton shape (0,): each hit list up to the
-    horizon, None for an infinity-centered neighborhood."""
-    return tuple(None if occ.complement
-                 else occ.times[:bisect.bisect_right(occ.times, horizon)]
-                 for occ in occs)
-
-
-def _extend_table(shape, table, d, occs, specs, traj, horizon, budget):
-    """Realizer table of shape + (d,), or None once an assignment dies.
-
-    A table lists, per assignment in ``itertools.product`` order, the
-    ascending orbit starts u <= horizon - shape[-1] that realize it on
-    shape. It holds None where every neighborhood of the assignment is
-    infinity-centered: that set is co-finite and the limit head realizes
-    the assignment anyway. Extending keeps the starts whose u + d lands in
-    the new neighborhood, so no assignment is solved from scratch; one left
-    without starts survives only through a closed-form head witness. Each
-    list element examined spends one node.
-    """
-    cand = shape + (d,)
-    cut = horizon - d
-    out = []
-    sigmas = itertools.product(range(len(occs)), repeat=len(shape))
-    for sigma, starts in zip(sigmas, table):
-        if starts is None:
-            misses = [(t, occs[c]._miss_set) for t, c in zip(shape, sigma)]
-        else:
-            starts = starts[:bisect.bisect_right(starts, cut)]
-        for c, occ in enumerate(occs):
-            if starts is not None:
-                budget.spend(len(starts))
-                if occ.complement:
-                    miss = occ._miss_set
-                    kept = tuple([u for u in starts if u + d not in miss])
-                else:
-                    hit = occ._times_set
-                    kept = tuple([u for u in starts if u + d in hit])
-            elif occ.complement:
-                out.append(None)
-                continue
-            else:
-                # anchor on the new neighborhood's hits b = u + d
-                times = occ.times
-                anchors = times[bisect.bisect_left(times, d):
-                                bisect.bisect_right(times, horizon)]
-                budget.spend(len(anchors))
-                kept = tuple([b - d for b in anchors
-                              if all(b - d + t not in miss
-                                     for t, miss in misses)])
-            if not kept and _head_realizer(cand, sigma + (c,), specs,
-                                           traj) is None:
-                return None
-            out.append(kept)
-    return tuple(out)
-
-
 def _max_level(tspec, traj, horizon, cap, occs,
                budget) -> MaxIndependenceResult:
-    specs = tspec.specs
-    frontier_sizes = [1]  # the singleton shape (0,)
+    heads = _head_keys(tspec.specs, traj)
+    previous = [(0,)]
     current = [(0, d) for d in _pair_diffs(tspec, traj, horizon, budget)]
-    frontier_sizes.append(len(current))
+    frontier_sizes = [1, len(current)]
     # realizer tables of the prefixes that the current shapes extend; a
     # shape's own table is rebuilt from its prefix's when it is joined
     tables = {(0,): _root_table(occs, horizon)}
@@ -636,34 +643,25 @@ def _max_level(tspec, traj, horizon, cap, occs,
                 ys = _closed_tails(head, lasts[a_i + 1:], tails)
                 if not ys:
                     continue
-                table = _extend_table(prefix, prefix_table, x, occs, specs,
-                                      traj, horizon, budget)
+                table = _extend_table(prefix, prefix_table, x, occs, heads,
+                                      horizon, budget)
                 for y in ys:
-                    if _extend_table(head, table, y, occs, specs, traj,
-                                     horizon, budget) is not None:
+                    if _extend_table(head, table, y, occs, heads, horizon,
+                                     budget) is not None:
                         nxt.append(head + (y,))
                         if size + 1 < cap:
                             next_tables[head] = table
         frontier_sizes.append(len(nxt))
-        if not nxt:
-            cert = ExhaustionCertificate(
-                tuple_rendered=tspec.render(), target_length=cap,
-                horizon=horizon, search="level-shapes",
-                frontier_sizes=tuple(frontier_sizes),
-                died_level=size + 1, nodes_used=budget.nodes)
-            return _cap_result(tspec, traj, horizon, min(current),
-                               budget, cert)
-        current = nxt
+        previous, current = current, nxt
         tables = next_tables
         size += 1
-    if size >= cap and current:
+    if current:
         return _cap_result(tspec, traj, horizon, min(current), budget)
-    # cap 2 with an empty pair level
     cert = ExhaustionCertificate(
         tuple_rendered=tspec.render(), target_length=cap, horizon=horizon,
         search="level-shapes", frontier_sizes=tuple(frontier_sizes),
-        died_level=2, nodes_used=budget.nodes)
-    return _cap_result(tspec, traj, horizon, (0,), budget, cert)
+        died_level=size, nodes_used=budget.nodes)
+    return _cap_result(tspec, traj, horizon, min(previous), budget, cert)
 
 
 def _closed_tails(head, lasts, tails) -> list[int]:
@@ -686,7 +684,7 @@ def _closed_tails(head, lasts, tails) -> list[int]:
 
 def _max_dfs(tspec, traj, horizon, cap, occs,
              budget) -> MaxIndependenceResult:
-    specs = tspec.specs
+    heads = _head_keys(tspec.specs, traj)
     viable = _pair_diffs(tspec, traj, horizon, budget)
     viable_set = set(viable)
     visited = [0] * (cap + 1)
@@ -698,8 +696,8 @@ def _max_dfs(tspec, traj, horizon, cap, occs,
         for d in viable[bisect.bisect_right(viable, shape[-1]):]:
             if any(d - s not in viable_set for s in shape[1:]):
                 continue
-            cand_table = _extend_table(shape, table, d, occs, specs, traj,
-                                       horizon, budget)
+            cand_table = _extend_table(shape, table, d, occs, heads, horizon,
+                                       budget)
             if cand_table is None:
                 continue
             cand = shape + (d,)

@@ -65,7 +65,7 @@ def _head_ok(spec, kind, index, t):
     raise ValueError(kind)
 
 
-def candidate_points(specs, J, traj, horizon, start_range, allow_heads):
+def candidate_points(specs, J, traj, horizon, start_range):
     """Every point that could realize some assignment, by enumeration."""
     max_j = max(J) if J else 0
     if start_range is not None:
@@ -74,8 +74,6 @@ def candidate_points(specs, J, traj, horizon, start_range, allow_heads):
         hi = min(hi, horizon - max_j)
         return [(ORBIT, u) for u in range(lo, hi + 1)]
     points = [(ORBIT, u) for u in range(0, horizon - max_j + 1)]
-    if not allow_heads:
-        return points
     if traj.family == FAMILY_LOG_M:
         reach = max((abs(s.center.index) for s in specs
                      if s.center.kind == KIND_HEAD), default=0)
@@ -102,7 +100,7 @@ def _realizes(point, J, sigma, specs, syms, traj):
 
 
 def naive_satisfiable(J, sigma, specs, traj, horizon=None, start_range=None,
-                      allow_heads=True, syms=None):
+                      syms=None):
     specs = tuple(specs)
     J = tuple(J)
     if horizon is None:
@@ -110,8 +108,7 @@ def naive_satisfiable(J, sigma, specs, traj, horizon=None, start_range=None,
     horizon = min(horizon, traj.horizon)
     if syms is None:
         syms = materialize(traj, horizon)
-    for point in candidate_points(specs, J, traj, horizon, start_range,
-                                  allow_heads):
+    for point in candidate_points(specs, J, traj, horizon, start_range):
         if _realizes(point, J, tuple(sigma), specs, syms, traj):
             return point
     return None
@@ -130,8 +127,7 @@ def naive_orbit_starts(J, sigma, specs, traj, horizon=None, syms=None):
                  if _realizes((ORBIT, u), J, tuple(sigma), specs, syms, traj))
 
 
-def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None,
-                              allow_heads=True):
+def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None):
     """Scan all assignments over J against all candidate points."""
     specs = tuple(specs)
     J = tuple(sorted(J))
@@ -139,8 +135,7 @@ def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None,
         horizon = traj.horizon
     horizon = min(horizon, traj.horizon)
     syms = materialize(traj, horizon)
-    candidates = candidate_points(specs, J, traj, horizon, start_range,
-                                  allow_heads)
+    candidates = candidate_points(specs, J, traj, horizon, start_range)
     for sigma in itertools.product(range(len(specs)), repeat=len(J)):
         if not any(_realizes(p, J, sigma, specs, syms, traj)
                    for p in candidates):
@@ -164,7 +159,7 @@ def naive_max_independence(specs, cap, traj, horizon=None):
         found = False
         for rest in itertools.combinations(range(1, horizon + 1), size - 1):
             J = (0,) + rest
-            candidates = candidate_points(specs, J, traj, horizon, None, True)
+            candidates = candidate_points(specs, J, traj, horizon, None)
             if all(any(_realizes(p, J, sigma, specs, syms, traj)
                        for p in candidates)
                    for sigma in itertools.product(range(len(specs)),
@@ -205,7 +200,7 @@ def naive_frontier_sizes(specs, cap, traj, horizon=None):
 
     def independent(J):
         words = set()
-        for point in candidate_points(specs, J, traj, horizon, None, True):
+        for point in candidate_points(specs, J, traj, horizon, None):
             words.update(itertools.product(*(classes(point, t) for t in J)))
         return len(words) == len(specs) ** len(J)
 

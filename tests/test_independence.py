@@ -19,7 +19,7 @@ from _oracles import (
 )
 from seqent import independence
 from seqent.construct import build_log_infty
-from seqent.errors import InvalidConfig, ResourceBudgetExceeded
+from seqent.errors import CapExceeded, InvalidConfig, ResourceBudgetExceeded
 from seqent.independence import (
     ExhaustionCertificate,
     OccupancyVector,
@@ -39,6 +39,7 @@ from seqent.model import (
     ModelPoint,
     NeighborhoodSpec,
     Symbol,
+    head_member,
     resolve,
 )
 
@@ -58,14 +59,6 @@ class TestOccupancy:
         vec = occupancy(U(Symbol.dense(2), 1), dense2)
         mask = vec.as_int()
         for t in range(dense2.n_points):
-            assert bool((mask >> t) & 1) == vec.test(t)
-
-    def test_complement_vector_mask(self, m2k2):
-        vec = occupancy(U(Symbol.head_inf(), 1), m2k2)
-        assert vec.complement
-        hi = 400
-        mask = vec.as_int(hi)
-        for t in range(hi + 1):
             assert bool((mask >> t) & 1) == vec.test(t)
 
     def test_limit_head_center_rejected_on_dense_family(self):
@@ -113,6 +106,26 @@ class TestSatisfiable:
                                 start_range=(1, 6))
         assert none_left is None
 
+    def test_negative_start_bound_is_clamped(self, m2k2):
+        # the hit of a_0 at time 0 would make start -1 the first candidate
+        specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))
+        got = satisfiable((1, 2), (0, 1), specs, m2k2, horizon=100,
+                          start_range=(-50, 100))
+        want = naive_satisfiable((1, 2), (0, 1), specs, m2k2, horizon=100,
+                                 start_range=(-50, 100))
+        assert got == ModelPoint.orbit(want[1])
+
+    def test_head_clears_infinity_window_exactly(self, m2k2):
+        # a_0 reaches a_t at time t, inside U1(a_inf) from the window on
+        specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))
+        heads = independence._head_keys(specs, m2k2)
+        for t in range(1, 9):
+            got = independence._head_realizer((0, t), (0, 1), heads)
+            if head_member(specs[1], Symbol.head(t), m2k2):
+                assert got == ModelPoint.head(Symbol.head(0)), t
+            else:
+                assert got is None, t
+
     def test_infinity_orbit_scan_with_start_range(self, m2k3):
         # all-infinity assignments must still find orbit witnesses when
         # heads are unavailable
@@ -148,6 +161,13 @@ class TestIsIndependenceSet:
     def test_duplicate_times_rejected(self, m2k2):
         with pytest.raises(ValueError):
             is_independence_set((3, 3), (U(Symbol.head(0), 1),), m2k2)
+
+    def test_assignment_cap_raises(self, m2k2):
+        specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))
+        times = tuple(range(18))
+        assert 2 ** len(times) > independence.DEFAULT_ASSIGNMENT_CAP
+        with pytest.raises(CapExceeded):
+            is_independence_set(times, specs, m2k2)
 
 
 class TestMaxIndependence:
@@ -364,6 +384,7 @@ class TestRealizerTables:
                 horizon = rng.choice(edges)
             syms = materialize(traj, horizon)
             budget = SearchBudget()
+            heads = independence._head_keys(specs, traj)
             viable = set(_pair_diffs(as_tuple_spec(specs), traj, horizon,
                                      budget))
             for _walk in range(3):
@@ -379,7 +400,7 @@ class TestRealizerTables:
                         break
                     d = rng.choice(ds)
                     table = independence._extend_table(
-                        shape, table, d, occs, specs, traj, horizon, budget)
+                        shape, table, d, occs, heads, horizon, budget)
                     shape += (d,)
                 if table is None:
                     assert not naive_is_independence_set(
@@ -441,10 +462,77 @@ class TestEngineAgainstOracle:
             assert (got is None) == (want is None), (
                 traj.family, J, sigma, [s.render() for s in specs])
 
-    @PAIR_PATHS
-    def test_randomized_start_range_agreement(self, limit, monkeypatch):
+    def test_fold_matches_satisfiable_and_oracle(self, dense2):
+        # witnesses per assignment, and the lexicographically first failure
+        rng = random.Random(8128)
+        cases = []
+        for traj, specs in _dense_or_random_builds(rng, dense2, 80):
+            if traj.family == FAMILY_LOG_M and rng.random() < 0.4:
+                # all-infinity assignments, with and without heads
+                specs = specs[:2] + (U(Symbol.head_inf(),
+                                       rng.randrange(1, 3)),)
+            horizon = min(traj.horizon, rng.randrange(40, 151))
+            J = tuple(t + 1 for t in random_times(rng, horizon - 1))
+            lo = rng.randrange(0, horizon // 2)
+            width = rng.choice((8, horizon))
+            for start_range in (None, (lo, lo + rng.randrange(0, width))):
+                cases.append((traj, specs, J, horizon, start_range))
+            if rng.random() < 0.5:
+                # a shifted independent shape, so that witness tables show
+                shape = max_independence(specs, cap=3, traj=traj,
+                                         horizon=horizon).witness.times
+                shift = rng.randrange(1, 30)
+                if shape[-1] + shift <= horizon:
+                    cases.append((traj, specs,
+                                  tuple(t + shift for t in shape), horizon,
+                                  None))
+        for n in (1, 2):
+            # in-block starts only, as the dense block check asks
+            block = dense2.manifest.block(n)
+            specs = tuple(U(Symbol.dense(j), n) for j in range(1, n + 2))
+            cases.append((dense2, specs, block.times, dense2.horizon,
+                          (block.start, block.end - 1 - block.times[-1])))
+        tables = restricted = all_inf = scans = 0
+        for traj, specs, J, horizon, start_range in cases:
+            label = (traj.family, J, horizon, start_range,
+                     [s.render() for s in specs])
+            res = is_independence_set(J, specs, traj, horizon=horizon,
+                                      start_range=start_range)
+            syms = materialize(traj, horizon)
+            failing = None
+            for sigma in itertools.product(range(len(specs)), repeat=len(J)):
+                want = naive_satisfiable(J, sigma, specs, traj,
+                                         horizon=horizon,
+                                         start_range=start_range, syms=syms)
+                if want is None:
+                    failing = sigma
+                    break
+                if not res.ok:
+                    continue
+                got = res.witness.realizers[sigma]
+                assert got == satisfiable(J, sigma, specs, traj,
+                                          horizon=horizon,
+                                          start_range=start_range), label
+                inf_only = all(specs[c].center.kind == KIND_HEAD_INF
+                               for c in sigma)
+                if inf_only and start_range is None:
+                    # the limit head answers these before any orbit start
+                    assert got == ModelPoint.head(Symbol.head_inf()), label
+                elif want[0] == "orbit":
+                    assert got == ModelPoint.orbit(want[1]), label
+                else:
+                    assert not got.is_orbit, label
+                all_inf += inf_only
+                scans += inf_only and start_range is not None
+            assert res.failing == failing, label
+            assert res.ok == (failing is None), label
+            tables += res.ok and J[0] > 0
+            restricted += res.ok and start_range is not None
+        assert tables >= 20 and all_inf >= 10, (tables, all_inf)
+        assert restricted >= 5 and scans >= 5, (restricted, scans)
+
+    def test_randomized_start_range_agreement(self):
         # restricted systems hold orbit points only, first start ascending
-        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
         rng = random.Random(77)
         for _ in range(120):
             traj = random_small_build(rng)
