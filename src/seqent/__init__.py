@@ -9,109 +9,86 @@ replayable exhaustion certificates.
 """
 
 from .checks import (
-    CheckReport,
-    check_block_parts,
-    check_distance_uniqueness,
-    check_part_structure,
-    check_shiftability,
-    far_offsets,
-    part_expected_times,
-    validate_growth,
-    verify_block_independence,
-    verify_dense_block_independence,
-    verify_far_pair_exclusion,
+    CheckReport, check_block_parts, check_distance_uniqueness,
+    check_part_structure, check_shiftability, far_offsets, part_expected_times,
+    validate_growth, verify_block_independence,
+    verify_dense_block_independence, verify_far_pair_exclusion,
 )
 from .construct import (
-    GrowthSchedule,
-    WindPlan,
-    build_eps_chain,
-    build_log_infty,
-    build_log_m,
-    chain_min_interior,
-    default_dense_schedule,
-    minimal_schedule,
-    patterns,
+    GrowthSchedule, WindPlan, build_eps_chain, build_log_infty, build_log_m,
+    chain_min_interior, default_dense_schedule, minimal_schedule, patterns,
     plan_wind,
 )
 from .entropy import (
-    EntropyEstimate,
-    HStarEvidence,
-    PartitionSpec,
-    TimeSequence,
-    h_star_lower_bound,
-    make_partition,
-    seq_entropy_estimate,
-    word_count,
+    EntropyEstimate, HStarEvidence, PartitionSpec, TimeSequence,
+    h_star_lower_bound, make_partition, seq_entropy_estimate, word_count,
 )
 from .errors import (
-    CapExceeded,
-    HorizonExceeded,
-    Infeasible,
-    InvalidConfig,
-    ResourceBudgetExceeded,
-    ScheduleInvalid,
-    SeqentError,
-    TooShort,
+    CapExceeded, HorizonExceeded, Infeasible, InvalidConfig,
+    ResourceBudgetExceeded, ScheduleInvalid, SeqentError, TooShort,
     UnknownBlock,
 )
 from .flower import (
-    CompositeSystem,
-    PetalSystem,
-    Value,
-    compose,
-    cross_petal_check,
-    parse_value,
-    value_calculus,
+    CompositeSystem, PetalSystem, Value, compose, cross_petal_check,
+    parse_value, value_calculus,
 )
 from .formats import (
-    config_hash,
-    manifest_string,
-    read_certificate,
-    read_manifest,
-    rebuild_from_manifest,
-    replay_certificate,
-    replay_manifest,
-    write_certificate,
-    write_manifest,
-    write_report,
-    write_symbols,
+    config_hash, manifest_string, read_certificate, read_manifest,
+    rebuild_from_manifest, replay_certificate, replay_manifest,
+    write_certificate, write_manifest, write_report, write_symbols,
 )
 from .independence import (
-    ExhaustionCertificate,
-    IndependenceResult,
-    IndependenceWitness,
-    MaxIndependenceResult,
-    OccupancyVector,
-    SearchBudget,
-    TupleSpec,
-    is_independence_set,
-    max_independence,
-    occupancy,
-    satisfiable,
+    ExhaustionCertificate, IndependenceResult, IndependenceWitness,
+    MaxIndependenceResult, OccupancyVector, SearchBudget, TupleSpec,
+    is_independence_set, max_independence, occupancy, satisfiable,
     shift_property_check,
 )
 from .model import (
-    FAMILY_LOG_INFTY,
-    FAMILY_LOG_M,
-    BlockRecord,
-    ModelPoint,
-    NeighborhoodSpec,
-    ResolvedNeighborhood,
-    SegmentationManifest,
-    SegmentRecord,
-    Symbol,
-    Trajectory,
-    dense_index,
-    dense_value,
-    infinity_window,
-    itinerary_hits,
-    iterate,
-    parse_symbol,
-    point_member,
-    resolve,
-    step,
+    FAMILY_LOG_INFTY, FAMILY_LOG_M, BlockRecord, ModelPoint, NeighborhoodSpec,
+    ResolvedNeighborhood, SegmentationManifest, SegmentRecord, Symbol,
+    Trajectory, dense_index, dense_value, infinity_window, itinerary_hits,
+    iterate, parse_symbol, point_member, resolve, step,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # checks
+    "CheckReport", "check_block_parts", "check_distance_uniqueness",
+    "check_part_structure", "check_shiftability", "far_offsets",
+    "part_expected_times", "validate_growth", "verify_block_independence",
+    "verify_dense_block_independence", "verify_far_pair_exclusion",
+    # construct
+    "GrowthSchedule", "WindPlan", "build_eps_chain", "build_log_infty",
+    "build_log_m", "chain_min_interior", "default_dense_schedule",
+    "minimal_schedule", "patterns", "plan_wind",
+    # entropy
+    "EntropyEstimate", "HStarEvidence", "PartitionSpec", "TimeSequence",
+    "h_star_lower_bound", "make_partition", "seq_entropy_estimate",
+    "word_count",
+    # errors
+    "CapExceeded", "HorizonExceeded", "Infeasible", "InvalidConfig",
+    "ResourceBudgetExceeded", "ScheduleInvalid", "SeqentError", "TooShort",
+    "UnknownBlock",
+    # flower
+    "CompositeSystem", "PetalSystem", "Value", "compose", "cross_petal_check",
+    "parse_value", "value_calculus",
+    # formats
+    "config_hash", "manifest_string", "read_certificate", "read_manifest",
+    "rebuild_from_manifest", "replay_certificate", "replay_manifest",
+    "write_certificate", "write_manifest", "write_report", "write_symbols",
+    # independence
+    "ExhaustionCertificate", "IndependenceResult", "IndependenceWitness",
+    "MaxIndependenceResult", "OccupancyVector", "SearchBudget", "TupleSpec",
+    "is_independence_set", "max_independence", "occupancy", "satisfiable",
+    "shift_property_check",
+    # model
+    "FAMILY_LOG_INFTY", "FAMILY_LOG_M", "BlockRecord", "ModelPoint",
+    "NeighborhoodSpec", "ResolvedNeighborhood", "SegmentationManifest",
+    "SegmentRecord", "Symbol", "Trajectory", "dense_index", "dense_value",
+    "infinity_window", "itinerary_hits", "iterate", "parse_symbol",
+    "point_member", "resolve", "step",
+    # submodules
+    "checks", "construct", "entropy", "errors", "flower", "formats",
+    "independence", "model",
+]

@@ -414,10 +414,6 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
     symbols: list[int] = []
     segments: list[SegmentRecord] = []
     blocks: list[BlockRecord] = []
-
-    def emit_values(values: list[Fraction]):
-        symbols.extend(dense_index(v) for v in values)
-
     for n in range(1, nmax + 1):
         eps = schedule.eps[n - 1]
         rel = [0] + list(schedule.times[n - 1])
@@ -425,50 +421,59 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
             raise ScheduleInvalid(f"block {n} needs {n} increasing times")
         funcs = patterns(n + 1, n)  # values 0..n here, shifted to 1..n+1
         funcs = tuple(tuple(v + 1 for v in f) for f in funcs)
+        # the block's chains, between enumeration indices, each made once
+        least: dict[tuple[int, int], int] = {}
+        chains: dict[tuple[int, int, int], tuple[int, ...]] = {}
+
+        def least_interior(a: int, b: int) -> int:
+            if (a, b) not in least:
+                least[a, b] = chain_min_interior(dense_value(a),
+                                                 dense_value(b), eps)
+            return least[a, b]
+
+        def chain(a: int, b: int, count: int) -> tuple[int, ...]:
+            if (a, b, count) not in chains:
+                chains[a, b, count] = tuple(map(dense_index, _chain_interior(
+                    dense_value(a), dense_value(b), eps, count)))
+            return chains[a, b, count]
+
         block_start = len(symbols)
         seg_starts = []
-        prev_val: Fraction | None = None
+        prev: int | None = None
         glue_count = 0
         for li, f in enumerate(funcs, 1):
-            fvals = [dense_value(c) for c in f]
-            if prev_val is not None:
-                interior = _chain_interior(
-                    prev_val, fvals[0], eps,
-                    chain_min_interior(prev_val, fvals[0], eps))
+            if prev is not None:
+                interior = chain(prev, f[0], least_interior(prev, f[0]))
                 if interior:
                     glue_count += 1
-                    rec = SegmentRecord(
+                    segments.append(SegmentRecord(
                         path=f"B{n}/G{glue_count}", kind="glue",
-                        start=len(symbols), length=len(interior))
-                    segments.append(rec)
-                    emit_values(interior)
+                        start=len(symbols), length=len(interior)))
+                    symbols.extend(interior)
             seg_start = len(symbols)
             seg_starts.append(seg_start)
-            seg_vals: list[Fraction] = [fvals[0]]
+            symbols.append(f[0])
             for slot in range(n):
+                a, b = f[slot], f[slot + 1]
                 need = rel[slot + 1] - rel[slot] - 1
-                lo = chain_min_interior(fvals[slot], fvals[slot + 1], eps)
-                if need < lo:
+                if need < least_interior(a, b):
                     raise ScheduleInvalid(
                         f"block {n}: slot gap {need + 1} cannot chain "
-                        f"{fvals[slot]} to {fvals[slot + 1]} at {eps}")
-                seg_vals.extend(
-                    _chain_interior(fvals[slot], fvals[slot + 1], eps, need))
-                seg_vals.append(fvals[slot + 1])
+                        f"{dense_value(a)} to {dense_value(b)} at {eps}")
+                symbols.extend(chain(a, b, need))
+                symbols.append(b)
             segments.append(SegmentRecord(
                 path=f"B{n}/S{li}", kind="pattern", start=seg_start,
-                length=len(seg_vals), function=f))
-            emit_values(seg_vals)
-            prev_val = fvals[-1]
+                length=len(symbols) - seg_start, function=f))
+            prev = f[-1]
         # tail back to the first enumeration value, ending on it
-        home = dense_value(1)
-        interior = _chain_interior(prev_val, home, eps,
-                                   chain_min_interior(prev_val, home, eps))
+        interior = chain(prev, 1, least_interior(prev, 1))
         glue_count += 1
         segments.append(SegmentRecord(
             path=f"B{n}/G{glue_count}", kind="glue", start=len(symbols),
             length=len(interior) + 1))
-        emit_values(interior + [home])
+        symbols.extend(interior)
+        symbols.append(1)
         blocks.append(BlockRecord(
             level=n, start=block_start, end=len(symbols),
             times=tuple(rel), functions=funcs,

@@ -1,5 +1,8 @@
 """Verification checks: growth, parts, distances, shiftability, exclusion."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from seqent.checks import (
@@ -21,7 +24,25 @@ from seqent.construct import (
     minimal_schedule,
 )
 from seqent.errors import InvalidConfig
-from seqent.model import FAMILY_LOG_M
+from seqent.model import (
+    FAMILY_LOG_INFTY,
+    FAMILY_LOG_M,
+    SegmentationManifest,
+    Trajectory,
+    dense_index,
+    dense_value,
+)
+
+
+def _dense_copy(traj, symbols, blocks=None, segments=None):
+    """A dense trajectory over edited symbols and manifest records."""
+    man = traj.manifest
+    manifest = SegmentationManifest(
+        FAMILY_LOG_INFTY, man.m, man.kmax,
+        list(man.blocks if blocks is None else blocks),
+        list(man.segments if segments is None else segments))
+    return Trajectory(FAMILY_LOG_INFTY, traj.m, manifest,
+                      dense_symbols=symbols, schedule=traj.schedule)
 
 
 class TestValidateGrowth:
@@ -54,6 +75,49 @@ class TestValidateGrowth:
         rep = validate_growth(build_log_m(2, 1, broken))
         assert not rep.passed
         assert "first wind" in rep.counterexample
+
+    @pytest.mark.parametrize("farthest", [False, True])
+    def test_dense_far_step_caught_at_first_bad_time(self, dense2, farthest):
+        symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
+        seg = next(s for s in dense2.manifest.segments
+                   if s.path == "B2/S2")
+        t = seg.start + 1  # an interior point of a pattern segment's chain
+        prev = dense_value(symbols[t - 1])
+        if farthest:  # the step after t jumps too
+            far = max((Fraction(0), Fraction(1)), key=lambda v: abs(v - prev))
+        else:  # exactly the tolerance away
+            far = prev + Fraction(1, 4) if prev <= Fraction(3, 4) \
+                else prev - Fraction(1, 4)
+        symbols[t] = dense_index(far)
+        rep = validate_growth(_dense_copy(dense2, symbols))
+        assert not rep.passed
+        assert rep.counterexample == (
+            f"step at time {t} jumps {abs(far - prev)} >= 1/4")
+
+    def test_dense_padded_glue_caught(self, dense2):
+        symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
+        tail = dense2.manifest.segments[-1]
+        assert tail.path.startswith("B2/G") and tail.length > 1
+        # repeat the tail glue's first interior point: every step stays short
+        symbols.insert(tail.start, symbols[tail.start])
+        segments = dense2.manifest.segments[:-1] + [
+            dataclasses.replace(tail, length=tail.length + 1)]
+        blocks = dense2.manifest.blocks[:-1] + [
+            dataclasses.replace(dense2.manifest.blocks[-1],
+                                end=len(symbols))]
+        rep = validate_growth(_dense_copy(dense2, symbols, blocks, segments))
+        assert not rep.passed
+        assert rep.counterexample == (
+            f"{tail.path} has {tail.length} interior points, "
+            f"minimal is {tail.length - 1}")
+
+    def test_dense_wrong_tolerance_caught(self, dense2):
+        symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
+        blocks = list(dense2.manifest.blocks)
+        blocks[1] = dataclasses.replace(blocks[1], eps=Fraction(1, 8))
+        rep = validate_growth(_dense_copy(dense2, symbols, blocks))
+        assert not rep.passed
+        assert rep.counterexample == "block 2 tolerance 1/8, expected 1/4"
 
     def test_summary_line_shape(self, m2k2):
         rep = validate_growth(m2k2)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hashlib
+
 from seqent.construct import (
     GrowthSchedule,
     build_eps_chain,
@@ -17,7 +19,8 @@ from seqent.construct import (
     plan_wind,
 )
 from seqent.errors import Infeasible, ScheduleInvalid
-from seqent.model import FAMILY_LOG_M, Symbol
+from seqent.formats import manifest_string
+from seqent.model import FAMILY_LOG_INFTY, FAMILY_LOG_M, Symbol
 
 # Frozen values, copied from verified runs of the oracle scripts in this
 # repository's history. Any builder change that moves them is a regression.
@@ -35,6 +38,10 @@ M2K3_OUTER = [
     11346836586892727575891358754320211647146943639920062063470594158301,
 ]
 M2K3_POINTS = 11460304952761654851650272341863413763618413076319262684105300099884
+# sha256 over build_log_infty(4)'s comma-joined dense symbols, a newline and
+# its rendered manifest, taken from the Fraction-per-point builder.
+DENSE4_DIGEST = (
+    "2e43ed712f5f6cdecc5451fdc5b1310ca5e5eb399ec62c08e6174899ce6d1ffe")
 
 
 class TestPlanWind:
@@ -195,3 +202,19 @@ class TestBuildLogInfty:
         sched = default_dense_schedule(2)
         assert sched.eps == dense2.schedule.eps
         assert sched.times == dense2.schedule.times
+
+    def test_build_digest_pinned(self, dense4):
+        h = hashlib.sha256()
+        h.update(",".join(map(str, (dense4.symbol_index_at(t)
+                                    for t in range(dense4.n_points)))).encode())
+        h.update(b"\n")
+        h.update(manifest_string(dense4).encode())
+        assert h.hexdigest() == DENSE4_DIGEST
+
+    def test_slot_gap_below_chain_minimum_rejected(self):
+        # one slot step from e1 = 0 to e2 = 1 needs two interior points at 1/2
+        sched = GrowthSchedule(FAMILY_LOG_INFTY, 1, eps=[Fraction(1, 2)],
+                               times=[[1]])
+        with pytest.raises(ScheduleInvalid,
+                           match="block 1: slot gap 1 cannot chain 0 to 1 at 1/2"):
+            build_log_infty(1, sched)

@@ -144,3 +144,20 @@ class TestMembership:
         in_b1 = [t for t in times if t <= m2k3.block_range(1)[1]]
         assert len(in_b1) == 8
         assert len(times) == 96
+
+
+class TestPackageSurface:
+    def test_star_import_exports_exactly_all(self):
+        import types
+
+        import seqent
+
+        namespace: dict = {}
+        exec("from seqent import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(seqent.__all__)
+        assert len(set(seqent.__all__)) == len(seqent.__all__) == 95
+        modules = {n for n, v in namespace.items()
+                   if isinstance(v, types.ModuleType)}
+        assert modules == {"checks", "construct", "entropy", "errors",
+                           "flower", "formats", "independence", "model"}
