@@ -6,55 +6,37 @@ Subcommands: ``build`` writes a manifest (and optionally a symbol listing),
 composes petal systems and checks cross-petal separation.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid configuration,
-3 inconclusive (a node, time, or assignment budget ran out).
+3 inconclusive (a node, time, or assignment budget ran out), 141 standard
+output closed early, as for a process stopped by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
 
 from .checks import (
-    check_block_parts,
-    check_shiftability,
-    validate_growth,
-    verify_block_independence,
-    verify_dense_block_independence,
+    check_block_parts, check_shiftability, validate_growth,
+    verify_block_independence, verify_dense_block_independence,
     verify_far_pair_exclusion,
 )
 from .construct import build_log_infty, build_log_m, minimal_schedule
 from .entropy import h_star_lower_bound
 from .errors import (
-    CapExceeded,
-    Infeasible,
-    InvalidConfig,
-    ResourceBudgetExceeded,
-    ScheduleInvalid,
-    SeqentError,
-    TooShort,
-    UnknownBlock,
+    CapExceeded, Infeasible, InvalidConfig, ResourceBudgetExceeded,
+    ScheduleInvalid, SeqentError, TooShort, UnknownBlock,
 )
 from .flower import (
-    MODE_ACTIVE,
-    PetalSystem,
-    Value,
-    compose,
-    cross_petal_check,
+    MODE_ACTIVE, PetalSystem, Value, compose, cross_petal_check,
     value_calculus,
 )
 from .formats import (
-    read_certificate,
-    config_hash,
-    read_manifest,
-    rebuild_from_manifest,
-    replay_certificate,
-    replay_manifest,
-    replay_symbols,
-    write_certificate,
-    write_manifest,
-    write_report,
+    SYMBOL_LINE_CAP, config_hash, read_certificate, read_manifest,
+    rebuild_from_manifest, replay_certificate, replay_manifest,
+    replay_symbols, write_certificate, write_manifest, write_report,
     write_symbols,
 )
 from .independence import SearchBudget
@@ -67,6 +49,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_CLOSED_OUTPUT = 141
 
 DEFAULT_SYMBOL_LINES = 4096
 
@@ -142,6 +125,13 @@ def _cmd_build(args) -> int:
     else:
         traj = build_log_infty(args.nmax)
         name = f"manifest-log-infty-n{args.nmax}.txt"
+    n_lines = args.symbols
+    if n_lines is None:
+        n_lines = min(traj.n_points, DEFAULT_SYMBOL_LINES)
+    limit = min(traj.n_points, SYMBOL_LINE_CAP)
+    if not 0 <= n_lines <= limit:
+        raise InvalidConfig(
+            f"--symbols {n_lines} outside [0, {limit}] for this build")
     print(f"built {traj.family} trajectory: {traj.n_points} points, "
           f"{traj.kmax} blocks")
     out = _out_dir(args)
@@ -149,9 +139,6 @@ def _cmd_build(args) -> int:
         path = out / name
         write_manifest(traj, path)
         print(f"manifest: {path}")
-        n_lines = args.symbols
-        if n_lines is None:
-            n_lines = min(traj.horizon + 1, DEFAULT_SYMBOL_LINES)
         if n_lines:
             spath = out / name.replace("manifest", "symbols")
             count = write_symbols(traj, spath, 0, n_lines - 1)
@@ -441,7 +428,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send the flush at interpreter exit to the null device
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_CLOSED_OUTPUT
     except (ResourceBudgetExceeded, CapExceeded) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

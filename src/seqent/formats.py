@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from itertools import chain, count, islice
 from pathlib import Path
 
 from .errors import InvalidConfig
 from .independence import ExhaustionCertificate, max_independence
 from .model import (
-    FAMILY_LOG_INFTY,
-    FAMILY_LOG_M,
-    NeighborhoodSpec,
-    Trajectory,
-    parse_symbol,
+    FAMILY_LOG_INFTY, FAMILY_LOG_M, NeighborhoodSpec, Trajectory, parse_symbol,
 )
 
 FORMAT_VERSION = 1
@@ -182,55 +179,85 @@ def replay_manifest(path) -> tuple[bool, str]:
 # symbol listings
 
 
-def write_symbols(traj: Trajectory, path, lo: int = 0, hi: int | None = None,
-                  max_lines: int = SYMBOL_LINE_CAP) -> int:
-    """One line per time: ``t<TAB>symbol<TAB>segment-path``."""
+def _symbol_header(family: str, lo: int, hi: int) -> str:
+    return (f"format: {FORMAT_VERSION}\nkind: symbols\nfamily: {family}\n"
+            f"range: {lo},{hi}\n")
+
+
+def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
+    """The data lines for times [lo, hi], one string per emitter piece."""
+    prefix = "a" if traj.family == FAMILY_LOG_M else "e"
+    for t0, indices, path in traj.symbol_pieces(lo, hi):
+        yield "".join([f"{t}\t{prefix}{i}\t{path}\n"
+                       for t, i in zip(count(t0), indices)])
+
+
+def write_symbols(traj: Trajectory, path, lo: int = 0,
+                  hi: int | None = None) -> int:
+    """One line per time: ``t<TAB>symbol<TAB>segment-path``, streamed."""
     if hi is None:
-        hi = min(traj.horizon, lo + max_lines - 1)
-    if hi - lo + 1 > max_lines:
+        hi = min(traj.horizon, lo + SYMBOL_LINE_CAP - 1)
+    if not 0 <= lo <= hi <= traj.horizon:
         raise InvalidConfig(
-            f"span [{lo}, {hi}] exceeds {max_lines} lines; pass a range")
-    lines = [f"format: {FORMAT_VERSION}", "kind: symbols",
-             f"family: {traj.family}", f"range: {lo},{hi}"]
-    seg = None
-    for t, sym in traj.symbols(lo, hi):
-        if seg is None or t >= seg.end:
-            seg = traj.segment_at(t)
-        lines.append(f"{t}\t{sym.render()}\t{seg.path}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            f"span [{lo}, {hi}] is not a range inside [0, {traj.horizon}]")
+    if hi - lo + 1 > SYMBOL_LINE_CAP:
+        raise InvalidConfig(f"span [{lo}, {hi}] exceeds {SYMBOL_LINE_CAP} "
+                            f"lines; pass a range")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chain([_symbol_header(traj.family, lo, hi)],
+                            _symbol_chunks(traj, lo, hi)))
     return hi - lo + 1
+
+
+def _file_lines(path):
+    """The lines ``str.splitlines`` gives for the file's text, read lazily."""
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            yield from raw.splitlines()
 
 
 def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     """Compare a symbol file line by line against a rebuilt trajectory.
 
     Returns (ok, message); on mismatch the message names the first
-    offending line, which is the counterexample.
+    offending line, which is the counterexample. The file is streamed
+    against the rendered pieces; only a file that differs is re-scanned.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) < 4 or lines[1] != "kind: symbols":
+    head = list(islice(_file_lines(path), 4))
+    if len(head) < 4 or head[1] != "kind: symbols":
         raise InvalidConfig(f"{path} is not a symbol file")
-    if lines[0] != f"format: {FORMAT_VERSION}":
-        raise InvalidConfig(f"{path}: unsupported {lines[0]!r}")
-    family = lines[2].removeprefix("family: ")
+    if head[0] != f"format: {FORMAT_VERSION}":
+        raise InvalidConfig(f"{path}: unsupported {head[0]!r}")
+    family = head[2].removeprefix("family: ")
     if family != traj.family:
         return False, f"family mismatch: file {family}, build {traj.family}"
     try:
-        lo, hi = (int(x) for x in lines[3].removeprefix("range: ").split(","))
+        lo, hi = (int(x) for x in head[3].removeprefix("range: ").split(","))
     except ValueError as exc:
         raise InvalidConfig(f"{path}: unreadable range line") from exc
-    data = lines[4:]
-    if len(data) != hi - lo + 1:
-        return False, f"{len(data)} data lines do not cover range {lo},{hi}"
-    seg = None
-    for offset, (t, sym) in enumerate(traj.symbols(lo, hi)):
-        if seg is None or t >= seg.end:
-            seg = traj.segment_at(t)
-        expected = f"{t}\t{sym.render()}\t{seg.path}"
-        if data[offset] != expected:
-            return False, (f"line {offset + 5}: file has {data[offset]!r}, "
-                           f"rebuild gives {expected!r}")
-    return True, f"{hi - lo + 1} symbol lines reproduced"
+    n_lines = hi - lo + 1
+    renderable = (lo >= 0 and hi <= traj.horizon
+                  and 0 <= n_lines <= SYMBOL_LINE_CAP)
+    if renderable:
+        texts = chain([_symbol_header(family, lo, hi)],
+                      _symbol_chunks(traj, lo, hi))
+        with open(path, encoding="utf-8") as fh:
+            if all(fh.read(len(c)) == c for c in texts) and not fh.read(1):
+                return True, f"{n_lines} symbol lines reproduced"
+    n_data = sum(1 for _ in islice(_file_lines(path), 4, None))
+    if n_data != n_lines:
+        return False, f"{n_data} data lines do not cover range {lo},{hi}"
+    if not renderable:
+        return False, (f"range {lo},{hi} does not lie in [0, {traj.horizon}] "
+                       f"within {SYMBOL_LINE_CAP} lines")
+    expected = (line for chunk in _symbol_chunks(traj, lo, hi)
+                for line in chunk.splitlines())
+    data = islice(_file_lines(path), 4, None)
+    for number, (got, want) in enumerate(zip(data, expected), 5):
+        if got != want:
+            return False, (f"line {number}: file has {got!r}, "
+                           f"rebuild gives {want!r}")
+    return True, f"{n_lines} symbol lines reproduced"
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ KIND_DENSE = "dense"
 FAMILY_LOG_M = "log-m"
 FAMILY_LOG_INFTY = "log-infty"
 
+# longest piece Trajectory.symbol_pieces yields, in times
+PIECE_TIMES = 65_536
+
 
 # ---------------------------------------------------------------------------
 # symbols
@@ -204,11 +207,6 @@ class SegmentRecord:
     @property
     def wind_start(self) -> int:
         return self.start - 1 if self.shared else self.start
-
-    @property
-    def jump_time(self) -> int:
-        """Absolute time of the jump source symbol within a wind."""
-        return self.wind_start + (self.jump_from - self.p)
 
 
 @dataclass(frozen=True)
@@ -412,14 +410,29 @@ class Trajectory:
             self._window_cache[width] = cached
         return cached
 
-    def symbols(self, lo: int = 0, hi: int | None = None):
-        """Yield (t, Symbol) over [lo, hi]; refuses astronomically long spans."""
-        if hi is None:
-            hi = self.horizon
-        if hi - lo > 50_000_000:
-            raise HorizonExceeded("requested span too long to enumerate")
-        for t in range(lo, hi + 1):
-            yield t, self.symbol_at(t)
+    def symbol_pieces(self, lo: int, hi: int):
+        """Yield (t0, indices, path) pieces that cover the times [lo, hi].
+
+        A piece holds the symbol indices of at most PIECE_TIMES times from t0
+        on that share one segment and, for the head-indexed family, one run:
+        a ``range`` there, a list slice for the dense family.
+        """
+        if lo <= hi:
+            self.check_time(lo)
+            self.check_time(hi)
+        t = lo
+        while t <= hi:  # cut where segment_at and symbol_index_at switch
+            s = bisect.bisect_right(self._segment_starts, t)
+            end = min(hi + 1, t + PIECE_TIMES, *self._segment_starts[s:s + 1])
+            if self._dense is not None:
+                indices = self._dense[t:end]
+            else:
+                r = bisect.bisect_right(self._run_starts, t)
+                end = min(end, *self._run_starts[r:r + 1])
+                start, first, _length = self._runs[r - 1]
+                indices = range(first + t - start, first + end - start)
+            yield t, indices, self.manifest.segments[s - 1].path
+            t = end
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,14 @@ DENSE_HEAD = "dense-head"
 
 
 def materialize(traj, horizon):
-    """Symbol list for times 0..horizon, read straight off the generator."""
-    return [sym for _t, sym in traj.symbols(0, horizon)]
+    """Symbol list for times 0..horizon, one point query per time."""
+    return [traj.symbol_at(t) for t in range(horizon + 1)]
+
+
+def naive_symbol_lines(traj, lo, hi):
+    """Symbol-file data lines for times lo..hi, one point query per time."""
+    return [f"{t}\t{traj.symbol_at(t).render()}\t{traj.segment_at(t).path}"
+            for t in range(lo, hi + 1)]
 
 
 def _threshold(traj, level, offset):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import seqent.model
 from seqent.cli import (
+    EXIT_CLOSED_OUTPUT,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_INVALID,
@@ -92,6 +94,27 @@ class TestBuild:
         run_cli(capsys, "build", "--family", "log-m", "--m", "2",
                 "--kmax", "1", "--symbols", "12", "--out", str(tmp_path))
         assert len(data_lines(tmp_path / "symbols-log-m-m2-k1.txt")) == 12
+
+    @pytest.mark.parametrize("count", ["100000", "368", "-5"])
+    def test_symbol_count_outside_the_build_is_invalid(self, tmp_path,
+                                                       capsys, count):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "build", "--family", "log-infty",
+                               "--nmax", "2", "--symbols", count,
+                               "--out", str(out_dir))
+        assert code == EXIT_INVALID
+        assert f"--symbols {count} outside [0, 367]" in err
+        assert not out_dir.exists()
+
+    def test_symbol_count_up_to_the_horizon(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "build", "--family", "log-infty",
+                               "--nmax", "2", "--symbols", "367",
+                               "--out", str(tmp_path))
+        assert code == EXIT_PASS
+        assert "(367 lines)" in out
+        lines = (tmp_path / "symbols-log-infty-n2.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[3] == "range: 0,366" and len(lines) == 4 + 367
 
     def test_symbols_zero_skips_file(self, tmp_path, capsys):
         run_cli(capsys, "build", "--family", "log-m", "--m", "2",
@@ -253,6 +276,121 @@ class TestReplay:
             "--manifest", str(out_dir / "manifest-log-m-2-2.txt"))
         assert code == EXIT_PASS
         assert "PASS replay" in out
+
+
+class TestSymbolReplayFailures:
+    """Replay verdicts for edited symbol files: exit code and the message
+    that names the first difference."""
+
+    LINES = 50_000
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        # m=2 kmax=2 runs a0..a40850 over times 817..41665, one long run
+        out = tmp_path_factory.mktemp("replay")
+        assert main(["build", "--family", "log-m", "--m", "2", "--kmax", "2",
+                     "--symbols", str(self.LINES), "--out", str(out)]) == 0
+        symbols = out / "symbols-log-m-m2-k2.txt"
+        return (out / "manifest-log-m-m2-k2.txt",
+                symbols.read_text(encoding="utf-8").splitlines())
+
+    def replay(self, capsys, tmp_path, manifest, lines):
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--replay", str(path),
+                               "--manifest", str(manifest))
+        prefix = f"replay {path}: "
+        assert out.startswith(("PASS " + prefix, "FAIL " + prefix))
+        return code, out.strip().split(prefix, 1)[1]
+
+    def test_unedited_file_passes(self, built, tmp_path, capsys):
+        manifest, lines = built
+        assert self.replay(capsys, tmp_path, manifest, lines) == (
+            EXIT_PASS, "50000 symbol lines reproduced")
+
+    def test_dropped_line(self, built, tmp_path, capsys):
+        manifest, lines = built
+        assert self.replay(capsys, tmp_path, manifest,
+                           lines[:1000] + lines[1001:]) == (
+            EXIT_FAIL, "49999 data lines do not cover range 0,49999")
+
+    def test_appended_line(self, built, tmp_path, capsys):
+        manifest, lines = built
+        assert self.replay(capsys, tmp_path, manifest,
+                           lines + ["50000\ta1\tB1/IG2"]) == (
+            EXIT_FAIL, "50001 data lines do not cover range 0,49999")
+
+    def test_symbol_edited_deep_inside_a_long_run(self, built, tmp_path,
+                                                  capsys):
+        manifest, lines = built
+        edited = list(lines)
+        assert edited[4 + 30_000] == "30000\ta29185\tB1/IG2"
+        edited[4 + 30_000] = "30000\ta29186\tB1/IG2"
+        assert self.replay(capsys, tmp_path, manifest, edited) == (
+            EXIT_FAIL, "line 30005: file has '30000\\ta29186\\tB1/IG2', "
+                       "rebuild gives '30000\\ta29185\\tB1/IG2'")
+
+    def test_family_mismatch(self, built, tmp_path, capsys):
+        manifest, lines = built
+        edited = ["family: log-infty" if line == "family: log-m" else line
+                  for line in lines[:10]]
+        assert self.replay(capsys, tmp_path, manifest, edited) == (
+            EXIT_FAIL, "family mismatch: file log-infty, build log-m")
+
+    def test_dense_round_trip(self, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "build", "--family", "log-infty",
+                             "--nmax", "2", "--out", str(tmp_path))
+        assert code == EXIT_PASS
+        manifest = tmp_path / "manifest-log-infty-n2.txt"
+        lines = (tmp_path / "symbols-log-infty-n2.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert self.replay(capsys, tmp_path, manifest, lines) == (
+            EXIT_PASS, "367 symbol lines reproduced")
+
+    def test_forged_range_fails_before_rendering(self, built, tmp_path,
+                                                 capsys, monkeypatch):
+        manifest, lines = built
+
+        def refuse(*_args):
+            raise AssertionError("a forged range must not be rendered")
+        monkeypatch.setattr(seqent.model.Trajectory, "symbol_pieces", refuse)
+        edited = ["range: 0,99999999999" if line == "range: 0,49999"
+                  else line for line in lines]
+        assert self.replay(capsys, tmp_path, manifest, edited) == (
+            EXIT_FAIL, "50000 data lines do not cover range 0,99999999999")
+
+
+class TestClosedOutput:
+    def test_broken_pipe_gives_one_exit_code(self, tmp_path, capsys,
+                                             monkeypatch):
+        class ClosedPipe:
+            """Buffers what is printed; the pipe is gone when it flushes."""
+
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["build", "--family", "log-m", "--m", "2",
+                     "--kmax", "1", "--out", str(tmp_path)])
+        monkeypatch.undo()
+        assert code == EXIT_CLOSED_OUTPUT
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "manifest-log-m-m2-k1.txt").exists()
+        assert (tmp_path / "symbols-log-m-m2-k1.txt").exists()
+
+    def test_closed_pipe_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqent", "verify", "--suite", "growth",
+             "--m", "2", "--kmax", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_CLOSED_OUTPUT
+        assert err == b""
 
 
 class TestEntropy:

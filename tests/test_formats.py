@@ -1,6 +1,12 @@
 """Serialization: manifests, symbol files, certificates, reports, replay."""
 
+import hashlib
+import random
+
 import pytest
+
+import seqent.model
+from _oracles import naive_symbol_lines
 
 from seqent.checks import validate_growth, verify_far_pair_exclusion
 from seqent.construct import build_log_infty, build_log_m, minimal_schedule
@@ -17,6 +23,7 @@ from seqent.formats import (
     rebuild_from_manifest,
     replay_certificate,
     replay_manifest,
+    replay_symbols,
     report_string,
     write_certificate,
     write_report,
@@ -95,6 +102,123 @@ class TestSymbols:
     def test_oversized_span_rejected(self, tmp_path, m2k3):
         with pytest.raises(InvalidConfig):
             write_symbols(m2k3, tmp_path / "s.txt", 0, 2_000_000)
+
+    @pytest.mark.parametrize("lo,hi", [(5, 4), (-1, 10), (0, 367),
+                                       (367, 367)])
+    def test_spans_outside_the_build_rejected(self, tmp_path, dense2, lo, hi):
+        path = tmp_path / "s.txt"
+        with pytest.raises(InvalidConfig):
+            write_symbols(dense2, path, lo, hi)
+        assert not path.exists()
+
+
+class TestSymbolReplayEdges:
+    HEADER = "format: 1\nkind: symbols\nfamily: log-infty\n"
+
+    def replay(self, tmp_path, dense2, text):
+        path = tmp_path / "s.txt"
+        path.write_text(self.HEADER + text, encoding="utf-8")
+        return replay_symbols(path, dense2)
+
+    def test_empty_range_with_no_lines_passes(self, tmp_path, dense2):
+        assert self.replay(tmp_path, dense2, "range: 5,4\n") == (
+            True, "0 symbol lines reproduced")
+
+    def test_reversed_range_fails_on_the_count(self, tmp_path, dense2):
+        assert self.replay(tmp_path, dense2, "range: 10,3\n") == (
+            False, "0 data lines do not cover range 10,3")
+
+    def test_range_before_time_zero_fails(self, tmp_path, dense2):
+        lines = "".join(f"{t}\te1\tB1/S1\n" for t in range(4))
+        assert self.replay(tmp_path, dense2, "range: -1,2\n" + lines) == (
+            False, "range -1,2 does not lie in [0, 366] within 1000000 lines")
+
+    def test_missing_final_newline_still_replays(self, tmp_path, dense2):
+        path = tmp_path / "s.txt"
+        write_symbols(dense2, path, 3, 40)
+        path.write_text(path.read_text(encoding="utf-8").rstrip("\n"),
+                        encoding="utf-8")
+        assert replay_symbols(path, dense2) == (
+            True, "38 symbol lines reproduced")
+
+
+# sha256 of symbol files written before symbol lines were rendered per
+# piece; the piece renderer must reproduce them byte for byte
+M3K3_FIRST_MILLION_SHA256 = (
+    "d3162746971377a864b302f45ce8b5cef26550e616cb13556d49a31fae1a3bc2")
+DENSE4_FULL_SHA256 = (
+    "7293612a97be13822a1614cea717a9e4cd4bc19a8e99a311e63e9de04f1a3e4a")
+
+
+def file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSymbolDigests:
+    def test_first_million_lines_of_m3k3(self, tmp_path, m3k3):
+        path = tmp_path / "s.txt"
+        assert write_symbols(m3k3, path, 0, 999_999) == 1_000_000
+        assert file_sha256(path) == M3K3_FIRST_MILLION_SHA256
+
+    def test_full_dense4_file(self, tmp_path, dense4):
+        path = tmp_path / "s.txt"
+        assert write_symbols(dense4, path) == 243_994
+        assert file_sha256(path) == DENSE4_FULL_SHA256
+        assert replay_symbols(path, dense4) == (
+            True, "243994 symbol lines reproduced")
+
+
+def boundary_spans(rng, horizon, boundaries, count, longest):
+    """Random (lo, hi) spans that start or end on, or one before, a run or
+    segment boundary; every fourth is a single line."""
+    spans = []
+    for i in range(count):
+        edge = max(0, min(horizon, rng.choice(boundaries) - rng.randrange(2)))
+        length = 1 if i % 4 == 0 else rng.randrange(2, longest)
+        if i % 2:
+            spans.append((edge, min(horizon, edge + length - 1)))
+        else:
+            spans.append((max(0, edge - length + 1), edge))
+    return spans
+
+
+class TestSymbolEmitterDifferential:
+    """The piece renderer against a per-point oracle built on symbol_at and
+    segment_at, for both families."""
+
+    @pytest.mark.parametrize("piece_times", [seqent.model.PIECE_TIMES, 5])
+    def test_head_indexed_family(self, tmp_path, monkeypatch, m2k3,
+                                 piece_times):
+        monkeypatch.setattr(seqent.model, "PIECE_TIMES", piece_times)
+        window = 9_000_000
+        boundaries = sorted(
+            {r[0] for r in m2k3.runs if r[0] < window}
+            | {s.start for s in m2k3.manifest.segments if s.start < window})
+        rng = random.Random(7100 + piece_times)
+        self._check(tmp_path, m2k3,
+                    boundary_spans(rng, m2k3.horizon, boundaries, 40, 3000))
+
+    @pytest.mark.parametrize("piece_times", [seqent.model.PIECE_TIMES, 5])
+    def test_dense_family(self, tmp_path, monkeypatch, dense2, dense4,
+                          piece_times):
+        monkeypatch.setattr(seqent.model, "PIECE_TIMES", piece_times)
+        rng = random.Random(7200 + piece_times)
+        for traj in (dense2, dense4):
+            boundaries = sorted(s.start for s in traj.manifest.segments)
+            self._check(tmp_path, traj,
+                        boundary_spans(rng, traj.horizon, boundaries, 30, 1500)
+                        + [(0, min(traj.horizon, 3000)),
+                           (traj.horizon, traj.horizon)])
+
+    @staticmethod
+    def _check(tmp_path, traj, spans):
+        path = tmp_path / "s.txt"
+        for lo, hi in spans:
+            assert write_symbols(traj, path, lo, hi) == hi - lo + 1
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[3] == f"range: {lo},{hi}"
+            assert lines[4:] == naive_symbol_lines(traj, lo, hi), (lo, hi)
+            assert replay_symbols(path, traj)[0], (lo, hi)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from seqent.errors import HorizonExceeded, UnknownBlock
 from seqent.model import (
+    PIECE_TIMES,
     ModelPoint,
     NeighborhoodSpec,
     Symbol,
@@ -87,9 +88,21 @@ class TestTrajectoryAccessors:
         with pytest.raises(UnknownBlock):
             m2k2.manifest.block(9)
 
-    def test_symbols_generator_matches_point_accessor(self, m2k3):
-        for t, sym in m2k3.symbols(0, 300):
-            assert sym == m2k3.symbol_at(t)
+    @pytest.mark.parametrize("lo,hi", [(0, 300), (800, 82530),
+                                       (82520, 82526 + 2 * PIECE_TIMES)])
+    def test_symbol_pieces_match_point_accessors(self, m2k3, lo, hi):
+        t = lo
+        for t0, indices, path in m2k3.symbol_pieces(lo, hi):
+            assert t0 == t and 0 < len(indices) <= PIECE_TIMES
+            for t, idx in enumerate(indices, t0):
+                assert idx == m2k3.symbol_index_at(t)
+                assert m2k3.segment_at(t).path == path
+            t += 1
+        assert t == hi + 1
+
+    def test_symbol_pieces_refuse_times_past_the_horizon(self, dense2):
+        with pytest.raises(HorizonExceeded):
+            list(dense2.symbol_pieces(0, dense2.n_points))
 
     def test_segment_at_covers_every_time(self, m2k3):
         for t in (0, 7, 8, 808, 809, 8335134, 8335135, 841848636):
