@@ -40,7 +40,7 @@ from .formats import (
 from .independence import (
     ExhaustionCertificate, IndependenceResult, IndependenceWitness,
     MaxIndependenceResult, OccupancyVector, SearchBudget, TupleSpec,
-    is_independence_set, max_independence, occupancy, satisfiable,
+    is_independence_set, max_independence, occupancy,
     shift_property_check,
 )
 from .model import (
@@ -80,7 +80,7 @@ __all__ = [
     # independence
     "ExhaustionCertificate", "IndependenceResult", "IndependenceWitness",
     "MaxIndependenceResult", "OccupancyVector", "SearchBudget", "TupleSpec",
-    "is_independence_set", "max_independence", "occupancy", "satisfiable",
+    "is_independence_set", "max_independence", "occupancy",
     "shift_property_check",
     # model
     "FAMILY_LOG_INFTY", "FAMILY_LOG_M", "BlockRecord", "ModelPoint",

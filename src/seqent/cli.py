@@ -332,7 +332,7 @@ def _cmd_flower(args) -> int:
     active_built = [p for p in comp.active_petals() if p.trajectory is not None]
     exit_code = EXIT_PASS
     if len(active_built) >= 2:
-        report = cross_petal_check(comp, cap=args.cap)
+        report = cross_petal_check(comp)
         print(report.summary())
         for line in report.details:
             print(f"  {line}")
@@ -417,9 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list collapsedName=targetName")
     f.add_argument("--unbounded", action="store_true",
                    help="declare an unbounded family of alphabet sizes")
-    f.add_argument("--cap", type=int, default=2)
     add_common(f)
-    f.set_defaults(kmax=2)
+    # cross-petal checks are pair searches; the config hash names that cap
+    f.set_defaults(kmax=2, cap=2)
     f.set_defaults(func=_cmd_flower)
     return parser
 

@@ -15,6 +15,7 @@ infinite value as soon as any petal is active.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 
 from .checks import CheckReport, _Timer
@@ -193,21 +194,21 @@ def _petal_pair_hits(traj: Trajectory, spec: NeighborhoodSpec,
     return [t for t in times if t >= 1]
 
 
-def cross_petal_check(comp: CompositeSystem, cap: int = 2,
+def cross_petal_check(comp: CompositeSystem,
                       horizon: int | None = None) -> CheckReport:
     """Cross-petal pairs admit no independence set of length 2; pairs
-    inside one petal reach the cap.
+    inside one petal do.
 
     For every ordered pair of distinct active built petals, the pair
-    (U1 of the first petal's a_0, U1 of the second petal's a_0) is searched
-    over the composite's points: petal orbit points from time 1 up (the
-    junction is identified away), plus each petal's heads. Mixed assignments
-    are scanned honestly over both petals' candidates and always die, so
-    every cross pair carries an exhaustion certificate at level 2. Positive
-    evidence comes from each petal's own (a_0, a_1) pair restricted to
-    orbit starts past the junction.
+    (U1 of the first petal's a_0, U1 of the second petal's a_0) runs the
+    pair stage over the composite's points: petal orbit points from time 1
+    up (the junction is identified away), plus each petal's heads. A mixed
+    assignment names two petals, so nothing realizes it, and every cross
+    pair carries an exhaustion certificate at level 2. Positive evidence
+    comes from each petal's own (a_0, a_1) pair restricted to orbit starts
+    past the junction.
     """
-    report = CheckReport("cross-petal", {"cap": str(cap)})
+    report = CheckReport("cross-petal", {"cap": "2"})
     with _Timer() as tm:
         built = [p for p in comp.active_petals()
                  if p.trajectory is not None
@@ -230,7 +231,7 @@ def cross_petal_check(comp: CompositeSystem, cap: int = 2,
                         f"level {cert.died_level}, frontier "
                         f"{list(cert.frontier_sizes)}")
         for p in built:
-            line, ok = _petal_internal_evidence(p, cap, horizon)
+            line, ok = _petal_internal_evidence(p, horizon)
             report.details.append(line)
             if not ok:
                 violations.append(line)
@@ -242,102 +243,57 @@ def cross_petal_check(comp: CompositeSystem, cap: int = 2,
     return report
 
 
-def _tagged_member(point_petal: str, point, spec_petal: str,
-                   spec: NeighborhoodSpec, spec_traj: Trajectory) -> bool:
-    """Membership of a tagged composite point in one petal's neighborhood.
-
-    Neighborhoods resolve inside their own petal; the junction (orbit time
-    0 of every petal) is identified away and belongs to none of them.
-    """
-    from .model import point_member
-    if point_petal != spec_petal:
-        return False
-    if point.is_orbit and point.time == 0:
-        return False
-    return point_member(spec, point, spec_traj)
-
-
 def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
                        horizon: int | None):
-    """Level search for one cross pair over the composite's points.
+    """Pair stage of one cross pair over petal-tagged hit lists.
 
-    Level 1 survives through the petals' own heads. A level-2 shape (0, d)
-    needs all four assignments; for the mixed one every composite candidate
-    lying in the first neighborhood at time 0 is iterated d steps and tested
-    against the second neighborhood, so the exhaustion is a real point scan,
-    not an assumption about tags.
+    (0, d) survives when every assignment (i, j) is realized at d. Inside
+    one petal those d are the hit differences b - a (a in H_i, b in H_j,
+    b > a), since a head comes back to U1(a_0) only at d = 0. Across
+    petals there are none: neighborhoods resolve inside their own petal
+    and the junction belongs to none of them. As in ``_pair_diffs``, the
+    sets are intersected in product order until one leaves nothing, and
+    each assignment spends |H_i| * |H_j| nodes.
     """
-    from .model import ModelPoint, iterate
-    ta, tb = pa.trajectory, pb.trajectory
-    ha = ta.horizon if horizon is None else min(horizon, ta.horizon)
-    hb = tb.horizon if horizon is None else min(horizon, tb.horizon)
-    spec_a = NeighborhoodSpec(Symbol.head(0), 1)
-    spec_b = NeighborhoodSpec(Symbol.head(0), 1)
-    hits_a = _petal_pair_hits(ta, spec_a, ha)
-    hits_b = _petal_pair_hits(tb, spec_b, hb)
-    set_a, set_b = set(hits_a), set(hits_b)
+    spec = NeighborhoodSpec(Symbol.head(0), 1)
+    sides = []
+    for p in (pa, pb):
+        traj = p.trajectory
+        h = traj.horizon if horizon is None else min(horizon, traj.horizon)
+        sides.append((p.petal_id, h, _petal_pair_hits(traj, spec, h)))
     nodes = 0
-
-    def mixed_realizable(d: int, first, second) -> bool:
-        """first = (petal_id, spec, traj, hits), likewise second."""
-        nonlocal nodes
-        pid1, spec1, traj1, hits1 = first
-        pid2, spec2, traj2, _hits2 = second
-        # candidates in the first neighborhood at time 0: its orbit hits
-        # (junction excluded) and its petal's center head
-        for u in hits1:
-            nodes += 1
-            if u + d > traj1.horizon:
-                continue
-            image = ModelPoint.orbit(u + d)
-            if _tagged_member(pid1, image, pid2, spec2, traj2):
-                return True
-        nodes += 1
-        head_image = iterate(ModelPoint.head(spec1.center), d, traj1)
-        return _tagged_member(pid1, head_image, pid2, spec2, traj2)
-
-    side_a = (pa.petal_id, spec_a, ta, hits_a)
-    side_b = (pb.petal_id, spec_b, tb, hits_b)
-    diffs_a = {y - x for i, x in enumerate(hits_a) for y in hits_a[i + 1:]}
-    diffs_b = {y - x for i, x in enumerate(hits_b) for y in hits_b[i + 1:]}
-    survivors = 0
-    witness = None
-    for d in sorted(diffs_a & diffs_b):
-        aa = any((u + d) in set_a for u in hits_a)
-        bb = any((u + d) in set_b for u in hits_b)
-        nodes += len(hits_a) + len(hits_b)
-        if not (aa and bb):
-            continue
-        if mixed_realizable(d, side_a, side_b) and \
-                mixed_realizable(d, side_b, side_a):
-            survivors += 1
-            witness = d
+    viable = None
+    for (id_i, _, hits_i), (id_j, _, hits_j) in itertools.product(sides,
+                                                                 repeat=2):
+        nodes += len(hits_i) * len(hits_j)
+        diffs = ({b - a for a in hits_i for b in hits_j if b > a}
+                 if id_i == id_j else set())
+        viable = diffs if viable is None else viable & diffs
+        if not viable:
+            break
     cert = ExhaustionCertificate(
-        tuple_rendered=(f"{pa.petal_id}:{spec_a.render()},"
-                        f"{pb.petal_id}:{spec_b.render()}"),
+        tuple_rendered=(f"{pa.petal_id}:{spec.render()},"
+                        f"{pb.petal_id}:{spec.render()}"),
         target_length=2,
-        horizon=max(ha, hb),
+        horizon=max(h for _, h, _ in sides),
         search="level-shapes",
-        frontier_sizes=(1, survivors),
+        frontier_sizes=(1, len(viable)),
         died_level=2,
         nodes_used=nodes)
     bad = None
-    if survivors:
+    if viable:
         bad = (f"cross pair {pa.petal_id}:{pb.petal_id} realized a mixed "
-               f"assignment at difference {witness}")
+               f"assignment at difference {max(viable)}")
     return cert, bad
 
 
-def _petal_internal_evidence(p: PetalSystem, cap: int,
-                             horizon: int | None):
+def _petal_internal_evidence(p: PetalSystem, horizon: int | None):
     """One petal's own (a_0, a_1) pair is independent past the junction.
 
     Pair-level evidence only: the check looks for a difference d making
     (0, d) an independence set with all realizers drawn from orbit starts
     at time 1 or later.
     """
-    if cap != 2:
-        raise InvalidConfig("in-petal evidence is defined for pair caps")
     traj = p.trajectory
     h = traj.horizon if horizon is None else min(horizon, traj.horizon)
     specs = (NeighborhoodSpec(Symbol.head(0), 1),

@@ -264,6 +264,9 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
 # certificates
 
 
+_SEARCH_MODES = {"level-shapes": "level", "depth-first": "dfs"}
+
+
 def certificate_string(cert: ExhaustionCertificate) -> str:
     lines = [f"format: {FORMAT_VERSION}", "kind: certificate",
              f"tuple: {cert.tuple_rendered}",
@@ -301,12 +304,20 @@ def read_certificate(path) -> ExhaustionCertificate:
 
 def replay_certificate(cert: ExhaustionCertificate,
                        traj: Trajectory) -> tuple[bool, str]:
-    """Re-run the recorded search and compare the frontier trace exactly."""
+    """Re-run the recorded search and compare the frontier trace exactly.
+
+    A horizon past the build's fails before any search, since the search
+    would silently stop at the build's horizon.
+    """
     if ":" in cert.tuple_rendered:
-        raise InvalidConfig(
-            "composite certificates replay through the flower check")
+        raise InvalidConfig("composite certificates cannot be replayed yet")
     specs = parse_tuple(cert.tuple_rendered)
-    mode = "level" if cert.search == "level-shapes" else "dfs"
+    mode = _SEARCH_MODES.get(cert.search)
+    if mode is None:
+        raise InvalidConfig(f"unknown search {cert.search!r}")
+    if cert.horizon > traj.horizon:
+        return False, (f"horizon mismatch: recorded {cert.horizon}, build "
+                       f"horizon {traj.horizon}")
     res = max_independence(specs, cap=cert.target_length, traj=traj,
                            horizon=cert.horizon, mode=mode)
     if res.certificate is None:

@@ -3,9 +3,8 @@
 An independence set for a tuple of neighborhoods (A_1 .. A_k) is a set of
 times J such that every assignment sigma: J -> {1..k} is realized by one
 model point whose iterates visit A_sigma(t) at every t in J. The engine
-answers three questions exactly at a finite horizon:
+answers two questions exactly at a finite horizon:
 
-* satisfiable: is one assignment realizable (and by which point),
 * is_independence_set: are all assignments realizable,
 * max_independence: what is the largest independence-set size up to a cap,
   with a replayable exhaustion certificate when the answer is below the cap.
@@ -174,13 +173,6 @@ class OccupancyVector:
     def complement(self) -> bool:
         return self.miss_times is not None
 
-    def test(self, t: int) -> bool:
-        if not 0 <= t < self.n_points:
-            return False
-        if self._miss_set is not None:
-            return t not in self._miss_set
-        return t in self._times_set
-
     def as_int(self) -> int:
         """Literal bitmask of the hit times; only for short builds."""
         if self.n_points > DENSE_BITMASK_LIMIT:
@@ -216,7 +208,7 @@ def _mask_for(spec: NeighborhoodSpec, traj: Trajectory) -> int:
 
 
 # ---------------------------------------------------------------------------
-# satisfiability of one assignment
+# closed-form head witnesses
 
 
 def _head_keys(specs, traj):
@@ -280,66 +272,13 @@ def _infinity_orbit_scan(J, occs, lo, hi, budget):
     """
     blocked = {h - t for t, occ in zip(J, occs) for h in occ.miss_times
                if lo <= h - t <= hi}
-    if budget is not None:
-        budget.spend(len(blocked) + 1)
+    budget.spend(len(blocked) + 1)
     u = lo
     while u in blocked:
         u += 1
     if u > hi:
         return None
     return ModelPoint.orbit(u)
-
-
-def satisfiable(J, sigma, specs, traj: Trajectory, horizon: int | None = None,
-                start_range: tuple[int, int] | None = None,
-                budget: SearchBudget | None = None) -> ModelPoint | None:
-    """First model point realizing the assignment, or None.
-
-    Orbit candidates come ascending from the sparsest finite anchor's hit
-    list, each probed against every occupancy; then heads in closed form.
-    ``start_range`` limits orbit start times and disables head witnesses,
-    since a restricted system consists of orbit points only; an assignment
-    made purely of infinity neighborhoods then takes the first start
-    clearing their sparse complements. ``is_independence_set`` answers all
-    assignments of a set at once and does not call this.
-    """
-    specs = as_tuple_spec(specs).specs
-    J = tuple(J)
-    sigma = tuple(sigma)
-    if len(J) != len(sigma):
-        raise ValueError("assignment must align with the time set")
-    if horizon is None:
-        horizon = traj.horizon
-    horizon = min(horizon, traj.horizon)
-    if not J:
-        # the empty assignment is realized by any point at all
-        return ModelPoint.orbit(0 if start_range is None else start_range[0])
-    if J[-1] > horizon:
-        raise ValueError("times exceed the queried horizon")
-
-    lo, hi = (0, horizon) if start_range is None else start_range
-    lo, hi = max(lo, 0), min(hi, horizon - J[-1])
-    occs = [occupancy(specs[c], traj) for c in sigma]
-    anchors = [(t, occ.times) for t, occ in zip(J, occs)
-               if not occ.complement]
-    if not anchors:
-        if start_range is None:
-            return _head_realizer(J, sigma, _head_keys(specs, traj))
-        return _infinity_orbit_scan(J, occs, lo, hi, budget)
-    t0, times = min(anchors, key=lambda a: len(a[1]))
-    probes = [(t, occ.test) for t, occ in zip(J, occs)]
-    for h in times[bisect.bisect_left(times, lo + t0):
-                   bisect.bisect_right(times, hi + t0)]:
-        if budget is not None:
-            budget.spend(len(J))
-        for t, test in probes:
-            if not test(h - t0 + t):
-                break
-        else:
-            return ModelPoint.orbit(h - t0)
-    if start_range is not None:
-        return None
-    return _head_realizer(J, sigma, _head_keys(specs, traj))
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_criterion_8_flower_calculus(m2k2, m3k2):
               PetalSystem("p3", Value.log(3), m3k2)]
     comp = compose(petals)
     assert value_calculus(comp) == Value.log(3)
-    report = cross_petal_check(comp, cap=2)
+    report = cross_petal_check(comp)
     assert report.passed, report.counterexample
     assert len(report.certificates) == 2
     unbounded = compose(petals, unbounded_family=True)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import seqent.formats
 import seqent.model
 from seqent.cli import (
     EXIT_CLOSED_OUTPUT,
@@ -278,6 +279,58 @@ class TestReplay:
         assert "PASS replay" in out
 
 
+class TestCertificateReplay:
+    """Certificate headers that the build cannot reproduce are refused
+    before any search runs."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("certs")
+        assert main(["verify", "--suite", "R2", "--m", "2", "--kmax", "2",
+                     "--out", str(out)]) == EXIT_PASS
+        assert main(["flower", "--petals", "p2=2,p3=3",
+                     "--out", str(out)]) == EXIT_PASS
+        return out
+
+    def replay(self, capsys, run, tmp_path, monkeypatch, name, old="",
+               new=""):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a refused certificate must not be searched")
+        monkeypatch.setattr(seqent.formats, "max_independence", refuse)
+        text = (run / name).read_text(encoding="utf-8")
+        assert old in text
+        path = tmp_path / "forged.txt"
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        return run_cli(capsys, "verify", "--replay", str(path),
+                       "--manifest", str(run / "manifest-log-m-2-2.txt"))
+
+    def test_horizon_past_the_build_fails(self, run, tmp_path, capsys,
+                                          monkeypatch):
+        code, out, _ = self.replay(
+            capsys, run, tmp_path, monkeypatch, "cert-01.txt",
+            "horizon: 929923726997268949140226350", f"horizon: {10**40}")
+        assert code == EXIT_FAIL
+        assert out.startswith("FAIL replay")
+        assert (f"horizon mismatch: recorded {10**40}, build horizon "
+                "93922296426724163863162861451") in out
+
+    def test_unknown_search_is_invalid(self, run, tmp_path, capsys,
+                                       monkeypatch):
+        code, out, err = self.replay(capsys, run, tmp_path, monkeypatch,
+                                     "cert-01.txt", "search: level-shapes",
+                                     "search: banana")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "unknown search 'banana'" in err
+
+    def test_composite_certificate_is_refused(self, run, tmp_path, capsys,
+                                              monkeypatch):
+        code, _, err = self.replay(capsys, run, tmp_path, monkeypatch,
+                                   "cert-cross-01.txt")
+        assert code == EXIT_INVALID
+        assert "composite certificates cannot be replayed yet" in err
+
+
 class TestSymbolReplayFailures:
     """Replay verdicts for edited symbol files: exit code and the message
     that names the first difference."""
@@ -423,6 +476,13 @@ class TestFlower:
         assert "PASS cross-petal" in out
         report = (out_dir / "report-cross-petal.txt").read_text()
         assert "config-hash: " in report
+        assert "param cap: 2\n" in report
+
+    def test_cap_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flower", "--petals", "p2=2,p3=3", "--cap", "3"])
+        assert exc.value.code == EXIT_INVALID
+        assert capsys.readouterr().out == ""
 
     def test_all_frozen_gives_zero(self, capsys):
         code, out, _ = run_cli(capsys, "flower", "--petals", "p2=2,p3=3",

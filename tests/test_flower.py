@@ -128,6 +128,16 @@ class TestCrossPetalCheck:
         assert "p2: in-petal pair independent at difference 7" in joined
         assert "p3: in-petal pair independent at difference 9" in joined
 
+    def test_identical_petals_stay_apart(self, petals):
+        # only the petal tags keep the mixed assignments of two copies of
+        # one system from being realized at the copy's own differences
+        p2, _ = petals
+        twin = PetalSystem("q", Value.log(2), p2.trajectory)
+        rep = cross_petal_check(compose([PetalSystem(
+            "p", Value.log(2), p2.trajectory), twin]))
+        assert rep.passed, rep.counterexample
+        assert [c.frontier_sizes for c in rep.certificates] == [(1, 0)] * 2
+
     def test_needs_two_built_active_petals(self, petals):
         p2, _ = petals
         with pytest.raises(InvalidConfig):

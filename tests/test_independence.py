@@ -1,4 +1,4 @@
-"""Search engine: satisfiability, independence, maxima, certificates."""
+"""Search engine: realizers, independence, maxima, certificates."""
 
 import itertools
 import random
@@ -22,13 +22,11 @@ from seqent.construct import build_log_infty
 from seqent.errors import CapExceeded, InvalidConfig, ResourceBudgetExceeded
 from seqent.independence import (
     ExhaustionCertificate,
-    OccupancyVector,
     SearchBudget,
     as_tuple_spec,
     is_independence_set,
     max_independence,
     occupancy,
-    satisfiable,
     shift_property_check,
     _pair_diffs,
 )
@@ -40,6 +38,7 @@ from seqent.model import (
     NeighborhoodSpec,
     Symbol,
     head_member,
+    itinerary_hits,
     resolve,
 )
 
@@ -59,7 +58,7 @@ class TestOccupancy:
         vec = occupancy(U(Symbol.dense(2), 1), dense2)
         mask = vec.as_int()
         for t in range(dense2.n_points):
-            assert bool((mask >> t) & 1) == vec.test(t)
+            assert bool((mask >> t) & 1) == (t in vec.times)
 
     def test_limit_head_center_rejected_on_dense_family(self):
         # the dense family has no limit head, so U(a_inf) names nothing
@@ -75,45 +74,92 @@ class TestOccupancy:
                     max_independence(specs, cap=3, traj=traj, mode=mode)
 
 
+def _check_fold(J, specs, traj, horizon, start_range=None):
+    """is_independence_set checked against naive_satisfiable.
+
+    The assignments are walked in product order up to the oracle's first
+    unrealizable one, which must be the result's ``failing``. An orbit
+    witness must be the oracle's first orbit start; a head witness must
+    realize its assignment by definition.
+    """
+    res = is_independence_set(J, specs, traj, horizon=horizon,
+                              start_range=start_range)
+    syms = materialize(traj, horizon)
+    label = (traj.family, J, horizon, start_range,
+             [s.render() for s in specs])
+    failing = None
+    for sigma in itertools.product(range(len(specs)), repeat=len(J)):
+        want = naive_satisfiable(J, sigma, specs, traj, horizon=horizon,
+                                 start_range=start_range, syms=syms)
+        if want is None:
+            failing = sigma
+            break
+        if not res.ok:
+            continue
+        got = res.witness.realizers[sigma]
+        if start_range is None and all(
+                specs[c].center.kind == KIND_HEAD_INF for c in sigma):
+            # the limit head answers these before any orbit start
+            assert got == ModelPoint.head(Symbol.head_inf()), label
+        elif want[0] == "orbit":
+            assert got == ModelPoint.orbit(want[1]), label
+        else:
+            assert not got.is_orbit, label
+            assert itinerary_hits(got, J, tuple(specs[c] for c in sigma),
+                                  traj), label
+    assert res.failing == failing, label
+    assert res.ok == (failing is None), label
+    return res
+
+
 class TestSatisfiable:
+    """Single assignments, read from is_independence_set's witness table
+    or its first failing assignment."""
+
     def test_block_times_are_realizable(self, m2k3):
         block = m2k3.manifest.block(2)
         specs = (U(Symbol.head(0), 2), U(Symbol.head(1), 2))
+        res = is_independence_set(block.times, specs, m2k3)
+        assert res.ok
         for sigma in ((0, 0, 1), (1, 0, 1), (1, 1, 0)):
-            got = satisfiable(block.times, sigma, specs, m2k3)
-            assert got is not None
+            got = res.witness.realizers[sigma]
             assert got.is_orbit
+            chosen = tuple(specs[c] for c in sigma)
+            assert itinerary_hits(got, block.times, chosen, m2k3)
 
     def test_head_realizer_closed_form(self, m2k3):
-        # a pure ascent: only a head can follow a0, a1, a2 at times 0, 1, 2
-        specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1),
-                 U(Symbol.head(2), 1))
-        got = satisfiable((0, 1, 2), (0, 1, 2), specs, m2k3, horizon=50)
-        assert got is not None
+        # at horizon 7 only x0 starts an orbit witness: the ascent from a_0
+        # and the descent into a_0 across the infinity window need heads
+        specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))
+        res = _check_fold((0, 7), specs, m2k3, 7)
+        assert res.witness.realizers == {
+            (0, 0): ModelPoint.orbit(0),
+            (0, 1): ModelPoint.head(Symbol.head(0)),
+            (1, 0): ModelPoint.head(Symbol.head(-7)),
+            (1, 1): ModelPoint.head(Symbol.head_inf())}
 
     def test_limit_head_covers_pure_infinity(self, m2k3):
         specs = (U(Symbol.head_inf(), 1),)
-        got = satisfiable((0,), (0,), specs, m2k3)
-        assert got == ModelPoint.head(Symbol.head_inf())
+        res = _check_fold((0,), specs, m2k3, 50)
+        assert res.witness.realizers == {(0,): ModelPoint.head(
+            Symbol.head_inf())}
 
     def test_start_range_restricts_realizers(self, m2k3):
         b2 = m2k3.manifest.block(2)
         specs = (U(Symbol.head(0), 1),)
-        inside = satisfiable((0,), (0,), specs, m2k3,
-                             start_range=(b2.start, b2.end - 1))
-        assert inside is not None and inside.time >= b2.start
-        none_left = satisfiable((0,), (0,), specs, m2k3,
-                                start_range=(1, 6))
-        assert none_left is None
+        res = is_independence_set((0,), specs, m2k3,
+                                  start_range=(b2.start, b2.end - 1))
+        inside = res.witness.realizers[(0,)]
+        assert inside.is_orbit and inside.time >= b2.start
+        assert itinerary_hits(inside, (0,), specs, m2k3)
+        none_left = _check_fold((0,), specs, m2k3, 50, start_range=(1, 6))
+        assert none_left.failing == (0,)
 
     def test_negative_start_bound_is_clamped(self, m2k2):
         # the hit of a_0 at time 0 would make start -1 the first candidate
         specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))
-        got = satisfiable((1, 2), (0, 1), specs, m2k2, horizon=100,
-                          start_range=(-50, 100))
-        want = naive_satisfiable((1, 2), (0, 1), specs, m2k2, horizon=100,
-                                 start_range=(-50, 100))
-        assert got == ModelPoint.orbit(want[1])
+        res = _check_fold((1,), specs, m2k2, 100, start_range=(-50, 100))
+        assert res.witness.realizers[(0,)] == ModelPoint.orbit(6)
 
     def test_head_clears_infinity_window_exactly(self, m2k2):
         # a_0 reaches a_t at time t, inside U1(a_inf) from the window on
@@ -130,9 +176,9 @@ class TestSatisfiable:
         # all-infinity assignments must still find orbit witnesses when
         # heads are unavailable
         specs = (U(Symbol.head_inf(), 1), U(Symbol.head_inf(), 1))
-        got = satisfiable((0, 3), (0, 1), specs, m2k3, start_range=(1, 10**6))
-        assert got is not None
-        assert got.is_orbit
+        res = _check_fold((0, 3), specs, m2k3, 200, start_range=(1, 10**6))
+        assert res.ok
+        assert all(p.is_orbit for p in res.witness.realizers.values())
 
 
 class TestIsIndependenceSet:
@@ -456,13 +502,9 @@ class TestEngineAgainstOracle:
             horizon = min(traj.horizon, rng.randrange(40, 151))
             specs = random_tuple(rng, traj)
             J = random_times(rng, horizon)
-            sigma = tuple(rng.randrange(len(specs)) for _ in J)
-            got = satisfiable(J, sigma, specs, traj, horizon=horizon)
-            want = naive_satisfiable(J, sigma, specs, traj, horizon=horizon)
-            assert (got is None) == (want is None), (
-                traj.family, J, sigma, [s.render() for s in specs])
+            _check_fold(J, specs, traj, horizon)
 
-    def test_fold_matches_satisfiable_and_oracle(self, dense2):
+    def test_fold_matches_oracle(self, dense2):
         # witnesses per assignment, and the lexicographically first failure
         rng = random.Random(8128)
         cases = []
@@ -494,38 +536,13 @@ class TestEngineAgainstOracle:
                           (block.start, block.end - 1 - block.times[-1])))
         tables = restricted = all_inf = scans = 0
         for traj, specs, J, horizon, start_range in cases:
-            label = (traj.family, J, horizon, start_range,
-                     [s.render() for s in specs])
-            res = is_independence_set(J, specs, traj, horizon=horizon,
-                                      start_range=start_range)
-            syms = materialize(traj, horizon)
-            failing = None
-            for sigma in itertools.product(range(len(specs)), repeat=len(J)):
-                want = naive_satisfiable(J, sigma, specs, traj,
-                                         horizon=horizon,
-                                         start_range=start_range, syms=syms)
-                if want is None:
-                    failing = sigma
-                    break
-                if not res.ok:
-                    continue
-                got = res.witness.realizers[sigma]
-                assert got == satisfiable(J, sigma, specs, traj,
-                                          horizon=horizon,
-                                          start_range=start_range), label
-                inf_only = all(specs[c].center.kind == KIND_HEAD_INF
-                               for c in sigma)
-                if inf_only and start_range is None:
-                    # the limit head answers these before any orbit start
-                    assert got == ModelPoint.head(Symbol.head_inf()), label
-                elif want[0] == "orbit":
-                    assert got == ModelPoint.orbit(want[1]), label
-                else:
-                    assert not got.is_orbit, label
+            res = _check_fold(J, specs, traj, horizon, start_range)
+            if res.ok:
+                inf_only = sum(
+                    all(specs[c].center.kind == KIND_HEAD_INF for c in sigma)
+                    for sigma in res.witness.realizers)
                 all_inf += inf_only
-                scans += inf_only and start_range is not None
-            assert res.failing == failing, label
-            assert res.ok == (failing is None), label
+                scans += inf_only if start_range is not None else 0
             tables += res.ok and J[0] > 0
             restricted += res.ok and start_range is not None
         assert tables >= 20 and all_inf >= 10, (tables, all_inf)
@@ -539,18 +556,13 @@ class TestEngineAgainstOracle:
             horizon = min(traj.horizon, rng.randrange(40, 151))
             specs = random_tuple(rng, traj)
             J = random_times(rng, horizon)
-            sigma = tuple(rng.randrange(len(specs)) for _ in J)
-            starts = naive_orbit_starts(J, sigma, specs, traj, horizon)
+            # the fold always checks the first assignment, so its starts
+            # give the adversarial lower bound
+            starts = naive_orbit_starts(J, (0,) * len(J), specs, traj,
+                                        horizon)
             if starts and rng.random() < 0.5:
                 lo = rng.choice(starts) + 1  # starts just below are out
             else:
                 lo = rng.randrange(0, horizon // 2)
             start_range = (lo, lo + rng.randrange(0, horizon))
-            got = satisfiable(J, sigma, specs, traj, horizon=horizon,
-                              start_range=start_range)
-            want = naive_satisfiable(J, sigma, specs, traj, horizon=horizon,
-                                     start_range=start_range)
-            assert (None if got is None else got.time) == (
-                None if want is None else want[1]), (
-                traj.family, J, sigma, start_range,
-                [s.render() for s in specs])
+            _check_fold(J, specs, traj, horizon, start_range)

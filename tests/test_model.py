@@ -169,7 +169,7 @@ class TestPackageSurface:
         exec("from seqent import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(seqent.__all__)
-        assert len(set(seqent.__all__)) == len(seqent.__all__) == 95
+        assert len(set(seqent.__all__)) == len(seqent.__all__) == 94
         modules = {n for n, v in namespace.items()
                    if isinstance(v, types.ModuleType)}
         assert modules == {"checks", "construct", "entropy", "errors",
