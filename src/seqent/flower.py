@@ -204,9 +204,10 @@ def cross_petal_check(comp: CompositeSystem,
     pair stage over the composite's points: petal orbit points from time 1
     up (the junction is identified away), plus each petal's heads. A mixed
     assignment names two petals, so nothing realizes it, and every cross
-    pair carries an exhaustion certificate at level 2. Positive evidence
-    comes from each petal's own (a_0, a_1) pair restricted to orbit starts
-    past the junction.
+    pair carries an exhaustion certificate at level 2; a pair that
+    survives is a violation naming its difference, with no certificate.
+    Positive evidence comes from each petal's own (a_0, a_1) pair
+    restricted to orbit starts past the junction.
     """
     report = CheckReport("cross-petal", {"cap": "2"})
     with _Timer() as tm:
@@ -222,10 +223,10 @@ def cross_petal_check(comp: CompositeSystem,
                 if pa.petal_id == pb.petal_id:
                     continue
                 cert, bad = _cross_pair_search(pa, pb, horizon)
-                report.certificates.append(cert)
                 if bad is not None:
                     violations.append(bad)
                 else:
+                    report.certificates.append(cert)
                     report.details.append(
                         f"{pa.petal_id}:{pb.petal_id} cross pair died at "
                         f"level {cert.died_level}, frontier "
@@ -247,13 +248,18 @@ def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
                        horizon: int | None):
     """Pair stage of one cross pair over petal-tagged hit lists.
 
+    Returns (certificate, None) when the pair dies at length 2, and
+    (None, violation) naming the largest surviving difference otherwise:
+    a pair that survives has no exhaustion to certify.
+
     (0, d) survives when every assignment (i, j) is realized at d. Inside
     one petal those d are the hit differences b - a (a in H_i, b in H_j,
     b > a), since a head comes back to U1(a_0) only at d = 0. Across
     petals there are none: neighborhoods resolve inside their own petal
-    and the junction belongs to none of them. As in ``_pair_diffs``, the
-    sets are intersected in product order until one leaves nothing, and
-    each assignment spends |H_i| * |H_j| nodes.
+    and the junction belongs to none of them. As in the candidate
+    generator at the singleton shape (``independence._extensions``, sparse
+    backend), the sets are intersected, here in product order, until one
+    leaves nothing, and each assignment spends |H_i| * |H_j| nodes.
     """
     spec = NeighborhoodSpec(Symbol.head(0), 1)
     sides = []
@@ -271,20 +277,18 @@ def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
         viable = diffs if viable is None else viable & diffs
         if not viable:
             break
-    cert = ExhaustionCertificate(
+    if viable:
+        return None, (f"cross pair {pa.petal_id}:{pb.petal_id} realized a "
+                      f"mixed assignment at difference {max(viable)}")
+    return ExhaustionCertificate(
         tuple_rendered=(f"{pa.petal_id}:{spec.render()},"
                         f"{pb.petal_id}:{spec.render()}"),
         target_length=2,
         horizon=max(h for _, h, _ in sides),
         search="level-shapes",
-        frontier_sizes=(1, len(viable)),
+        frontier_sizes=(1, 0),
         died_level=2,
-        nodes_used=nodes)
-    bad = None
-    if viable:
-        bad = (f"cross pair {pa.petal_id}:{pb.petal_id} realized a mixed "
-               f"assignment at difference {max(viable)}")
-    return cert, bad
+        nodes_used=nodes), None
 
 
 def _petal_internal_evidence(p: PetalSystem, horizon: int | None):

@@ -155,8 +155,8 @@ class OccupancyVector:
 
     Stored sparsely: either the hit times themselves or, for the dense
     orbit part of an infinity neighborhood, the miss times. A hit list on a
-    short build can also be read as a literal int bitmask, which only the
-    all-dense pair stage does.
+    short build can also be read as a literal int bitmask, the set
+    representation of the candidate generator's dense backend.
     """
 
     def __init__(self, n_points: int, times: tuple[int, ...] | None = None,
@@ -168,6 +168,7 @@ class OccupancyVector:
         self.miss_times = miss_times
         self._times_set = set(times) if times is not None else None
         self._miss_set = set(miss_times) if miss_times is not None else None
+        self._mask = None
 
     @property
     def complement(self) -> bool:
@@ -177,10 +178,29 @@ class OccupancyVector:
         """Literal bitmask of the hit times; only for short builds."""
         if self.n_points > DENSE_BITMASK_LIMIT:
             raise ValueError("trajectory too long for a literal bitmask")
-        buf = bytearray((self.n_points - 1) // 8 + 1)
-        for t in self.times:
-            buf[t >> 3] |= 1 << (t & 7)
-        return int.from_bytes(buf, "little")
+        if self._mask is None:
+            self._mask = _bits_to_int(self.times, self.n_points)
+        return self._mask
+
+
+def _bits_to_int(times, n_bits: int) -> int:
+    """Int with bit t set for each t in times, all below n_bits."""
+    buf = bytearray((n_bits - 1) // 8 + 1)
+    for t in times:
+        buf[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _int_to_bits(mask: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits of a nonnegative int."""
+    out = []
+    buf = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    for byte_i, byte in enumerate(buf):
+        while byte:
+            low = byte & -byte
+            out.append(byte_i * 8 + low.bit_length() - 1)
+            byte ^= low
+    return tuple(out)
 
 
 def occupancy(spec: NeighborhoodSpec, traj: Trajectory) -> OccupancyVector:
@@ -196,15 +216,6 @@ def occupancy(spec: NeighborhoodSpec, traj: Trajectory) -> OccupancyVector:
         vec = OccupancyVector(traj.n_points, miss_times=view.orbit_miss_times())
     cache[spec] = vec
     return vec
-
-
-def _mask_for(spec: NeighborhoodSpec, traj: Trajectory) -> int:
-    cache = traj._mask_cache
-    got = cache.get(spec)
-    if got is None:
-        got = occupancy(spec, traj).as_int()
-        cache[spec] = got
-    return got
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +355,153 @@ def _extend_table(shape, table, d, occs, heads, horizon, budget):
     return tuple(out)
 
 
+def _extensions(shape, table, ds, occs, heads, horizon,
+                budget) -> tuple[int, ...]:
+    """The d for which shape + (d,) survives, ascending: exactly those with
+    ``_extend_table(shape, table, d, occs, heads, horizon, budget)`` not
+    None, among the candidates ``ds`` (ascending, past shape[-1]; None for
+    every d in (shape[-1], horizon]).
+
+    Assignment (sigma, c) of shape + (d,) is realized at d by a start u in
+    sigma's list with u + d in A_c, or by a closed-form head. Survivors
+    therefore form the intersection, over the assignments that no head
+    realizes for every d, of {d : u + d in A_c for some u}: tid-list
+    intersection along the time axis, shortest lists first, stopping once
+    nothing is left.
+
+    Short builds of the dense family hold each set as an int mask, the OR
+    of A_c's mask shifted down by every u; an assignment whose
+    neighborhoods share a dense center is realized by that fixed head and
+    imposes nothing. Elsewhere the sets are sparse, the differences b - u
+    of A_c's hits b past u. On the head-indexed family a finite-center
+    assignment also holds at its one head difference, and an assignment
+    with an infinity neighborhood, whose set is co-finite, is tested per d
+    the way ``_extend_table`` tests it, first realizer first. Every list
+    element and hit read spends one node.
+    """
+    centers, windows = heads
+    if all(c is None for c in centers):
+        # the limit head lies in every neighborhood, so max_independence
+        # answers such a tuple before any search; its survivors would be
+        # every d up to the horizon, with no hit list to anchor on
+        raise RuntimeError(
+            "tuple has no finite-center neighborhood to anchor on")
+    lo = shape[-1] + 1
+    pairs = []
+    sigmas = itertools.product(range(len(occs)), repeat=len(shape))
+    for sigma, starts in zip(sigmas, table):
+        idx = None if starts is None else _head_index(shape, sigma, heads)
+        for c, occ in enumerate(occs):
+            if starts is None and occ.complement:
+                continue  # the limit head realizes it
+            if windows is None and idx == centers[c]:
+                continue  # so does the fixed head of a shared dense center
+            finite = starts is not None and not occ.complement
+            head = (centers[c] - idx if finite and windows is not None
+                    and idx is not None else None)
+            # an all-infinity sigma reads the hits of A_c instead
+            size = len(starts if starts is not None else occ.times)
+            pairs.append((size, finite, sigma, c, starts, head))
+    pairs.sort(key=lambda p: p[0])
+    if ds is None and pairs:
+        # the first set is a finite assignment's differences
+        first = next(i for i, p in enumerate(pairs) if p[1])
+        pairs.insert(0, pairs.pop(first))
+
+    if windows is None and occs[0].n_points <= DENSE_BITMASK_LIMIT:
+        span = (1 << (horizon + 1)) - 1
+        live = (span >> lo << lo if ds is None
+                else _bits_to_int(ds, horizon + 1))
+        masks = [occ.as_int() & span for occ in occs]
+        for _, _, _, c, starts, _ in pairs:
+            budget.spend(len(starts))
+            mask = masks[c]
+            acc = 0
+            for u in starts:
+                acc |= mask >> u
+            live &= acc
+            if not live:
+                return ()
+        return _int_to_bits(live)
+
+    live = None if ds is None else set(ds)
+    for _, finite, sigma, c, starts, head in pairs:
+        occ = occs[c]
+        if finite:
+            hits = occ.times
+            top = bisect.bisect_right(hits, horizon)
+            got = set()
+            if head is not None and lo <= head <= horizon:
+                got.add(head)
+            for u in starts:
+                window = hits[bisect.bisect_left(hits, u + lo):top]
+                budget.spend(len(window))
+                got.update([b - u for b in window])
+            live = got if live is None else live & got
+        else:
+            read = 0
+            kept = set()
+            if starts is None:
+                # anchor on the new neighborhood's hits b = u + d
+                hits = occ.times
+                top = bisect.bisect_right(hits, horizon)
+                misses = [(t, occs[s]._miss_set) for t, s in zip(shape, sigma)]
+            for d in live:
+                if starts is not None:
+                    for u in starts:
+                        if u > horizon - d:
+                            break
+                        read += 1
+                        if u + d not in occ._miss_set:
+                            kept.add(d)
+                            break
+                else:
+                    for i in range(bisect.bisect_left(hits, d), top):
+                        read += 1
+                        u = hits[i] - d
+                        if all(u + t not in miss for t, miss in misses):
+                            kept.add(d)
+                            break
+                if d not in kept and _head_index(
+                        shape + (d,), sigma + (c,), heads) is not None:
+                    kept.add(d)
+            budget.spend(read)
+            live = kept
+        if not live:
+            return ()
+    # only one dense center throughout: its fixed head realizes everything
+    return tuple(range(lo, horizon + 1) if live is None else sorted(live))
+
+
+def _survivors(shape, table, ds, occs, heads, horizon, budget):
+    """Yield (d, table) for each d in the ascending list ds for which
+    shape + (d,) survives, in order; the table is that of shape + (d,), or
+    None where it was not built.
+
+    Extending one d at a time reaches the first survivors without reading
+    the whole table, which a depth-first search about to succeed wants.
+    ``_extensions`` starts from the shortest list and, where the
+    candidates die, usually empties its set there, whatever their number.
+    So a node extends per d until those extensions have spent more nodes
+    than reading that list once per neighborhood, k * min |L_sigma|, and
+    generates the rest in bulk.
+    """
+    bulk_cost = len(occs) * min((len(s) for s in table if s is not None),
+                                default=0)
+    spent = 0
+    for i, d in enumerate(ds):
+        if spent > bulk_cost:
+            for d in _extensions(shape, table, ds[i:], occs, heads, horizon,
+                                 budget):
+                yield d, None
+            return
+        before = budget.nodes
+        ext = _extend_table(shape, table, d, occs, heads, horizon, budget)
+        spent += budget.nodes - before
+        if ext is not None:
+            yield d, ext
+
+
 def is_independence_set(J, specs, traj: Trajectory,
                         horizon: int | None = None,
                         start_range: tuple[int, int] | None = None,
@@ -434,78 +592,10 @@ def _fixed_head_everywhere(specs, traj) -> ModelPoint | None:
 
 def _pair_diffs(tspec, traj, horizon, budget) -> tuple[int, ...]:
     """Exact ascending list of the d in [1, horizon] making (0, d) an
-    independence set.
-
-    An assignment (i, j) whose neighborhoods share a dense center is
-    realized at every d by that fixed head, so it imposes nothing. Every
-    other assignment (i, j) of finite-center neighborhoods is realized
-    exactly at the orbit hit differences b - a (a in A_i, b in A_j) and, on
-    the head-indexed family, at the head difference c_j - c_i.
-
-    Short all-dense builds OR the shifted literal masks of A_j over the
-    hits of A_i, which is exact since dense heads realize nothing else.
-    Everywhere else the hit differences are intersected over the finite
-    assignments, and each survivor is confirmed by the full pair check,
-    which covers the infinity-centered assignments.
-    """
-    specs = tspec.specs
-    log_m = traj.family == FAMILY_LOG_M
-    if (not log_m and traj.n_points <= DENSE_BITMASK_LIMIT
-            and all(s.center.kind == KIND_DENSE for s in specs)):
-        span = (1 << (horizon + 1)) - 1
-        masks = [_mask_for(s, traj) & span for s in specs]
-        combined = span
-        for i, spec_i in enumerate(specs):
-            occ = occupancy(spec_i, traj)
-            hits_i = occ.times[:bisect.bisect_right(occ.times, horizon)]
-            budget.spend(len(hits_i) * (len(specs) - 1))
-            for j, spec_j in enumerate(specs):
-                if spec_j.center == spec_i.center:
-                    continue
-                acc = 0
-                mj = masks[j]
-                for t in hits_i:
-                    acc |= mj >> t
-                combined &= acc
-                if not combined:
-                    return ()
-        combined >>= 1  # bit b now means d = b + 1
-        out = []
-        buf = combined.to_bytes((combined.bit_length() + 7) // 8, "little")
-        for byte_i, byte in enumerate(buf):
-            while byte:
-                low = byte & -byte
-                out.append(byte_i * 8 + low.bit_length())
-                byte ^= low
-        return tuple(out)
-
-    finite = [s for s in specs if s.center.kind != KIND_HEAD_INF]
-    if not finite:
-        # no finite anchor and no all-covering fixed head: impossible for
-        # built families, guarded for safety
-        raise ValueError("tuple has no finite-center neighborhood to anchor on")
-    hits = {}
-    for s in finite:
-        occ = occupancy(s, traj)
-        hits[s] = occ.times[:bisect.bisect_right(occ.times, horizon)]
-    viable = None
-    for spec_i, spec_j in itertools.product(finite, repeat=2):
-        if not log_m and spec_i.center == spec_j.center:
-            continue
-        hits_i, hits_j = hits[spec_i], hits[spec_j]
-        budget.spend(len(hits_i) * len(hits_j))
-        diffs = {b - a for a in hits_i for b in hits_j if b > a}
-        head = spec_j.center.index - spec_i.center.index
-        if log_m and 1 <= head <= horizon:
-            diffs.add(head)
-        viable = diffs if viable is None else viable & diffs
-        if not viable:
-            return ()
-    if viable is None:  # one dense center throughout: its head realizes all
-        viable = range(1, horizon + 1)
-    return tuple(d for d in sorted(viable)
-                 if is_independence_set((0, d), tspec, traj, horizon=horizon,
-                                        budget=budget).ok)
+    independence set: the candidate generator at the singleton shape."""
+    occs = [occupancy(s, traj) for s in tspec.specs]
+    return _extensions((0,), _root_table(occs, horizon), None, occs,
+                       _head_keys(tspec.specs, traj), horizon, budget)
 
 
 def _cap_result(tspec, traj, horizon, shape, budget,
@@ -525,8 +615,9 @@ def max_independence(specs, cap: int, traj: Trajectory,
 
     mode "level" runs the level-wise shape search and produces an
     exhaustion certificate when the frontier dies below the cap; mode
-    "dfs" explores shapes depth-first with the same pruning and is meant
-    for positive searches on builds whose difference universes are large.
+    "dfs" explores shapes depth-first from the same candidate generator
+    and is meant for positive searches on builds whose difference
+    universes are large.
     """
     tspec = as_tuple_spec(specs)
     if cap < 1:
@@ -564,32 +655,23 @@ def _max_level(tspec, traj, horizon, cap, occs,
     current = [(0, d) for d in _pair_diffs(tspec, traj, horizon, budget)]
     frontier_sizes = [1, len(current)]
     # realizer tables of the prefixes that the current shapes extend; a
-    # shape's own table is rebuilt from its prefix's when it is joined
+    # shape's own table is rebuilt from its prefix's when it is extended
     tables = {(0,): _root_table(occs, horizon)}
     size = 2
     while current and size < cap:
         nxt = []
         next_tables = {}
-        by_prefix: dict[tuple[int, ...], list[int]] = {}
         for shape in current:
-            by_prefix.setdefault(shape[:-1], []).append(shape[-1])
-        tails = {prefix: set(lasts) for prefix, lasts in by_prefix.items()}
-        for prefix, lasts in sorted(by_prefix.items()):
-            prefix_table = tables.pop(prefix)
-            lasts.sort()
-            for a_i, x in enumerate(lasts):
-                head = prefix + (x,)
-                ys = _closed_tails(head, lasts[a_i + 1:], tails)
-                if not ys:
-                    continue
-                table = _extend_table(prefix, prefix_table, x, occs, heads,
-                                      horizon, budget)
-                for y in ys:
-                    if _extend_table(head, table, y, occs, heads, horizon,
-                                     budget) is not None:
-                        nxt.append(head + (y,))
-                        if size + 1 < cap:
-                            next_tables[head] = table
+            prefix = shape[:-1]
+            table = _extend_table(prefix, tables[prefix], shape[-1], occs,
+                                  heads, horizon, budget)
+            # generation is exact, and a subshape of a survivor survives, so
+            # no downward-closure filter is needed on top of it
+            grown = _extensions(shape, table, None, occs, heads, horizon,
+                                budget)
+            nxt.extend(shape + (y,) for y in grown)
+            if grown and size + 1 < cap:
+                next_tables[shape] = table
         frontier_sizes.append(len(nxt))
         previous, current = current, nxt
         tables = next_tables
@@ -603,24 +685,6 @@ def _max_level(tspec, traj, horizon, cap, occs,
     return _cap_result(tspec, traj, horizon, min(previous), budget, cert)
 
 
-def _closed_tails(head, lasts, tails) -> list[int]:
-    """The y in lasts for which head + (y,) passes downward closure.
-
-    head + (y,) joins the survivors head and head[:-1] + (y,), so only the
-    one-smaller subshapes that drop a time of head[:-1] are checked. Each
-    must end in a last time that its normalized prefix kept; tails maps
-    every surviving prefix to the set of last times it kept.
-    """
-    for drop in range(len(head) - 1):
-        sub = head[:drop] + head[drop + 1:]
-        base = sub[0]
-        kept = tails.get(tuple([v - base for v in sub]))
-        if not kept:
-            return []
-        lasts = [y for y in lasts if y - base in kept]
-    return lasts
-
-
 def _max_dfs(tspec, traj, horizon, cap, occs,
              budget) -> MaxIndependenceResult:
     heads = _head_keys(tspec.specs, traj)
@@ -630,27 +694,30 @@ def _max_dfs(tspec, traj, horizon, cap, occs,
     visited[1] = 1
     best_shape = (0,)
 
-    def extend(shape: tuple[int, ...], table):
+    def extend(shape: tuple[int, ...], table, cands, grown):
+        # cands: the ascending d past shape[-1] whose pairs with every
+        # time of shape survive, the downward closure at pair level
         nonlocal best_shape
-        for d in viable[bisect.bisect_right(viable, shape[-1]):]:
-            if any(d - s not in viable_set for s in shape[1:]):
-                continue
-            cand_table = _extend_table(shape, table, d, occs, heads, horizon,
-                                       budget)
-            if cand_table is None:
-                continue
+        for d, cand_table in grown:
             cand = shape + (d,)
             visited[len(cand)] += 1
             if len(cand) > len(best_shape):
                 best_shape = cand
             if len(cand) == cap:
                 return cand
-            got = extend(cand, cand_table)
+            if cand_table is None:
+                cand_table = _extend_table(shape, table, d, occs, heads,
+                                           horizon, budget)
+            ds = [e for e in cands[bisect.bisect_right(cands, d):]
+                  if e - d in viable_set]
+            got = extend(cand, cand_table, ds, _survivors(
+                cand, cand_table, ds, occs, heads, horizon, budget))
             if got is not None:
                 return got
         return None
 
-    found = extend((0,), _root_table(occs, horizon))
+    found = extend((0,), _root_table(occs, horizon), viable,
+                   ((d, None) for d in viable))
     if found is not None:
         return _cap_result(tspec, traj, horizon, found, budget)
     died = len(best_shape) + 1

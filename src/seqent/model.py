@@ -304,7 +304,6 @@ class Trajectory:
         self._window_cache: dict[int, tuple[int, ...]] = {}
         # search caches filled by ``independence``, keyed by neighborhood
         self._occ_cache: dict = {}
-        self._mask_cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import seqent.formats
+import seqent.independence
 import seqent.model
 from seqent.cli import (
     EXIT_CLOSED_OUTPUT,
@@ -464,6 +465,16 @@ class TestEntropy:
     def test_needs_m(self, capsys):
         code, _, _ = run_cli(capsys, "entropy", "--family", "log-m")
         assert code == EXIT_INVALID
+
+    def test_internal_error_is_not_invalid_input(self, monkeypatch):
+        # the limit head answers an all-infinity tuple before any search;
+        # without it the candidate generator has nothing to anchor on, a
+        # bug that must not read as a bad configuration (exit 2)
+        monkeypatch.setattr(seqent.independence, "_fixed_head_everywhere",
+                            lambda specs, traj: None)
+        with pytest.raises(RuntimeError, match="anchor"):
+            main(["entropy", "--family", "log-m", "--m", "2", "--kmax", "1",
+                  "--centers", "a_inf", "--cap", "2"])
 
 
 class TestFlower:

@@ -1,5 +1,7 @@
 """Petal composition, mode calculus, and cross-petal separation."""
 
+import re
+
 import pytest
 
 from seqent.construct import build_log_m, minimal_schedule
@@ -10,6 +12,7 @@ from seqent.flower import (
     MODE_FROZEN,
     PetalSystem,
     Value,
+    _cross_pair_search,
     compose,
     cross_petal_check,
     parse_value,
@@ -137,6 +140,16 @@ class TestCrossPetalCheck:
             "p", Value.log(2), p2.trajectory), twin]))
         assert rep.passed, rep.counterexample
         assert [c.frontier_sizes for c in rep.certificates] == [(1, 0)] * 2
+
+    def test_surviving_cross_pair_has_no_certificate(self, petals):
+        # a petal paired with itself shares its id, so every assignment is
+        # realized inside one petal and the pair survives: there is no
+        # exhaustion to certify, only the surviving difference to name
+        p2, _ = petals
+        cert, bad = _cross_pair_search(p2, p2, None)
+        assert cert is None
+        assert re.fullmatch(r"cross pair p2:p2 realized a mixed assignment "
+                            r"at difference \d+", bad)
 
     def test_needs_two_built_active_petals(self, petals):
         p2, _ = petals

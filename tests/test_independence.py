@@ -245,6 +245,20 @@ class TestMaxIndependence:
             max_independence(specs, cap=5, traj=m2k3,
                              budget=SearchBudget(max_nodes=10))
 
+    def test_five_dense_centers_die_at_block_three(self, dense4):
+        # the search that dominates the log 5 evidence at the block-3
+        # horizon: 933 pairs survive and no triple does
+        horizon = dense4.block_range(3)[1]
+        five = [U(Symbol.dense(j), 1) for j in range(1, 6)]
+        res = max_independence(five, cap=4, traj=dense4, horizon=horizon,
+                               mode="dfs")
+        assert res.certificate.frontier_sizes == (1, 933, 0)
+        assert res.certificate.died_level == 3
+        four = max_independence(five[:4], cap=4, traj=dense4,
+                                horizon=horizon, mode="dfs")
+        assert four.certificate is None
+        assert four.witness.times == (0, 9, 18, 27)
+
 
 class TestSearchBudget:
     def test_bulk_spend_checks_the_clock(self):
@@ -452,6 +466,113 @@ class TestRealizerTables:
                     assert not naive_is_independence_set(
                         shape, specs, traj, horizon=horizon)
         assert checked >= 200
+
+
+class TestExtensions:
+    """The candidate generator against one ``_extend_table`` call per d."""
+
+    @PAIR_PATHS
+    def test_generated_sets_match_per_d_extension(self, limit, dense2, m2k2,
+                                                  monkeypatch):
+        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
+        rng = random.Random(8128)
+        cases = list(_dense_or_random_builds(rng, dense2, 60))
+        # shared dense centers; infinity neighborhoods beside finite ones
+        cases += [(dense2, (U(Symbol.dense(2), 1), U(Symbol.dense(2), 2),
+                            U(Symbol.dense(3), 1))),
+                  (m2k2, (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))),
+                  (m2k2, (U(Symbol.head(3), 1), U(Symbol.head_inf(), 2))),
+                  (m2k2, (U(Symbol.head_inf(), 1), U(Symbol.head(1), 1),
+                          U(Symbol.head(0), 2)))]
+        sizes = [0] * 4
+        bulk = per_d = deep_inf = 0
+        for traj, specs in cases:
+            if all(s.center.kind == KIND_HEAD_INF for s in specs):
+                continue  # the limit head answers these before any search
+            occs = [occupancy(s, traj) for s in specs]
+            heads = independence._head_keys(specs, traj)
+            horizon = min(traj.horizon, rng.randrange(40, 121))
+            label = (traj.family, horizon, [s.render() for s in specs])
+
+            def extend(shape, table, d):
+                return independence._extend_table(
+                    shape, table, d, occs, heads, horizon, SearchBudget())
+
+            def generate(shape, table, ds, grow=independence._extensions):
+                return grow(shape, table, ds, occs, heads, horizon,
+                            SearchBudget())
+
+            shape, table = (0,), independence._root_table(occs, horizon)
+            while len(shape) <= 3:
+                everything = range(shape[-1] + 1, horizon + 1)
+                want = [d for d in everything
+                        if extend(shape, table, d) is not None]
+                assert generate(shape, table, None) == tuple(want), label
+                ds = sorted(rng.sample(everything,
+                                       rng.randrange(len(everything) + 1)))
+                kept = tuple(d for d in want if d in ds)
+                assert generate(shape, table, ds) == kept, (label, shape)
+                grown = list(generate(shape, table, ds,
+                                      independence._survivors))
+                assert tuple(d for d, _ in grown) == kept, (label, shape)
+                for d, got in grown:
+                    if got is None:
+                        bulk += 1
+                    else:
+                        per_d += 1
+                        assert got == extend(shape, table, d)
+                sizes[len(shape)] += 1
+                deep_inf += len(shape) > 1 and any(
+                    s.center.kind == KIND_HEAD_INF for s in specs)
+                if not want:
+                    break
+                d = rng.choice(want)
+                table = extend(shape, table, d)
+                shape += (d,)
+        assert min(sizes[1:]) >= 10 and deep_inf >= 4 and bulk and per_d, (
+            sizes, deep_inf, bulk, per_d)
+
+    def test_tuple_without_finite_center_is_an_internal_error(self, m2k2):
+        specs = (U(Symbol.head_inf(), 1), U(Symbol.head_inf(), 2))
+        occs = [occupancy(s, m2k2) for s in specs]
+        with pytest.raises(RuntimeError, match="anchor") as info:
+            independence._extensions(
+                (0,), independence._root_table(occs, 50), None, occs,
+                independence._head_keys(specs, m2k2), 50, SearchBudget())
+        assert not isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("case", ["bitmask", "sparse", "head-indexed"])
+    def test_budget_stops_bulk_generation(self, case, dense2, m2k2,
+                                          monkeypatch):
+        if case == "head-indexed":
+            traj = m2k2
+            specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))
+        else:
+            traj = dense2
+            specs = tuple(U(Symbol.dense(j), 1) for j in (1, 2, 3))
+            if case == "sparse":
+                monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
+        # the nodes spent before the first bulk pass below the root that
+        # reads anything
+        entries = []
+        generate = independence._extensions
+
+        def spy(shape, table, ds, occs, heads, horizon, budget):
+            before = budget.nodes
+            out = generate(shape, table, ds, occs, heads, horizon, budget)
+            if len(shape) > 1 and budget.nodes > before:
+                entries.append(before)
+            return out
+
+        monkeypatch.setattr(independence, "_extensions", spy)
+        max_independence(specs, cap=5, traj=traj, mode="dfs")
+        monkeypatch.setattr(independence, "_extensions", generate)
+        assert entries
+        with pytest.raises(ResourceBudgetExceeded) as info:
+            max_independence(specs, cap=5, traj=traj, mode="dfs",
+                             budget=SearchBudget(max_nodes=entries[0]))
+        names = [entry.name for entry in info.traceback]
+        assert names[-2:] == ["_extensions", "spend"], names
 
 
 class TestShiftProperty:
