@@ -457,7 +457,12 @@ def verify_far_pair_exclusion(traj: Trajectory, offsets=None, cap: int = 5,
     (U1(a_0), U1(a_j)) is searched for independence sets up to the cap;
     the check passes when every search dies below the cap and returns the
     exhaustion certificates.
+
+    ``mode`` selects nothing: there is one search, and "level" and "dfs"
+    are accepted for callers written when there were two.
     """
+    if mode not in ("level", "dfs"):
+        raise ValueError(f"unknown search mode {mode!r}")
     _require_family(traj, FAMILY_LOG_M, "verify_far_pair_exclusion")
     if offsets is None:
         offsets = far_offsets(traj.m)
@@ -481,7 +486,7 @@ def verify_far_pair_exclusion(traj: Trajectory, offsets=None, cap: int = 5,
             specs = (NeighborhoodSpec(Symbol.head(0), 1),
                      NeighborhoodSpec(partner, 1))
             res = max_independence(specs, cap=cap, traj=traj,
-                                   horizon=horizon, mode=mode, budget=budget)
+                                   horizon=horizon, budget=budget)
             label = f"j={off}"
             if res.length >= cap:
                 failures.append(

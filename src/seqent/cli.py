@@ -54,7 +54,7 @@ EXIT_CLOSED_OUTPUT = 141
 DEFAULT_SYMBOL_LINES = 4096
 
 
-_FINGERPRINT_KEYS = ("suite", "family", "m", "kmax", "nmax", "cap", "mode",
+_FINGERPRINT_KEYS = ("suite", "family", "m", "kmax", "nmax", "cap",
                      "centers", "levels", "petals", "modes", "collapse",
                      "unbounded")
 
@@ -169,7 +169,6 @@ def _suite_reports(args, builds: _Builds) -> list:
         m, kmax = log_m_configs[0] if args.m is not None else (2, 3)
         traj = builds.log_m(m, kmax)
         reports.append(verify_far_pair_exclusion(traj, cap=args.cap,
-                                                 mode=args.mode,
                                                  budget=budget))
     if suite in ("section3", "all"):
         traj = builds.log_infty(args.nmax)
@@ -277,8 +276,7 @@ def _cmd_entropy(args) -> int:
     levels = None
     if args.levels:
         levels = [int(x) for x in args.levels.split(",")]
-    evidence = h_star_lower_bound(traj, centers, args.cap,
-                                  levels=levels, mode=args.mode,
+    evidence = h_star_lower_bound(traj, centers, args.cap, levels=levels,
                                   budget=_budget(args))
     if evidence.p == 0:
         print("no subset of the candidate centers sustains the cap; "
@@ -390,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="manifest for certificate replays")
     v.add_argument("--cap", type=int, default=5,
                    help="length cap for exclusion searches (default 5)")
-    v.add_argument("--mode", choices=("level", "dfs"), default="level")
     add_common(v)
     v.set_defaults(func=_cmd_verify)
 
@@ -404,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="independence length every level must sustain")
     e.add_argument("--levels", default=None,
                    help="comma list of levels (default: all built)")
-    e.add_argument("--mode", choices=("level", "dfs"), default="dfs")
     add_common(e)
     e.set_defaults(func=_cmd_entropy)
 

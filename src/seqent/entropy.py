@@ -214,13 +214,14 @@ class HStarEvidence:
 def h_star_lower_bound(traj: Trajectory, centers, cap: int,
                        horizon: int | None = None,
                        levels=None,
-                       mode: str = "dfs",
                        budget: SearchBudget | None = None) -> HStarEvidence:
     """Evidence for the supremum sequence entropy from below.
 
     Finds the largest p such that some p-subset of the candidate centers,
     taken as a tuple of level-k neighborhoods, admits independence sets of
     length >= cap at every tested level. The reported value is log p.
+    Each level is one depth-first ``max_independence`` search, which stops
+    at the first shape of length cap, so sustained levels cost little.
     """
     centers = tuple(centers)
     if len(set(centers)) != len(centers):
@@ -237,8 +238,7 @@ def h_star_lower_bound(traj: Trajectory, centers, cap: int,
             for k in levels:
                 specs = tuple(NeighborhoodSpec(c, k) for c in combo)
                 res = max_independence(specs, cap=cap, traj=traj,
-                                       horizon=horizon, mode=mode,
-                                       budget=budget)
+                                       horizon=horizon, budget=budget)
                 per_level[k] = res.length
                 if res.length < cap:
                     ok = False

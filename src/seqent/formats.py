@@ -264,7 +264,8 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
 # certificates
 
 
-_SEARCH_MODES = {"level-shapes": "level", "depth-first": "dfs"}
+# labels of format-1 certificates; both record the same frontier
+_SEARCHES = {"level-shapes", "depth-first"}
 
 
 def certificate_string(cert: ExhaustionCertificate) -> str:
@@ -312,14 +313,13 @@ def replay_certificate(cert: ExhaustionCertificate,
     if ":" in cert.tuple_rendered:
         raise InvalidConfig("composite certificates cannot be replayed yet")
     specs = parse_tuple(cert.tuple_rendered)
-    mode = _SEARCH_MODES.get(cert.search)
-    if mode is None:
+    if cert.search not in _SEARCHES:
         raise InvalidConfig(f"unknown search {cert.search!r}")
     if cert.horizon > traj.horizon:
         return False, (f"horizon mismatch: recorded {cert.horizon}, build "
                        f"horizon {traj.horizon}")
     res = max_independence(specs, cap=cert.target_length, traj=traj,
-                           horizon=cert.horizon, mode=mode)
+                           horizon=cert.horizon)
     if res.certificate is None:
         return False, (f"replay reached length {res.length}, but the "
                        f"certificate records an exhaustion")

@@ -355,12 +355,11 @@ def _extend_table(shape, table, d, occs, heads, horizon, budget):
     return tuple(out)
 
 
-def _extensions(shape, table, ds, occs, heads, horizon,
+def _extensions(shape, table, occs, heads, horizon,
                 budget) -> tuple[int, ...]:
-    """The d for which shape + (d,) survives, ascending: exactly those with
-    ``_extend_table(shape, table, d, occs, heads, horizon, budget)`` not
-    None, among the candidates ``ds`` (ascending, past shape[-1]; None for
-    every d in (shape[-1], horizon]).
+    """The d in (shape[-1], horizon] for which shape + (d,) survives,
+    ascending: exactly those with ``_extend_table(shape, table, d, occs,
+    heads, horizon, budget)`` not None.
 
     Assignment (sigma, c) of shape + (d,) is realized at d by a start u in
     sigma's list with u + d in A_c, or by a closed-form head. Survivors
@@ -403,15 +402,14 @@ def _extensions(shape, table, ds, occs, heads, horizon,
             size = len(starts if starts is not None else occ.times)
             pairs.append((size, finite, sigma, c, starts, head))
     pairs.sort(key=lambda p: p[0])
-    if ds is None and pairs:
+    if pairs:
         # the first set is a finite assignment's differences
         first = next(i for i, p in enumerate(pairs) if p[1])
         pairs.insert(0, pairs.pop(first))
 
     if windows is None and occs[0].n_points <= DENSE_BITMASK_LIMIT:
         span = (1 << (horizon + 1)) - 1
-        live = (span >> lo << lo if ds is None
-                else _bits_to_int(ds, horizon + 1))
+        live = span >> lo << lo
         masks = [occ.as_int() & span for occ in occs]
         for _, _, _, c, starts, _ in pairs:
             budget.spend(len(starts))
@@ -424,7 +422,7 @@ def _extensions(shape, table, ds, occs, heads, horizon,
                 return ()
         return _int_to_bits(live)
 
-    live = None if ds is None else set(ds)
+    live = None
     for _, finite, sigma, c, starts, head in pairs:
         occ = occs[c]
         if finite:
@@ -473,33 +471,43 @@ def _extensions(shape, table, ds, occs, heads, horizon,
     return tuple(range(lo, horizon + 1) if live is None else sorted(live))
 
 
-def _survivors(shape, table, ds, occs, heads, horizon, budget):
-    """Yield (d, table) for each d in the ascending list ds for which
-    shape + (d,) survives, in order; the table is that of shape + (d,), or
-    None where it was not built.
+def _survivors(shape, table, pairs, pair_set, occs, heads, horizon, budget):
+    """Yield (d, table) for each d past shape[-1] for which shape + (d,)
+    survives, ascending; the table is that of shape + (d,), or None where
+    it was not built. ``pairs`` are the ascending survivors of (0,), and
+    ``pair_set`` holds the same times.
 
     Extending one d at a time reaches the first survivors without reading
-    the whole table, which a depth-first search about to succeed wants.
-    ``_extensions`` starts from the shortest list and, where the
-    candidates die, usually empties its set there, whatever their number.
-    So a node extends per d until those extensions have spent more nodes
+    the whole table, which a depth-first search about to succeed wants. It
+    tries the pair differences d past shape[-1], and extends by those that
+    pair with every time of shape (downward closure at pair level), each
+    tested only when it comes up. ``_extensions`` starts from the shortest
+    list and, where the candidates die, usually empties its set there,
+    whatever their number. So a node extends per d until it has spent more
     than reading that list once per neighborhood, k * min |L_sigma|, and
-    generates the rest in bulk.
+    generates the rest in bulk. Each test spends one, and each extension
+    one per list of the table, which it walks however short the lists
+    are, plus the elements it reads; a node whose bulk pass reads fewer
+    elements than its table has lists goes to bulk before any extension.
     """
     bulk_cost = len(occs) * min((len(s) for s in table if s is not None),
                                 default=0)
     spent = 0
-    for i, d in enumerate(ds):
+    for i in range(bisect.bisect_right(pairs, shape[-1]), len(pairs)):
+        d = pairs[i]
+        closed = all(d - t in pair_set for t in shape[1:])
+        spent += 1 + (len(table) if closed else 0)
         if spent > bulk_cost:
-            for d in _extensions(shape, table, ds[i:], occs, heads, horizon,
-                                 budget):
+            grown = _extensions(shape, table, occs, heads, horizon, budget)
+            for d in grown[bisect.bisect_left(grown, d):]:
                 yield d, None
             return
-        before = budget.nodes
-        ext = _extend_table(shape, table, d, occs, heads, horizon, budget)
-        spent += budget.nodes - before
-        if ext is not None:
-            yield d, ext
+        if closed:
+            before = budget.nodes
+            ext = _extend_table(shape, table, d, occs, heads, horizon, budget)
+            spent += budget.nodes - before
+            if ext is not None:
+                yield d, ext
 
 
 def is_independence_set(J, specs, traj: Trajectory,
@@ -594,7 +602,7 @@ def _pair_diffs(tspec, traj, horizon, budget) -> tuple[int, ...]:
     """Exact ascending list of the d in [1, horizon] making (0, d) an
     independence set: the candidate generator at the singleton shape."""
     occs = [occupancy(s, traj) for s in tspec.specs]
-    return _extensions((0,), _root_table(occs, horizon), None, occs,
+    return _extensions((0,), _root_table(occs, horizon), occs,
                        _head_keys(tspec.specs, traj), horizon, budget)
 
 
@@ -609,15 +617,14 @@ def _cap_result(tspec, traj, horizon, shape, budget,
 
 def max_independence(specs, cap: int, traj: Trajectory,
                      horizon: int | None = None,
-                     mode: str = "level",
                      budget: SearchBudget | None = None) -> MaxIndependenceResult:
     """Largest independence-set size for the tuple, capped at cap.
 
-    mode "level" runs the level-wise shape search and produces an
-    exhaustion certificate when the frontier dies below the cap; mode
-    "dfs" explores shapes depth-first from the same candidate generator
-    and is meant for positive searches on builds whose difference
-    universes are large.
+    Shapes are explored depth-first, in lexicographic order, from the
+    exact candidate generator, so the first shape of the largest size
+    found is the least one. When the search dies below the cap it has
+    visited every surviving shape, and its exhaustion certificate records
+    their number per size.
     """
     tspec = as_tuple_spec(specs)
     if cap < 1:
@@ -641,62 +648,14 @@ def max_independence(specs, cap: int, traj: Trajectory,
     if cap == 1:
         return _cap_result(tspec, traj, horizon, (0,), budget)
 
-    if mode == "level":
-        return _max_level(tspec, traj, horizon, cap, occs, budget)
-    if mode == "dfs":
-        return _max_dfs(tspec, traj, horizon, cap, occs, budget)
-    raise ValueError(f"unknown search mode {mode!r}")
-
-
-def _max_level(tspec, traj, horizon, cap, occs,
-               budget) -> MaxIndependenceResult:
     heads = _head_keys(tspec.specs, traj)
-    previous = [(0,)]
-    current = [(0, d) for d in _pair_diffs(tspec, traj, horizon, budget)]
-    frontier_sizes = [1, len(current)]
-    # realizer tables of the prefixes that the current shapes extend; a
-    # shape's own table is rebuilt from its prefix's when it is extended
-    tables = {(0,): _root_table(occs, horizon)}
-    size = 2
-    while current and size < cap:
-        nxt = []
-        next_tables = {}
-        for shape in current:
-            prefix = shape[:-1]
-            table = _extend_table(prefix, tables[prefix], shape[-1], occs,
-                                  heads, horizon, budget)
-            # generation is exact, and a subshape of a survivor survives, so
-            # no downward-closure filter is needed on top of it
-            grown = _extensions(shape, table, None, occs, heads, horizon,
-                                budget)
-            nxt.extend(shape + (y,) for y in grown)
-            if grown and size + 1 < cap:
-                next_tables[shape] = table
-        frontier_sizes.append(len(nxt))
-        previous, current = current, nxt
-        tables = next_tables
-        size += 1
-    if current:
-        return _cap_result(tspec, traj, horizon, min(current), budget)
-    cert = ExhaustionCertificate(
-        tuple_rendered=tspec.render(), target_length=cap, horizon=horizon,
-        search="level-shapes", frontier_sizes=tuple(frontier_sizes),
-        died_level=size, nodes_used=budget.nodes)
-    return _cap_result(tspec, traj, horizon, min(previous), budget, cert)
-
-
-def _max_dfs(tspec, traj, horizon, cap, occs,
-             budget) -> MaxIndependenceResult:
-    heads = _head_keys(tspec.specs, traj)
-    viable = _pair_diffs(tspec, traj, horizon, budget)
-    viable_set = set(viable)
+    pairs = _pair_diffs(tspec, traj, horizon, budget)
+    pair_set = set(pairs)
     visited = [0] * (cap + 1)
     visited[1] = 1
     best_shape = (0,)
 
-    def extend(shape: tuple[int, ...], table, cands, grown):
-        # cands: the ascending d past shape[-1] whose pairs with every
-        # time of shape survive, the downward closure at pair level
+    def extend(shape: tuple[int, ...], table, grown):
         nonlocal best_shape
         for d, cand_table in grown:
             cand = shape + (d,)
@@ -708,22 +667,22 @@ def _max_dfs(tspec, traj, horizon, cap, occs,
             if cand_table is None:
                 cand_table = _extend_table(shape, table, d, occs, heads,
                                            horizon, budget)
-            ds = [e for e in cands[bisect.bisect_right(cands, d):]
-                  if e - d in viable_set]
-            got = extend(cand, cand_table, ds, _survivors(
-                cand, cand_table, ds, occs, heads, horizon, budget))
+            got = extend(cand, cand_table, _survivors(
+                cand, cand_table, pairs, pair_set, occs, heads, horizon,
+                budget))
             if got is not None:
                 return got
         return None
 
-    found = extend((0,), _root_table(occs, horizon), viable,
-                   ((d, None) for d in viable))
+    found = extend((0,), _root_table(occs, horizon),
+                   ((d, None) for d in pairs))
     if found is not None:
         return _cap_result(tspec, traj, horizon, found, budget)
+    # exhausted: visited counts the surviving shapes per size, hence the label
     died = len(best_shape) + 1
     cert = ExhaustionCertificate(
         tuple_rendered=tspec.render(), target_length=cap, horizon=horizon,
-        search="depth-first", frontier_sizes=tuple(visited[1:died] + [0]),
+        search="level-shapes", frontier_sizes=tuple(visited[1:died] + [0]),
         died_level=died, nodes_used=budget.nodes)
     return _cap_result(tspec, traj, horizon, best_shape, budget, cert)
 

@@ -195,6 +195,15 @@ class TestFarPairExclusion:
         with pytest.raises(InvalidConfig):
             verify_far_pair_exclusion(m2k2, offsets=(1,))
 
+    def test_mode_keyword_selects_nothing(self, m2k2):
+        with pytest.raises(ValueError, match="banana"):
+            verify_far_pair_exclusion(m2k2, offsets=(2,), mode="banana")
+        level = verify_far_pair_exclusion(m2k2, offsets=(2,), mode="level")
+        dfs = verify_far_pair_exclusion(m2k2, offsets=(2,), mode="dfs")
+        assert level.passed and dfs.passed
+        assert level.details == dfs.details
+        assert level.certificates == dfs.certificates
+
     def test_exclusion_at_second_block_horizon(self, m2k2):
         rep = verify_far_pair_exclusion(
             m2k2, offsets=(2, -2, "inf"), cap=3,

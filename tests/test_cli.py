@@ -324,6 +324,20 @@ class TestCertificateReplay:
         assert out == ""
         assert "unknown search 'banana'" in err
 
+    def test_depth_first_label_replays(self, run, tmp_path, capsys):
+        # format-1 certificates of the former depth-first search record the
+        # same frontier as level-shapes ones, so both labels replay
+        text = (run / "cert-11.txt").read_text(encoding="utf-8")
+        assert "search: level-shapes\nfrontier: 1," in text
+        path = tmp_path / "relabeled.txt"
+        path.write_text(text.replace("search: level-shapes",
+                                     "search: depth-first"), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--replay", str(path),
+                               "--manifest",
+                               str(run / "manifest-log-m-2-2.txt"))
+        assert code == EXIT_PASS
+        assert out == f"PASS replay {path}: certificate reproduced\n"
+
     def test_composite_certificate_is_refused(self, run, tmp_path, capsys,
                                               monkeypatch):
         code, _, err = self.replay(capsys, run, tmp_path, monkeypatch,
@@ -529,6 +543,15 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "built log-m trajectory" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "R2", "--mode", "level"],
+        ["entropy", "--mode", "dfs"]])
+    def test_mode_option_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID
+        assert capsys.readouterr().out == ""
 
     def test_unknown_suite_rejected_by_parser(self):
         proc = subprocess.run(

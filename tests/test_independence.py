@@ -69,9 +69,8 @@ class TestOccupancy:
         with pytest.raises(InvalidConfig):
             occupancy(spec, traj)
         for specs in ((spec,), (U(Symbol.dense(1), 1), spec)):
-            for mode in ("level", "dfs"):
-                with pytest.raises(InvalidConfig):
-                    max_independence(specs, cap=3, traj=traj, mode=mode)
+            with pytest.raises(InvalidConfig):
+                max_independence(specs, cap=3, traj=traj)
 
 
 def _check_fold(J, specs, traj, horizon, start_range=None):
@@ -227,17 +226,12 @@ class TestMaxIndependence:
         assert cert.died_level == 2
         assert cert.frontier_sizes == (1, 0)
 
-    def test_adjacent_pair_reaches_cap(self, m2k3):
+    def test_adjacent_pair_reaches_cap(self, m2k3, m2k2):
         specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))
-        res = max_independence(specs, cap=4, traj=m2k3, mode="dfs")
-        assert res.length == 4
-        assert res.certificate is None
-
-    def test_level_and_dfs_agree_on_capped_searches(self, m2k2):
-        specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))
-        a = max_independence(specs, cap=3, traj=m2k2, mode="level")
-        b = max_independence(specs, cap=3, traj=m2k2, mode="dfs")
-        assert a.length == b.length == 3
+        for traj, cap in ((m2k3, 4), (m2k2, 3)):
+            res = max_independence(specs, cap=cap, traj=traj)
+            assert res.length == cap
+            assert res.certificate is None
 
     def test_budget_exhaustion_raises(self, m2k3):
         specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))
@@ -250,12 +244,11 @@ class TestMaxIndependence:
         # horizon: 933 pairs survive and no triple does
         horizon = dense4.block_range(3)[1]
         five = [U(Symbol.dense(j), 1) for j in range(1, 6)]
-        res = max_independence(five, cap=4, traj=dense4, horizon=horizon,
-                               mode="dfs")
+        res = max_independence(five, cap=4, traj=dense4, horizon=horizon)
         assert res.certificate.frontier_sizes == (1, 933, 0)
         assert res.certificate.died_level == 3
         four = max_independence(five[:4], cap=4, traj=dense4,
-                                horizon=horizon, mode="dfs")
+                                horizon=horizon)
         assert four.certificate is None
         assert four.witness.times == (0, 9, 18, 27)
 
@@ -337,15 +330,14 @@ class TestPairStage:
         assert _pair_diffs(tspec, dense2, dense2.horizon,
                            SearchBudget()) == bitmask
 
-    @pytest.mark.parametrize("mode", ["level", "dfs"])
-    def test_sparse_path_certificate_matches_bitmask(self, mode, dense2,
+    def test_sparse_path_certificate_matches_bitmask(self, dense2,
                                                      monkeypatch):
         # the sparse pair stage once took candidates only from same-symbol
         # hit differences and lost the pairs that fixed dense heads realize
         specs = (U(Symbol.dense(1), 1), U(Symbol.dense(2), 1))
-        want = max_independence(specs, cap=6, traj=dense2, mode=mode)
+        want = max_independence(specs, cap=6, traj=dense2)
         monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
-        got = max_independence(specs, cap=6, traj=dense2, mode=mode)
+        got = max_independence(specs, cap=6, traj=dense2)
         assert want.certificate.frontier_sizes[1] == 166
         assert got.length == want.length
         assert (got.certificate.frontier_sizes
@@ -363,11 +355,9 @@ class TestPairStage:
             if limit == 0 and traj.family != FAMILY_LOG_INFTY:
                 continue
             want = naive_max_independence(specs, 3, traj, horizon=horizon)
-            for mode in ("level", "dfs"):
-                got = max_independence(specs, cap=3, traj=traj,
-                                       horizon=horizon, mode=mode)
-                assert got.length == want, (traj.family, horizon, mode,
-                                            [s.render() for s in specs])
+            got = max_independence(specs, cap=3, traj=traj, horizon=horizon)
+            assert got.length == want, (traj.family, horizon,
+                                        [s.render() for s in specs])
 
 
 class TestFrontiers:
@@ -397,19 +387,16 @@ class TestFrontiers:
         for traj, specs, horizon in cases:
             label = (traj.family, horizon, [s.render() for s in specs])
             want = naive_frontier_sizes(specs, 4, traj, horizon=horizon)
-            level = max_independence(specs, cap=4, traj=traj,
-                                     horizon=horizon, mode="level")
-            if level.certificate is None:
-                assert level.length == len(want) == 4 and want[-1], label
+            res = max_independence(specs, cap=4, traj=traj, horizon=horizon)
+            if res.certificate is None:
+                assert res.length == len(want) == 4 and want[-1], label
             else:
-                assert level.certificate.frontier_sizes == want, label
-            dfs = max_independence(specs, cap=4, traj=traj,
-                                   horizon=horizon, mode="dfs")
-            assert dfs.length == sum(1 for n in want if n), label
-            for res in (level, dfs):
-                assert naive_is_independence_set(
-                    res.witness.times, specs, traj, horizon=horizon), label
-            deep += level.certificate is not None and len(want) >= 4
+                assert res.certificate.frontier_sizes == want, label
+                assert res.certificate.died_level == len(want), label
+            assert res.length == sum(1 for n in want if n), label
+            assert naive_is_independence_set(
+                res.witness.times, specs, traj, horizon=horizon), label
+            deep += res.certificate is not None and len(want) >= 4
             with_inf += len(want) >= 3 and any(
                 s.center.kind == KIND_HEAD_INF for s in specs)
         assert deep >= 2 and with_inf >= 3, (deep, with_inf)
@@ -498,23 +485,19 @@ class TestExtensions:
                 return independence._extend_table(
                     shape, table, d, occs, heads, horizon, SearchBudget())
 
-            def generate(shape, table, ds, grow=independence._extensions):
-                return grow(shape, table, ds, occs, heads, horizon,
-                            SearchBudget())
-
             shape, table = (0,), independence._root_table(occs, horizon)
+            pairs = independence._extensions(shape, table, occs, heads,
+                                             horizon, SearchBudget())
             while len(shape) <= 3:
-                everything = range(shape[-1] + 1, horizon + 1)
-                want = [d for d in everything
-                        if extend(shape, table, d) is not None]
-                assert generate(shape, table, None) == tuple(want), label
-                ds = sorted(rng.sample(everything,
-                                       rng.randrange(len(everything) + 1)))
-                kept = tuple(d for d in want if d in ds)
-                assert generate(shape, table, ds) == kept, (label, shape)
-                grown = list(generate(shape, table, ds,
-                                      independence._survivors))
-                assert tuple(d for d, _ in grown) == kept, (label, shape)
+                want = tuple(d for d in range(shape[-1] + 1, horizon + 1)
+                             if extend(shape, table, d) is not None)
+                assert independence._extensions(
+                    shape, table, occs, heads, horizon,
+                    SearchBudget()) == want, label
+                grown = list(independence._survivors(
+                    shape, table, pairs, set(pairs), occs, heads, horizon,
+                    SearchBudget()))
+                assert tuple(d for d, _ in grown) == want, (label, shape)
                 for d, got in grown:
                     if got is None:
                         bulk += 1
@@ -537,7 +520,7 @@ class TestExtensions:
         occs = [occupancy(s, m2k2) for s in specs]
         with pytest.raises(RuntimeError, match="anchor") as info:
             independence._extensions(
-                (0,), independence._root_table(occs, 50), None, occs,
+                (0,), independence._root_table(occs, 50), occs,
                 independence._head_keys(specs, m2k2), 50, SearchBudget())
         assert not isinstance(info.value, ValueError)
 
@@ -557,19 +540,19 @@ class TestExtensions:
         entries = []
         generate = independence._extensions
 
-        def spy(shape, table, ds, occs, heads, horizon, budget):
+        def spy(shape, table, occs, heads, horizon, budget):
             before = budget.nodes
-            out = generate(shape, table, ds, occs, heads, horizon, budget)
+            out = generate(shape, table, occs, heads, horizon, budget)
             if len(shape) > 1 and budget.nodes > before:
                 entries.append(before)
             return out
 
         monkeypatch.setattr(independence, "_extensions", spy)
-        max_independence(specs, cap=5, traj=traj, mode="dfs")
+        max_independence(specs, cap=5, traj=traj)
         monkeypatch.setattr(independence, "_extensions", generate)
         assert entries
         with pytest.raises(ResourceBudgetExceeded) as info:
-            max_independence(specs, cap=5, traj=traj, mode="dfs",
+            max_independence(specs, cap=5, traj=traj,
                              budget=SearchBudget(max_nodes=entries[0]))
         names = [entry.name for entry in info.traceback]
         assert names[-2:] == ["_extensions", "spend"], names
