@@ -1,5 +1,6 @@
 """Search engine: realizers, independence, maxima, certificates."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -20,6 +21,7 @@ from _oracles import (
 from seqent import independence
 from seqent.construct import build_log_infty
 from seqent.errors import CapExceeded, InvalidConfig, ResourceBudgetExceeded
+from seqent.formats import replay_certificate
 from seqent.independence import (
     ExhaustionCertificate,
     SearchBudget,
@@ -226,12 +228,21 @@ class TestMaxIndependence:
         assert cert.died_level == 2
         assert cert.frontier_sizes == (1, 0)
 
-    def test_adjacent_pair_reaches_cap(self, m2k3, m2k2):
+    def test_adjacent_pair_reaches_cap(self, m2k3):
         specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))
-        for traj, cap in ((m2k3, 4), (m2k2, 3)):
-            res = max_independence(specs, cap=cap, traj=traj)
-            assert res.length == cap
-            assert res.certificate is None
+        res = max_independence(specs, cap=4, traj=m2k3)
+        assert res.length == 4
+        assert res.certificate is None
+
+    def test_level_and_dfs_agree_on_capped_searches(self, m2k2):
+        # a capped search stops at its first shape of the cap's size,
+        # before the levels below are exhausted; the witness it stops at
+        # must pass the full check of every assignment over the shape
+        specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))
+        res = max_independence(specs, cap=3, traj=m2k2)
+        assert res.length == 3
+        assert res.certificate is None
+        assert is_independence_set(res.witness.times, specs, m2k2).ok
 
     def test_budget_exhaustion_raises(self, m2k3):
         specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))
@@ -330,13 +341,20 @@ class TestPairStage:
         assert _pair_diffs(tspec, dense2, dense2.horizon,
                            SearchBudget()) == bitmask
 
-    def test_sparse_path_certificate_matches_bitmask(self, dense2,
+    @pytest.mark.parametrize("label", ["level-shapes", "depth-first"],
+                             ids=["level", "dfs"])
+    def test_sparse_path_certificate_matches_bitmask(self, label, dense2,
                                                      monkeypatch):
         # the sparse pair stage once took candidates only from same-symbol
-        # hit differences and lost the pairs that fixed dense heads realize
+        # hit differences and lost the pairs that fixed dense heads realize;
+        # the bitmask path's certificate, under either label a format-1
+        # search wrote, replays on the sparse path
         specs = (U(Symbol.dense(1), 1), U(Symbol.dense(2), 1))
         want = max_independence(specs, cap=6, traj=dense2)
         monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
+        assert replay_certificate(
+            dataclasses.replace(want.certificate, search=label),
+            dense2) == (True, "certificate reproduced")
         got = max_independence(specs, cap=6, traj=dense2)
         assert want.certificate.frontier_sizes[1] == 166
         assert got.length == want.length
