@@ -19,10 +19,7 @@ from .construct import (
     chain_min_interior, default_dense_schedule, minimal_schedule, patterns,
     plan_wind,
 )
-from .entropy import (
-    EntropyEstimate, HStarEvidence, PartitionSpec, TimeSequence,
-    h_star_lower_bound, make_partition, seq_entropy_estimate, word_count,
-)
+from .entropy import HStarEvidence, h_star_lower_bound
 from .errors import (
     CapExceeded, HorizonExceeded, Infeasible, InvalidConfig,
     ResourceBudgetExceeded, ScheduleInvalid, SeqentError, TooShort,
@@ -63,9 +60,7 @@ __all__ = [
     "build_log_m", "chain_min_interior", "default_dense_schedule",
     "minimal_schedule", "patterns", "plan_wind",
     # entropy
-    "EntropyEstimate", "HStarEvidence", "PartitionSpec", "TimeSequence",
-    "h_star_lower_bound", "make_partition", "seq_entropy_estimate",
-    "word_count",
+    "HStarEvidence", "h_star_lower_bound",
     # errors
     "CapExceeded", "HorizonExceeded", "Infeasible", "InvalidConfig",
     "ResourceBudgetExceeded", "ScheduleInvalid", "SeqentError", "TooShort",

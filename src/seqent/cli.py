@@ -34,10 +34,10 @@ from .flower import (
     value_calculus,
 )
 from .formats import (
-    SYMBOL_LINE_CAP, config_hash, read_certificate, read_manifest,
-    rebuild_from_manifest, replay_certificate, replay_manifest,
-    replay_symbols, write_certificate, write_manifest, write_report,
-    write_symbols,
+    SYMBOL_LINE_CAP, config_hash, input_file, parse_field, read_certificate,
+    read_manifest, rebuild_from_manifest, replay_certificate,
+    replay_manifest, replay_symbols, write_certificate, write_manifest,
+    write_report, write_symbols,
 )
 from .independence import SearchBudget
 from .model import FAMILY_LOG_INFTY, FAMILY_LOG_M, parse_symbol
@@ -73,15 +73,20 @@ def _run_fingerprint(args) -> str:
 
 
 def _budget(args) -> SearchBudget | None:
-    nodes = getattr(args, "budget_nodes", None)
-    seconds = getattr(args, "budget_seconds", None)
-    if nodes is None and "SEQENT_NODE_BUDGET" in os.environ:
-        nodes = int(os.environ["SEQENT_NODE_BUDGET"])
-    if seconds is None and "SEQENT_TIME_BUDGET" in os.environ:
-        seconds = float(os.environ["SEQENT_TIME_BUDGET"])
-    if nodes is None and seconds is None:
+    """The budget from the flags, else the environment; flags win."""
+    limits = []
+    for flag, env, parse in (("budget_nodes", "SEQENT_NODE_BUDGET", int),
+                             ("budget_seconds", "SEQENT_TIME_BUDGET", float)):
+        value = getattr(args, flag, None)
+        label = f"--{flag.replace('_', '-')} {value}"
+        if value is None and env in os.environ:
+            value = os.environ[env]
+            label = f"{env}={value}"
+        limits.append(None if value is None
+                      else parse_field(label, value, parse, 0))
+    if limits == [None, None]:
         return None
-    return SearchBudget(max_nodes=nodes, max_seconds=seconds)
+    return SearchBudget(*limits)
 
 
 class _Builds:
@@ -200,6 +205,7 @@ def _cmd_verify(args) -> int:
         return _cmd_replay(args)
     if args.suite is None:
         raise InvalidConfig("verify needs --suite or --replay")
+    parse_field(f"--cap {args.cap}", args.cap, int, 1)
     builds = _Builds()
     reports = _suite_reports(args, builds)
     out = _out_dir(args)
@@ -225,7 +231,7 @@ def _cmd_verify(args) -> int:
 
 
 def _sniff_kind(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with input_file(path, "--replay file") as fh:
         fh.readline()
         kind_line = fh.readline().strip()
     if kind_line.startswith("kind: "):
@@ -271,11 +277,15 @@ def _cmd_entropy(args) -> int:
     else:
         traj = builds.log_infty(args.nmax)
         default_centers = ",".join(f"e{j}" for j in range(1, args.nmax + 2))
-    centers = [parse_symbol(t)
+    parse_field(f"--cap {args.cap}", args.cap, int, 1)
+    centers = [parse_field(f"--centers {t}", t, parse_symbol)
                for t in (args.centers or default_centers).split(",")]
+    if len(set(centers)) != len(centers):
+        raise InvalidConfig(f"--centers {args.centers} names a center twice")
     levels = None
     if args.levels:
-        levels = [int(x) for x in args.levels.split(",")]
+        levels = [parse_field(f"--levels {x}", x, int, 1)
+                  for x in args.levels.split(",")]
     evidence = h_star_lower_bound(traj, centers, args.cap, levels=levels,
                                   budget=_budget(args))
     if evidence.p == 0:
@@ -293,29 +303,24 @@ def _cmd_entropy(args) -> int:
 # flower composites
 
 
-def _parse_petals(spec: str) -> list[tuple[str, int]]:
+def _name_values(option: str, spec: str | None, parse=str, low=None):
+    """The (name, value) pairs of a comma list ``name=value,...``."""
     out = []
-    for part in spec.split(","):
-        if "=" not in part:
+    for part in spec.split(",") if spec else ():
+        name, eq, value = part.partition("=")
+        if not eq:
             raise InvalidConfig(
-                f"petal {part!r} must look like name=BASE (e.g. p2=2)")
-        name, base = part.split("=", 1)
-        out.append((name.strip(), int(base)))
+                f"{option} {part!r} must look like name=value")
+        out.append((name.strip(),
+                    parse_field(f"{option} {part}", value.strip(), parse,
+                                low)))
     return out
 
 
 def _cmd_flower(args) -> int:
-    petal_specs = _parse_petals(args.petals)
-    modes = {}
-    if args.modes:
-        for part in args.modes.split(","):
-            name, mode = part.split("=", 1)
-            modes[name.strip()] = mode.strip()
-    collapse = {}
-    if args.collapse:
-        for part in args.collapse.split(","):
-            name, target = part.split("=", 1)
-            collapse[name.strip()] = target.strip()
+    petal_specs = _name_values("--petals", args.petals, int, 2)
+    modes = dict(_name_values("--modes", args.modes))
+    collapse = dict(_name_values("--collapse", args.collapse))
     builds = _Builds()
     petals = []
     for name, base in petal_specs:
@@ -437,7 +442,7 @@ def main(argv=None) -> int:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (InvalidConfig, ScheduleInvalid, Infeasible, TooShort,
-            UnknownBlock, ValueError) as exc:
+            UnknownBlock) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SeqentError as exc:

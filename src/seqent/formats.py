@@ -10,6 +10,7 @@ reproduce the manifest byte for byte. Infinity renders as the token ``inf``.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, count, islice
 from pathlib import Path
@@ -28,13 +29,41 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def parse_field(label: str, text, parse=str, low=None):
+    """parse(text), at least low; bad input is an InvalidConfig naming label."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidConfig(f"{label}: {exc}") from None
+    if low is not None and not value >= low:
+        raise InvalidConfig(f"{label}: must be at least {low}")
+    return value
+
+
+@contextmanager
+def input_file(path, what: str):
+    """An input file opened as UTF-8 text; a missing, unreadable or
+    undecodable file is an InvalidConfig naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidConfig(
+            f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InvalidConfig(f"{what} {path} is not UTF-8 text") from None
+
+
 def parse_spec(token: str) -> NeighborhoodSpec:
     """Inverse of NeighborhoodSpec.render for standard specs."""
     token = token.strip()
     if not token.startswith("U") or "(" not in token or not token.endswith(")"):
         raise ValueError(f"unrecognized neighborhood token: {token!r}")
     level_part, sym_part = token[1:-1].split("(", 1)
-    return NeighborhoodSpec(parse_symbol(sym_part), int(level_part))
+    level = int(level_part)
+    if level < 1:
+        raise ValueError("neighborhood levels are 1-based")
+    return NeighborhoodSpec(parse_symbol(sym_part), level)
 
 
 def parse_tuple(token: str) -> tuple[NeighborhoodSpec, ...]:
@@ -101,51 +130,55 @@ def write_manifest(traj: Trajectory, path) -> str:
     return text
 
 
-def _header_value(lines: list[str], key: str) -> str:
+def _header_value(lines: list[str], key: str, source: str, parse=str,
+                  low=None):
+    """The parsed value of a file's ``key:`` line; source names the file."""
     prefix = key + ": "
     for line in lines:
         if line.startswith(prefix):
-            return line[len(prefix):]
-    raise InvalidConfig(f"manifest is missing its {key} line")
+            return parse_field(f"{source} {key} line", line[len(prefix):],
+                               parse, low)
+    raise InvalidConfig(f"{source} is missing its {key} line")
+
+
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
 
 
 def read_manifest(path) -> dict:
     """Parse a manifest file: header, schedule, and verified content hash."""
-    text = Path(path).read_text(encoding="utf-8")
+    with input_file(path, "manifest") as fh:
+        text = fh.read()
     lines = text.splitlines()
+    source = f"manifest {path}"
     if not lines or lines[0] != f"format: {FORMAT_VERSION}":
         raise InvalidConfig("unsupported or missing format header")
-    if _header_value(lines, "kind") != "manifest":
+    if _header_value(lines, "kind", source) != "manifest":
         raise InvalidConfig("not a manifest file")
     hash_line = lines[-1]
     if not hash_line.startswith("hash: "):
-        raise InvalidConfig("manifest is missing its hash line")
+        raise InvalidConfig(f"{source} is missing its hash line")
     body = "\n".join(lines[:-1]) + "\n"
     recorded = hash_line[len("hash: "):]
     if config_hash(body) != recorded:
         raise InvalidConfig("manifest content does not match its hash")
-    family = _header_value(lines, "family")
-    m = int(_header_value(lines, "m"))
-    kmax = int(_header_value(lines, "kmax"))
+
+    def value(key, parse=_ints):
+        return _header_value(lines, key, source, parse)
+
+    family = value("family", str)
+    m = value("m", int)
+    kmax = value("kmax", int)
     from .construct import GrowthSchedule
     if family == FAMILY_LOG_M:
-        winds = [
-            [int(w) for w in _header_value(lines, f"winds[{k}]").split(",")]
-            for k in range(1, kmax + 1)]
-        inner = [
-            [int(g) for g in
-             _header_value(lines, f"inner-gaps[{k}]").split(",")]
-            for k in range(1, kmax + 1)]
-        outer = [int(g) for g in
-                 _header_value(lines, "outer-gaps").split(",")]
+        winds = [value(f"winds[{k}]") for k in range(1, kmax + 1)]
+        inner = [value(f"inner-gaps[{k}]") for k in range(1, kmax + 1)]
         schedule = GrowthSchedule(FAMILY_LOG_M, m, winds=winds,
-                                  inner_gaps=inner, outer_gaps=outer)
+                                  inner_gaps=inner,
+                                  outer_gaps=value("outer-gaps"))
     elif family == FAMILY_LOG_INFTY:
-        eps = [Fraction(_header_value(lines, f"eps[{n}]"))
-               for n in range(1, kmax + 1)]
-        times = [
-            [int(t) for t in _header_value(lines, f"times[{n}]").split(",")]
-            for n in range(1, kmax + 1)]
+        eps = [value(f"eps[{n}]", Fraction) for n in range(1, kmax + 1)]
+        times = [value(f"times[{n}]") for n in range(1, kmax + 1)]
         schedule = GrowthSchedule(FAMILY_LOG_INFTY, m, eps=eps, times=times)
     else:
         raise InvalidConfig(f"unknown family {family!r}")
@@ -211,7 +244,7 @@ def write_symbols(traj: Trajectory, path, lo: int = 0,
 
 def _file_lines(path):
     """The lines ``str.splitlines`` gives for the file's text, read lazily."""
-    with open(path, encoding="utf-8") as fh:
+    with input_file(path, "symbol file") as fh:
         for raw in fh:
             yield from raw.splitlines()
 
@@ -241,7 +274,7 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     if renderable:
         texts = chain([_symbol_header(family, lo, hi)],
                       _symbol_chunks(traj, lo, hi))
-        with open(path, encoding="utf-8") as fh:
+        with input_file(path, "symbol file") as fh:
             if all(fh.read(len(c)) == c for c in texts) and not fh.read(1):
                 return True, f"{n_lines} symbol lines reproduced"
     n_data = sum(1 for _ in islice(_file_lines(path), 4, None))
@@ -287,20 +320,25 @@ def write_certificate(cert: ExhaustionCertificate, path) -> str:
 
 
 def read_certificate(path) -> ExhaustionCertificate:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with input_file(path, "certificate") as fh:
+        lines = fh.read().splitlines()
+    source = f"certificate {path}"
     if not lines or lines[0] != f"format: {FORMAT_VERSION}":
         raise InvalidConfig("unsupported or missing format header")
-    if _header_value(lines, "kind") != "certificate":
+    if _header_value(lines, "kind", source) != "certificate":
         raise InvalidConfig("not a certificate file")
+
+    def value(key, parse=int, low=0):
+        return _header_value(lines, key, source, parse, low)
+
     return ExhaustionCertificate(
-        tuple_rendered=_header_value(lines, "tuple"),
-        target_length=int(_header_value(lines, "target-length")),
-        horizon=int(_header_value(lines, "horizon")),
-        search=_header_value(lines, "search"),
-        frontier_sizes=tuple(
-            int(n) for n in _header_value(lines, "frontier").split(",")),
-        died_level=int(_header_value(lines, "died-level")),
-        nodes_used=int(_header_value(lines, "nodes")))
+        tuple_rendered=value("tuple", str, None),
+        target_length=value("target-length", low=1),
+        horizon=value("horizon"),
+        search=value("search", str, None),
+        frontier_sizes=value("frontier", lambda v: tuple(_ints(v)), None),
+        died_level=value("died-level"),
+        nodes_used=value("nodes"))
 
 
 def replay_certificate(cert: ExhaustionCertificate,
@@ -312,7 +350,8 @@ def replay_certificate(cert: ExhaustionCertificate,
     """
     if ":" in cert.tuple_rendered:
         raise InvalidConfig("composite certificates cannot be replayed yet")
-    specs = parse_tuple(cert.tuple_rendered)
+    specs = parse_field("certificate tuple", cert.tuple_rendered,
+                        parse_tuple)
     if cert.search not in _SEARCHES:
         raise InvalidConfig(f"unknown search {cert.search!r}")
     if cert.horizon > traj.horizon:

@@ -555,10 +555,11 @@ def resolve(spec: NeighborhoodSpec, traj: Trajectory) -> ResolvedNeighborhood:
     """
     if spec.level < 1:
         raise ValueError("neighborhood levels are 1-based")
-    if spec.center.kind == KIND_HEAD_INF and traj.family != FAMILY_LOG_M:
-        # the dense family has no limit head to center on
-        raise InvalidConfig(
-            f"{spec.render()} needs the head-indexed family")
+    dense = spec.center.kind == KIND_DENSE
+    if dense != (traj.family == FAMILY_LOG_INFTY):
+        # each family has heads of its own kind only
+        raise InvalidConfig(f"{spec.render()} needs the "
+                            f"{'dense' if dense else 'head-indexed'} family")
     if spec.center.kind != KIND_HEAD_INF:
         # levels are tied to built blocks through their thresholds
         traj.manifest.block(spec.level)

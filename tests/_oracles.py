@@ -221,44 +221,6 @@ def naive_frontier_sizes(specs, cap, traj, horizon=None):
                   for d in range(J[-1] + 1, horizon + 1)]
 
 
-def naive_words(seq, partition, traj, horizon, syms=None):
-    """Set of itinerary words over the time sequence, by enumeration.
-
-    A word maps each time to the partition class of the visited symbol,
-    with -1 for the catch-all class. Points range over orbit starts that
-    keep the whole sequence inside the horizon, every head whose class can
-    differ from the tail behavior, and the limit head where present.
-    """
-    seq = tuple(seq)
-    if syms is None:
-        syms = materialize(traj, horizon)
-
-    def class_of(sym):
-        for idx, (_name, members) in enumerate(partition.classes):
-            if sym in members:
-                return idx
-        return -1
-
-    words = set()
-    last = seq[-1]
-    for u in range(0, horizon - last + 1):
-        words.add(tuple(class_of(syms[u + t]) for t in seq))
-    if traj.family == FAMILY_LOG_M:
-        named = [s.index for _n, members in partition.classes
-                 for s in members if s.kind == KIND_HEAD]
-        reach = max((abs(i) for i in named), default=0) + last + 4
-        for j in range(-reach, reach + 1):
-            words.add(tuple(class_of(Symbol.head(j + t)) for t in seq))
-        words.add(tuple(class_of(Symbol.head_inf()) for _ in seq))
-    else:
-        js = {s.index for _n, members in partition.classes
-              for s in members if s.kind == KIND_DENSE}
-        for j in sorted(js | {max(js | {0}) + 1}):
-            if j >= 1:
-                words.add(tuple(class_of(Symbol.dense(j)) for _ in seq))
-    return words
-
-
 # ---------------------------------------------------------------------------
 # randomized small instances
 

@@ -19,6 +19,7 @@ from seqent.cli import (
     EXIT_PASS,
     main,
 )
+from seqent.formats import config_hash
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +269,32 @@ class TestReplay:
         code, _, _ = run_cli(capsys, "verify", "--replay", str(manifest))
         assert code == EXIT_INVALID
 
+    def test_missing_files_are_invalid(self, built, tmp_path, capsys):
+        manifest, symbols = built
+        missing = tmp_path / "missing.txt"
+        for argv, what in (([str(missing)], "--replay file"),
+                           ([str(symbols), "--manifest", str(missing)],
+                            "manifest")):
+            code, out, err = run_cli(capsys, "verify", "--replay", *argv)
+            assert code == EXIT_INVALID and out == ""
+            assert err == (f"invalid configuration: cannot read {what} "
+                           f"{missing}: No such file or directory\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("kmax: 2\n", "", "is missing its kmax line"),
+        ("kmax: 2", "kmax: two", "kmax line: invalid literal for int()")],
+        ids=["missing-line", "bad-number"])
+    def test_unreadable_manifest_field_is_invalid(self, built, capsys, old,
+                                                  new, message):
+        manifest, _ = built
+        text = manifest.read_text(encoding="utf-8").replace(old, new, 1)
+        body = text.rsplit("hash: ", 1)[0]
+        manifest.write_text(body + f"hash: {config_hash(body)}\n",
+                            encoding="utf-8")
+        code, _, err = run_cli(capsys, "verify", "--replay", str(manifest))
+        assert code == EXIT_INVALID
+        assert f"invalid configuration: manifest {manifest} {message}" in err
+
     def test_certificate_replay_via_cli(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         run_cli(capsys, "verify", "--suite", "R2", "--m", "2", "--kmax", "2",
@@ -323,6 +350,26 @@ class TestCertificateReplay:
         assert code == EXIT_INVALID
         assert out == ""
         assert "unknown search 'banana'" in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("tuple: U1(a0),U1(a2)\n", "", "{path} is missing its tuple line"),
+        ("horizon: 9", "horizon: x9",
+         "{path} horizon line: invalid literal for int()"),
+        ("target-length: 5", "target-length: 0",
+         "{path} target-length line: must be at least 1"),
+        ("frontier: 1,0", "frontier: 1,", "{path} frontier line: invalid"),
+        ("tuple: U1(a0)", "tuple: U0(a0)",
+         "tuple: neighborhood levels are 1-based")],
+        ids=["missing-line", "bad-number", "zero-target-length",
+             "bad-frontier", "level-zero"])
+    def test_unreadable_field_is_invalid(self, run, tmp_path, capsys,
+                                         monkeypatch, old, new, message):
+        code, out, err = self.replay(capsys, run, tmp_path, monkeypatch,
+                                     "cert-01.txt", old, new)
+        assert code == EXIT_INVALID and out == ""
+        path = tmp_path / "forged.txt"
+        assert (f"invalid configuration: certificate "
+                f"{message.format(path=path)}") in err
 
     def test_depth_first_label_replays(self, run, tmp_path, capsys):
         # format-1 certificates of the former depth-first search record the
@@ -480,6 +527,14 @@ class TestEntropy:
         code, _, _ = run_cli(capsys, "entropy", "--family", "log-m")
         assert code == EXIT_INVALID
 
+    def test_internal_value_error_is_not_invalid_input(self, monkeypatch):
+        # a ValueError inside the engine is a bug, not a bad option
+        def broken(*_args, **_kwargs):
+            raise ValueError("engine bug")
+        monkeypatch.setattr(seqent.independence, "_extensions", broken)
+        with pytest.raises(ValueError, match="engine bug"):
+            main(["entropy", "--family", "log-m", "--m", "2", "--kmax", "1"])
+
     def test_internal_error_is_not_invalid_input(self, monkeypatch):
         # the limit head answers an all-infinity tuple before any search;
         # without it the candidate generator has nothing to anchor on, a
@@ -525,6 +580,58 @@ class TestFlower:
         code, _, _ = run_cli(capsys, "flower", "--petals", "p2=2,p3=3",
                              "--modes", "p2=melted")
         assert code == EXIT_INVALID
+
+
+R2_SMALL = ["verify", "--suite", "R2", "--m", "2", "--kmax", "1"]
+
+
+class TestBadOptions:
+    """Bad option values are invalid input (exit 2) whose message names the
+    option or the neighborhood, reported before any search runs."""
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["entropy", "--m", "2", "--cap", "0"], {},
+         "--cap 0: must be at least 1"),
+        (R2_SMALL + ["--cap", "0"], {}, "--cap 0: must be at least 1"),
+        (["entropy", "--m", "2", "--levels", "0"], {},
+         "--levels 0: must be at least 1"),
+        (["entropy", "--m", "2", "--centers", "a0,a0"], {},
+         "--centers a0,a0 names a center twice"),
+        (["entropy", "--m", "2", "--centers", "x"], {},
+         "--centers x: unrecognized symbol token: 'x'"),
+        (["entropy", "--m", "2", "--centers", "e0"], {},
+         "--centers e0: dense symbols are 1-based"),
+        (["entropy", "--family", "log-infty", "--nmax", "2",
+          "--centers", "a0,a1"], {}, "U1(a0) needs the head-indexed family"),
+        (["flower", "--petals", "p2=2,p3=x"], {},
+         "--petals p3=x: invalid literal for int()"),
+        (["flower", "--petals", "p2=2,p3=3", "--modes", "p2"], {},
+         "--modes 'p2' must look like name=value"),
+        (["flower", "--petals", "p2=2,p3=3", "--collapse", "p2"], {},
+         "--collapse 'p2' must look like name=value"),
+        (R2_SMALL, {"SEQENT_NODE_BUDGET": "abc"},
+         "SEQENT_NODE_BUDGET=abc: invalid literal for int()"),
+        (R2_SMALL, {"SEQENT_TIME_BUDGET": "abc"},
+         "SEQENT_TIME_BUDGET=abc: could not convert string to float"),
+        (R2_SMALL + ["--budget-nodes", "-1"], {},
+         "--budget-nodes -1: must be at least 0"),
+        (R2_SMALL + ["--budget-seconds", "-1"], {},
+         "--budget-seconds -1.0: must be at least 0"),
+    ], ids=["entropy-cap", "verify-cap", "levels", "twice-named-center",
+            "unknown-center", "dense-center-e0", "center-of-other-family",
+            "petal-base", "modes",
+            "collapse", "node-budget-env", "time-budget-env",
+            "negative-node-budget", "negative-time-budget"])
+    def test_bad_value_names_the_option(self, argv, env, message,
+                                        monkeypatch, capsys):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("bad input must not reach the search")
+        monkeypatch.setattr(seqent.independence, "_extensions", refuse)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith(f"invalid configuration: {message}")
 
 
 class TestEntryPoints:

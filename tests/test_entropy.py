@@ -1,106 +1,11 @@
-"""Word counting, entropy estimates, and independence-based lower bounds."""
+"""Independence-based lower bounds for the supremum sequence entropy."""
 
 import math
-import random
 
 import pytest
 
-from _oracles import materialize, naive_words, random_small_build
-from seqent.entropy import (
-    HStarEvidence,
-    TimeSequence,
-    as_time_sequence,
-    h_star_lower_bound,
-    make_partition,
-    seq_entropy_estimate,
-    word_count,
-)
+from seqent.entropy import HStarEvidence, h_star_lower_bound
 from seqent.model import Symbol
-
-
-class TestTimeSequence:
-    def test_strictly_increasing_enforced(self):
-        with pytest.raises(ValueError):
-            TimeSequence((3, 3, 5))
-        with pytest.raises(ValueError):
-            TimeSequence((5, 3))
-
-    def test_prefix(self):
-        seq = as_time_sequence([1, 4, 9, 16])
-        assert seq.prefix(2).times == (1, 4)
-
-
-class TestPartition:
-    def test_class_index_and_rest(self):
-        part = make_partition([Symbol.head(0)], [Symbol.head(1)])
-        assert part.class_index(Symbol.head(0)) == 0
-        assert part.class_index(Symbol.head(1)) == 1
-        assert part.class_index(Symbol.head(7)) == -1
-
-    def test_limit_head_cannot_be_tracked(self):
-        with pytest.raises(ValueError):
-            make_partition([Symbol.head_inf()])
-
-
-class TestWordCount:
-    def test_matches_enumeration_on_log_m(self, m2k2):
-        part = make_partition([Symbol.head(0)], [Symbol.head(1)])
-        horizon = 400
-        syms = materialize(m2k2, horizon)
-        for seq in ([0, 7], [0, 1, 2], [3, 10, 40], [0, 100]):
-            want = len(naive_words(seq, part, m2k2, horizon, syms=syms))
-            got = word_count(seq, part, m2k2, horizon=horizon)
-            assert got == want, seq
-
-    def test_matches_enumeration_on_dense(self, dense2):
-        part = make_partition([Symbol.dense(1)], [Symbol.dense(2)],
-                              [Symbol.dense(3)])
-        horizon = dense2.horizon
-        syms = materialize(dense2, horizon)
-        for seq in ([0, 5], [0, 5, 10], [2, 9], [1, 2, 3]):
-            want = len(naive_words(seq, part, dense2, horizon, syms=syms))
-            got = word_count(seq, part, dense2, horizon=horizon)
-            assert got == want, seq
-
-    def test_matches_enumeration_on_random_builds(self):
-        rng = random.Random(5150)
-        for _ in range(40):
-            traj = random_small_build(rng)
-            horizon = min(traj.horizon, 150)
-            if traj.family == "log-m":
-                part = make_partition(
-                    *[[Symbol.head(i)] for i in range(traj.m)])
-            else:
-                part = make_partition([Symbol.dense(1)], [Symbol.dense(2)])
-            seq = sorted(rng.sample(range(0, horizon + 1), 2))
-            want = len(naive_words(seq, part, traj, horizon))
-            got = word_count(seq, part, traj, horizon=horizon)
-            assert got == want
-
-    def test_sequence_past_horizon_rejected(self, m2k2):
-        part = make_partition([Symbol.head(0)])
-        with pytest.raises(ValueError):
-            word_count([0, 10], part, m2k2, horizon=5)
-
-
-class TestEstimate:
-    def test_estimate_growth_is_logarithmic_average(self, m2k2):
-        part = make_partition([Symbol.head(0)], [Symbol.head(1)])
-        block = m2k2.manifest.block(1)
-        est = seq_entropy_estimate(block.times, part, m2k2, window=2)
-        assert len(est) == 2
-        for e in est:
-            assert e.value == pytest.approx(
-                math.log(e.words) / e.prefix_length)
-
-    def test_block_times_shatter_fully(self, m2k3):
-        # along the designated times every class pattern appears, so the
-        # word count on the pair partition is at least 2^n
-        part = make_partition([Symbol.head(0)], [Symbol.head(1)])
-        block = m2k3.manifest.block(3)
-        est = seq_entropy_estimate(block.times, part, m2k3, window=4)
-        for e in est:
-            assert e.words >= 2 ** e.prefix_length
 
 
 class TestHStarLowerBound:

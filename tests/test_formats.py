@@ -78,6 +78,17 @@ class TestManifest:
         with pytest.raises(InvalidConfig):
             read_manifest(path)
 
+    def test_zero_denominator_eps_is_invalid(self, tmp_path, dense2):
+        path = tmp_path / "d.txt"
+        lines = manifest_string(dense2).splitlines()[:-1]
+        lines = [line.split(": ")[0] + ": 1/0" if line.startswith("eps[1]")
+                 else line for line in lines]
+        body = "\n".join(lines) + "\n"
+        path.write_text(body + f"hash: {config_hash(body)}\n",
+                        encoding="utf-8")
+        with pytest.raises(InvalidConfig, match=r"eps\[1\] line: Fraction"):
+            read_manifest(path)
+
     def test_dense_manifest_round_trip(self, tmp_path, dense2):
         path = tmp_path / "d.txt"
         write_manifest(dense2, path)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqent.errors import HorizonExceeded, UnknownBlock
+from seqent.errors import HorizonExceeded, InvalidConfig, UnknownBlock
 from seqent.model import (
     PIECE_TIMES,
     ModelPoint,
@@ -151,6 +151,16 @@ class TestMembership:
         with pytest.raises(UnknownBlock):
             resolve(NeighborhoodSpec(Symbol.head(0), 5), m2k2)
 
+    @pytest.mark.parametrize("center, family, message", [
+        ("a0", "dense", "U1(a0) needs the head-indexed family"),
+        ("e1", "log-m", "U1(e1) needs the dense family")])
+    def test_resolve_rejects_a_center_of_the_other_family(
+            self, m2k2, dense2, center, family, message):
+        traj = dense2 if family == "dense" else m2k2
+        with pytest.raises(InvalidConfig) as exc:
+            resolve(NeighborhoodSpec(parse_symbol(center), 1), traj)
+        assert str(exc.value) == message
+
     def test_resolved_orbit_times_level_one(self, m2k3):
         view = resolve(NeighborhoodSpec(Symbol.head(0), 1), m2k3)
         times = view.orbit_times()
@@ -169,7 +179,7 @@ class TestPackageSurface:
         exec("from seqent import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(seqent.__all__)
-        assert len(set(seqent.__all__)) == len(seqent.__all__) == 94
+        assert len(set(seqent.__all__)) == len(seqent.__all__) == 88
         modules = {n for n, v in namespace.items()
                    if isinstance(v, types.ModuleType)}
         assert modules == {"checks", "construct", "entropy", "errors",
