@@ -249,7 +249,7 @@ def _cmd_replay(args) -> int:
                 "certificate replay needs --manifest for the build")
         cert = read_certificate(args.replay)
         traj = rebuild_from_manifest(read_manifest(args.manifest))
-        ok, message = replay_certificate(cert, traj)
+        ok, message = replay_certificate(cert, traj, budget=_budget(args))
     elif kind == "symbols":
         if args.manifest is None:
             raise InvalidConfig(
@@ -335,7 +335,7 @@ def _cmd_flower(args) -> int:
     active_built = [p for p in comp.active_petals() if p.trajectory is not None]
     exit_code = EXIT_PASS
     if len(active_built) >= 2:
-        report = cross_petal_check(comp)
+        report = cross_petal_check(comp, budget=_budget(args))
         print(report.summary())
         for line in report.details:
             print(f"  {line}")

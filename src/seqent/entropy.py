@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .independence import SearchBudget, max_independence
+from .independence import (
+    DEFAULT_ASSIGNMENT_CAP, SearchBudget, is_independence_set,
+    max_independence,
+)
 from .model import NeighborhoodSpec, Symbol, Trajectory
 
 
@@ -34,8 +37,21 @@ def h_star_lower_bound(traj: Trajectory, centers, cap: int,
     Finds the largest p such that some p-subset of the candidate centers,
     taken as a tuple of level-k neighborhoods, admits independence sets of
     length >= cap at every tested level. The reported value is log p.
-    Each level is one depth-first ``max_independence`` search, which stops
-    at the first shape of length cap, so sustained levels cost little.
+
+    Each (combo, level k) first tries the construction's own witness: the
+    first cap designated times of each block of level >= k that holds cap
+    times and ends inside the horizon, lowest block first, checked by
+    ``is_independence_set`` at the same horizon. The paper shatters a
+    block's classes at its level n with these times. Raising the level
+    raises the orbit threshold, so the level-k hit lists contain the
+    level-n ones and a set shattered at level n is shattered at level k;
+    a subset of the shattered classes is still shattered; and the heads
+    of dense centers do not depend on the level. The check is the
+    definition and the search is exact, so a passing shape is a length
+    the search would also reach, and the answer does not change. Only
+    when no shape passes does the level run one depth-first
+    ``max_independence`` search, which stops at the first shape of
+    length cap and alone refutes a combo.
     """
     centers = tuple(centers)
     if len(set(centers)) != len(centers):
@@ -45,16 +61,30 @@ def h_star_lower_bound(traj: Trajectory, centers, cap: int,
     if levels is None:
         levels = range(1, traj.kmax + 1)
     levels = tuple(levels)
+    horizon = traj.horizon if horizon is None else min(horizon, traj.horizon)
+    blocks = traj.manifest.blocks
+
+    def sustains(specs, k: int) -> int:
+        # past the assignment cap only the search may answer, and refute
+        if len(specs) ** cap <= DEFAULT_ASSIGNMENT_CAP:
+            for b in blocks:
+                if (b.level >= k and len(b.times) >= cap
+                        and b.end - 1 <= horizon
+                        and is_independence_set(b.times[:cap], specs, traj,
+                                                horizon=horizon,
+                                                budget=budget).ok):
+                    return cap
+        return max_independence(specs, cap=cap, traj=traj, horizon=horizon,
+                                budget=budget).length
+
     for p in range(len(centers), 0, -1):
         for combo in combinations(centers, p):
             per_level = {}
             ok = True
             for k in levels:
                 specs = tuple(NeighborhoodSpec(c, k) for c in combo)
-                res = max_independence(specs, cap=cap, traj=traj,
-                                       horizon=horizon, budget=budget)
-                per_level[k] = res.length
-                if res.length < cap:
+                per_level[k] = sustains(specs, k)
+                if per_level[k] < cap:
                     ok = False
                     break
             if ok:

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 from .checks import CheckReport, _Timer
 from .errors import InvalidConfig
-from .independence import ExhaustionCertificate, is_independence_set, occupancy
+from .independence import (
+    ExhaustionCertificate, SearchBudget, is_independence_set, occupancy,
+)
 from .model import FAMILY_LOG_M, NeighborhoodSpec, Symbol, Trajectory
 
 MODE_ACTIVE = "active"
@@ -195,7 +197,8 @@ def _petal_pair_hits(traj: Trajectory, spec: NeighborhoodSpec,
 
 
 def cross_petal_check(comp: CompositeSystem,
-                      horizon: int | None = None) -> CheckReport:
+                      horizon: int | None = None,
+                      budget: SearchBudget | None = None) -> CheckReport:
     """Cross-petal pairs admit no independence set of length 2; pairs
     inside one petal do.
 
@@ -207,7 +210,8 @@ def cross_petal_check(comp: CompositeSystem,
     pair carries an exhaustion certificate at level 2; a pair that
     survives is a violation naming its difference, with no certificate.
     Positive evidence comes from each petal's own (a_0, a_1) pair
-    restricted to orbit starts past the junction.
+    restricted to orbit starts past the junction. The budget, when given,
+    bounds both.
     """
     report = CheckReport("cross-petal", {"cap": "2"})
     with _Timer() as tm:
@@ -222,7 +226,7 @@ def cross_petal_check(comp: CompositeSystem,
             for pb in built:
                 if pa.petal_id == pb.petal_id:
                     continue
-                cert, bad = _cross_pair_search(pa, pb, horizon)
+                cert, bad = _cross_pair_search(pa, pb, horizon, budget)
                 if bad is not None:
                     violations.append(bad)
                 else:
@@ -232,7 +236,7 @@ def cross_petal_check(comp: CompositeSystem,
                         f"level {cert.died_level}, frontier "
                         f"{list(cert.frontier_sizes)}")
         for p in built:
-            line, ok = _petal_internal_evidence(p, horizon)
+            line, ok = _petal_internal_evidence(p, horizon, budget)
             report.details.append(line)
             if not ok:
                 violations.append(line)
@@ -245,7 +249,8 @@ def cross_petal_check(comp: CompositeSystem,
 
 
 def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
-                       horizon: int | None):
+                       horizon: int | None,
+                       budget: SearchBudget | None = None):
     """Pair stage of one cross pair over petal-tagged hit lists.
 
     Returns (certificate, None) when the pair dies at length 2, and
@@ -259,7 +264,8 @@ def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
     and the junction belongs to none of them. As in the candidate
     generator at the singleton shape (``independence._extensions``, sparse
     backend), the sets are intersected, here in product order, until one
-    leaves nothing, and each assignment spends |H_i| * |H_j| nodes.
+    leaves nothing, and each assignment spends |H_i| * |H_j| nodes, of
+    the budget and of the certificate's own count.
     """
     spec = NeighborhoodSpec(Symbol.head(0), 1)
     sides = []
@@ -271,7 +277,10 @@ def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
     viable = None
     for (id_i, _, hits_i), (id_j, _, hits_j) in itertools.product(sides,
                                                                  repeat=2):
-        nodes += len(hits_i) * len(hits_j)
+        cost = len(hits_i) * len(hits_j)
+        if budget is not None:
+            budget.spend(cost)
+        nodes += cost
         diffs = ({b - a for a in hits_i for b in hits_j if b > a}
                  if id_i == id_j else set())
         viable = diffs if viable is None else viable & diffs
@@ -291,7 +300,8 @@ def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
         nodes_used=nodes), None
 
 
-def _petal_internal_evidence(p: PetalSystem, horizon: int | None):
+def _petal_internal_evidence(p: PetalSystem, horizon: int | None,
+                             budget: SearchBudget | None = None):
     """One petal's own (a_0, a_1) pair is independent past the junction.
 
     Pair-level evidence only: the check looks for a difference d making
@@ -306,7 +316,7 @@ def _petal_internal_evidence(p: PetalSystem, horizon: int | None):
     diffs = sorted({v - u for i, u in enumerate(hits) for v in hits[i + 1:]})
     for d in diffs:
         res = is_independence_set((0, d), specs, traj, horizon=h,
-                                  start_range=(1, h))
+                                  start_range=(1, h), budget=budget)
         if res.ok:
             starts = sorted(pt.time for pt in res.witness.realizers.values())
             return (f"{p.petal_id}: in-petal pair independent at "

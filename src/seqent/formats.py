@@ -16,7 +16,9 @@ from itertools import chain, count, islice
 from pathlib import Path
 
 from .errors import InvalidConfig
-from .independence import ExhaustionCertificate, max_independence
+from .independence import (
+    ExhaustionCertificate, SearchBudget, max_independence,
+)
 from .model import (
     FAMILY_LOG_INFTY, FAMILY_LOG_M, NeighborhoodSpec, Trajectory, parse_symbol,
 )
@@ -341,12 +343,14 @@ def read_certificate(path) -> ExhaustionCertificate:
         nodes_used=value("nodes"))
 
 
-def replay_certificate(cert: ExhaustionCertificate,
-                       traj: Trajectory) -> tuple[bool, str]:
+def replay_certificate(cert: ExhaustionCertificate, traj: Trajectory,
+                       budget: SearchBudget | None = None
+                       ) -> tuple[bool, str]:
     """Re-run the recorded search and compare the frontier trace exactly.
 
     A horizon past the build's fails before any search, since the search
-    would silently stop at the build's horizon.
+    would silently stop at the build's horizon. The budget bounds the
+    re-run, so a certificate cannot start an unbounded search.
     """
     if ":" in cert.tuple_rendered:
         raise InvalidConfig("composite certificates cannot be replayed yet")
@@ -358,7 +362,7 @@ def replay_certificate(cert: ExhaustionCertificate,
         return False, (f"horizon mismatch: recorded {cert.horizon}, build "
                        f"horizon {traj.horizon}")
     res = max_independence(specs, cap=cert.target_length, traj=traj,
-                           horizon=cert.horizon)
+                           horizon=cert.horizon, budget=budget)
     if res.certificate is None:
         return False, (f"replay reached length {res.length}, but the "
                        f"certificate records an exhaustion")

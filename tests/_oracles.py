@@ -221,6 +221,33 @@ def naive_frontier_sizes(specs, cap, traj, horizon=None):
                   for d in range(J[-1] + 1, horizon + 1)]
 
 
+def search_h_star_lower_bound(traj, centers, cap, horizon=None,
+                              levels=None):
+    """(p, combo, per_level) of the entropy evidence from search alone.
+
+    Not brute force: one exact ``max_independence`` search per combo and
+    level, largest combos first, with no witness shortcut, so it pins the
+    witness-first evidence to the search it replaces.
+    """
+    from seqent.independence import max_independence
+    from seqent.model import NeighborhoodSpec
+
+    if levels is None:
+        levels = range(1, traj.kmax + 1)
+    for p in range(len(centers), 0, -1):
+        for combo in itertools.combinations(centers, p):
+            per_level = {}
+            for k in levels:
+                specs = tuple(NeighborhoodSpec(c, k) for c in combo)
+                per_level[k] = max_independence(specs, cap=cap, traj=traj,
+                                                horizon=horizon).length
+                if per_level[k] < cap:
+                    break
+            else:
+                return p, combo, per_level
+    return 0, (), {}
+
+
 # ---------------------------------------------------------------------------
 # randomized small instances
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import seqent.entropy
 import seqent.formats
 import seqent.independence
 import seqent.model
@@ -392,6 +393,21 @@ class TestCertificateReplay:
         assert code == EXIT_INVALID
         assert "composite certificates cannot be replayed yet" in err
 
+    @pytest.mark.parametrize("flags, env", [
+        (["--budget-nodes", "1"], {}),
+        ([], {"SEQENT_NODE_BUDGET": "1"})], ids=["flag", "env"])
+    def test_node_budget_stops_the_replay(self, run, capsys, monkeypatch,
+                                          flags, env):
+        # cert-11 records a search of ~51,000 nodes
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, err = run_cli(capsys, "verify", "--replay",
+                                 str(run / "cert-11.txt"), "--manifest",
+                                 str(run / "manifest-log-m-2-2.txt"), *flags)
+        assert code == EXIT_INCONCLUSIVE
+        assert out == ""
+        assert "node budget 1 exhausted" in err
+
 
 class TestSymbolReplayFailures:
     """Replay verdicts for edited symbol files: exit code and the message
@@ -527,6 +543,25 @@ class TestEntropy:
         code, _, _ = run_cli(capsys, "entropy", "--family", "log-m")
         assert code == EXIT_INVALID
 
+    def test_dense_blocks_give_log_five(self, capsys):
+        code, out, _ = run_cli(capsys, "entropy", "--family", "log-infty",
+                               "--nmax", "4", "--cap", "4")
+        assert code == EXIT_PASS
+        assert out == ("h-star lower bound: log 5 = 1.609438 (centers "
+                       "e1,e2,e3,e4,e5; level1=4 level2=4 level3=4 "
+                       "level4=4; cap 4)\n")
+
+    def test_node_budget_stops_the_witness_check(self, capsys, monkeypatch):
+        # block 2's designated times are checked before any search runs
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(seqent.entropy, "max_independence", refuse)
+        code, out, err = run_cli(capsys, "entropy", "--family", "log-infty",
+                                 "--nmax", "4", "--budget-nodes", "1")
+        assert code == EXIT_INCONCLUSIVE
+        assert out == ""
+        assert "node budget 1 exhausted" in err
+
     def test_internal_value_error_is_not_invalid_input(self, monkeypatch):
         # a ValueError inside the engine is a bug, not a bad option
         def broken(*_args, **_kwargs):
@@ -538,12 +573,13 @@ class TestEntropy:
     def test_internal_error_is_not_invalid_input(self, monkeypatch):
         # the limit head answers an all-infinity tuple before any search;
         # without it the candidate generator has nothing to anchor on, a
-        # bug that must not read as a bad configuration (exit 2)
+        # bug that must not read as a bad configuration (exit 2). Cap 3
+        # passes block 1's two designated times, so the search runs.
         monkeypatch.setattr(seqent.independence, "_fixed_head_everywhere",
                             lambda specs, traj: None)
         with pytest.raises(RuntimeError, match="anchor"):
             main(["entropy", "--family", "log-m", "--m", "2", "--kmax", "1",
-                  "--centers", "a_inf", "--cap", "2"])
+                  "--centers", "a_inf", "--cap", "3"])
 
 
 class TestFlower:
@@ -557,6 +593,35 @@ class TestFlower:
         report = (out_dir / "report-cross-petal.txt").read_text()
         assert "config-hash: " in report
         assert "param cap: 2\n" in report
+
+    def test_node_budget_stops_the_cross_pairs(self, capsys):
+        code, out, err = run_cli(capsys, "flower", "--petals", "p2=2,p3=3",
+                                 "--budget-nodes", "1")
+        assert code == EXIT_INCONCLUSIVE
+        assert out == "composite value: log 3\n"
+        assert "node budget 1 exhausted" in err
+
+    def test_ample_budget_changes_only_the_config_hash(self, tmp_path,
+                                                       capsys):
+        runs = []
+        for name, flags in (("free", []),
+                            ("budgeted", ["--budget-nodes", "10000000"])):
+            out_dir = tmp_path / name
+            code, _, _ = run_cli(capsys, "flower", "--petals", "p2=2,p3=3",
+                                 "--out", str(out_dir), *flags)
+            assert code == EXIT_PASS
+            runs.append({p.name: p.read_text(encoding="utf-8")
+                         for p in sorted(out_dir.iterdir())})
+        free, budgeted = runs
+        assert sorted(free) == ["cert-cross-01.txt", "cert-cross-02.txt",
+                                "report-cross-petal.txt"]
+        assert "nodes: 3999\n" in free["cert-cross-01.txt"]
+        for name in free:
+            differ = [(a, b) for a, b in zip(free[name].splitlines(),
+                                             budgeted[name].splitlines())
+                      if a != b]
+            assert all(a.startswith("config-hash: ") for a, _ in differ)
+            assert len(differ) == (name == "report-cross-petal.txt")
 
     def test_cap_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from seqent.construct import build_log_m, minimal_schedule
-from seqent.errors import InvalidConfig
+from seqent.errors import InvalidConfig, ResourceBudgetExceeded
 from seqent.flower import (
     MODE_ACTIVE,
     MODE_COLLAPSED,
@@ -18,6 +18,7 @@ from seqent.flower import (
     parse_value,
     value_calculus,
 )
+from seqent.independence import SearchBudget
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,19 @@ class TestCrossPetalCheck:
         assert cert is None
         assert re.fullmatch(r"cross pair p2:p2 realized a mixed assignment "
                             r"at difference \d+", bad)
+
+    def test_budget_bounds_the_check(self, petals):
+        comp = compose(list(petals))
+        with pytest.raises(ResourceBudgetExceeded):
+            cross_petal_check(comp, budget=SearchBudget(max_nodes=1))
+        # each cross pair spends |H_i| * |H_j| per assignment, which its
+        # certificate records apart from the shared budget
+        budget = SearchBudget()
+        rep = cross_petal_check(comp, budget=budget)
+        assert rep.passed, rep.counterexample
+        assert [c.nodes_used for c in rep.certificates] == [
+            c.nodes_used for c in cross_petal_check(comp).certificates]
+        assert budget.nodes > sum(c.nodes_used for c in rep.certificates)
 
     def test_needs_two_built_active_petals(self, petals):
         p2, _ = petals
