@@ -40,7 +40,7 @@ def h_star_lower_bound(traj: Trajectory, centers, cap: int,
 
     Each (combo, level k) first tries the construction's own witness: the
     first cap designated times of each block of level >= k that holds cap
-    times and ends inside the horizon, lowest block first, checked by
+    times and ends inside the horizon, highest block first, checked by
     ``is_independence_set`` at the same horizon. The paper shatters a
     block's classes at its level n with these times. Raising the level
     raises the orbit threshold, so the level-k hit lists contain the
@@ -67,7 +67,7 @@ def h_star_lower_bound(traj: Trajectory, centers, cap: int,
     def sustains(specs, k: int) -> int:
         # past the assignment cap only the search may answer, and refute
         if len(specs) ** cap <= DEFAULT_ASSIGNMENT_CAP:
-            for b in blocks:
+            for b in reversed(blocks):
                 if (b.level >= k and len(b.times) >= cap
                         and b.end - 1 <= horizon
                         and is_independence_set(b.times[:cap], specs, traj,

@@ -305,20 +305,18 @@ def _root_table(occs, horizon, lo=0):
                  for occ in occs)
 
 
-def _extend_table(shape, table, d, occs, heads, horizon, budget):
+def _extend_table(shape, table, d, occs, horizon, budget):
     """Realizer table of shape + (d,).
 
     A table lists, per assignment in ``itertools.product`` order, the
     ascending orbit starts u <= horizon - shape[-1] that realize it on
     shape, or None where every neighborhood is infinity-centered (a
     co-finite set, and the limit head realizes the assignment anyway).
-    Extending keeps the starts whose u + d lands in the new neighborhood.
-    With the tuple's ``heads`` (``_head_keys``) a list left empty survives
-    only through a closed-form head, and the first assignment without one
-    makes the result None; with ``heads`` None every list is kept. Each
-    list element examined spends one node.
+    Extending keeps the starts whose u + d lands in the new neighborhood,
+    and keeps every list, empty ones too: an empty list's assignment may
+    still be realized by a closed-form head. Each list element examined
+    spends one node.
     """
-    cand = shape + (d,)
     cut = horizon - d
     out = []
     sigmas = itertools.product(range(len(occs)), repeat=len(shape))
@@ -348,18 +346,15 @@ def _extend_table(shape, table, d, occs, heads, horizon, budget):
                 kept = tuple([b - d for b in anchors
                               if all(b - d + t not in miss
                                      for t, miss in misses)])
-            if (not kept and heads is not None
-                    and _head_index(cand, sigma + (c,), heads) is None):
-                return None
             out.append(kept)
     return tuple(out)
 
 
 def _extensions(shape, table, occs, heads, horizon,
                 budget) -> tuple[int, ...]:
-    """The d in (shape[-1], horizon] for which shape + (d,) survives,
-    ascending: exactly those with ``_extend_table(shape, table, d, occs,
-    heads, horizon, budget)`` not None.
+    """The d in (shape[-1], horizon] for which shape + (d,) is an
+    independence set, ascending, given ``table``, the realizer table of
+    shape, and the tuple's ``heads`` (``_head_keys``).
 
     Assignment (sigma, c) of shape + (d,) is realized at d by a start u in
     sigma's list with u + d in A_c, or by a closed-form head. Survivors
@@ -471,43 +466,12 @@ def _extensions(shape, table, occs, heads, horizon,
     return tuple(range(lo, horizon + 1) if live is None else sorted(live))
 
 
-def _survivors(shape, table, pairs, pair_set, occs, heads, horizon, budget):
-    """Yield (d, table) for each d past shape[-1] for which shape + (d,)
-    survives, ascending; the table is that of shape + (d,), or None where
-    it was not built. ``pairs`` are the ascending survivors of (0,), and
-    ``pair_set`` holds the same times.
-
-    Extending one d at a time reaches the first survivors without reading
-    the whole table, which a depth-first search about to succeed wants. It
-    tries the pair differences d past shape[-1], and extends by those that
-    pair with every time of shape (downward closure at pair level), each
-    tested only when it comes up. ``_extensions`` starts from the shortest
-    list and, where the candidates die, usually empties its set there,
-    whatever their number. So a node extends per d until it has spent more
-    than reading that list once per neighborhood, k * min |L_sigma|, and
-    generates the rest in bulk. Each test spends one, and each extension
-    one per list of the table, which it walks however short the lists
-    are, plus the elements it reads; a node whose bulk pass reads fewer
-    elements than its table has lists goes to bulk before any extension.
-    """
-    bulk_cost = len(occs) * min((len(s) for s in table if s is not None),
-                                default=0)
-    spent = 0
-    for i in range(bisect.bisect_right(pairs, shape[-1]), len(pairs)):
-        d = pairs[i]
-        closed = all(d - t in pair_set for t in shape[1:])
-        spent += 1 + (len(table) if closed else 0)
-        if spent > bulk_cost:
-            grown = _extensions(shape, table, occs, heads, horizon, budget)
-            for d in grown[bisect.bisect_left(grown, d):]:
-                yield d, None
-            return
-        if closed:
-            before = budget.nodes
-            ext = _extend_table(shape, table, d, occs, heads, horizon, budget)
-            spent += budget.nodes - before
-            if ext is not None:
-                yield d, ext
+def _check_assignment_cap(k: int, n: int):
+    """Raise CapExceeded past the cap on k^n assignments; as 2^b exceeds a
+    cap of bit length b, no huge power is formed."""
+    cap = DEFAULT_ASSIGNMENT_CAP
+    if k ** min(n, cap.bit_length()) > cap:
+        raise CapExceeded(f"{k}^{n} assignments exceed the cap {cap}")
 
 
 def is_independence_set(J, specs, traj: Trajectory,
@@ -517,8 +481,8 @@ def is_independence_set(J, specs, traj: Trajectory,
     """Check every assignment over J; empty J is vacuously independent.
 
     Returns the full witness table on success, or the lexicographically
-    first failing assignment. Folds the search drivers' realizer table
-    over the shape J - J[0], keeping every list, since an assignment
+    first failing assignment. Folds the search's realizer table over
+    the shape J - J[0], keeping every list, since an assignment
     earlier in product order may die later than one whose prefix died
     first. A witness is the first orbit start, else the closed-form head;
     ``start_range`` rules heads out, and the infinity scan then serves the
@@ -531,9 +495,7 @@ def is_independence_set(J, specs, traj: Trajectory,
     if any(t < 0 for t in J):
         raise ValueError("times are nonnegative")
     k = len(tspec)
-    if k ** len(J) > DEFAULT_ASSIGNMENT_CAP:
-        raise CapExceeded(f"{k}^{len(J)} assignments exceed the cap "
-                          f"{DEFAULT_ASSIGNMENT_CAP}")
+    _check_assignment_cap(k, len(J))
     if horizon is None:
         horizon = traj.horizon
     horizon = min(horizon, traj.horizon)
@@ -556,8 +518,7 @@ def is_independence_set(J, specs, traj: Trajectory,
     shape = (0,)
     table = _root_table(occs, hi + t0, lo + t0)
     for t in J[1:]:
-        table = _extend_table(shape, table, t - t0, occs, None, horizon,
-                              budget)
+        table = _extend_table(shape, table, t - t0, occs, horizon, budget)
         shape += (t - t0,)
 
     heads = _head_keys(specs, traj)
@@ -598,14 +559,6 @@ def _fixed_head_everywhere(specs, traj) -> ModelPoint | None:
     return None
 
 
-def _pair_diffs(tspec, traj, horizon, budget) -> tuple[int, ...]:
-    """Exact ascending list of the d in [1, horizon] making (0, d) an
-    independence set: the candidate generator at the singleton shape."""
-    occs = [occupancy(s, traj) for s in tspec.specs]
-    return _extensions((0,), _root_table(occs, horizon), occs,
-                       _head_keys(tspec.specs, traj), horizon, budget)
-
-
 def _cap_result(tspec, traj, horizon, shape, budget,
                 cert: ExhaustionCertificate | None = None
                 ) -> MaxIndependenceResult:
@@ -620,11 +573,14 @@ def max_independence(specs, cap: int, traj: Trajectory,
                      budget: SearchBudget | None = None) -> MaxIndependenceResult:
     """Largest independence-set size for the tuple, capped at cap.
 
-    Shapes are explored depth-first, in lexicographic order, from the
-    exact candidate generator, so the first shape of the largest size
-    found is the least one. When the search dies below the cap it has
-    visited every surviving shape, and its exhaustion certificate records
-    their number per size.
+    Shapes are explored depth-first, in lexicographic order. Every node,
+    the root (0,) included, takes its children from the exact candidate
+    generator ``_extensions`` and builds a child's table only to descend
+    into it, so the first shape of the largest size found is the least
+    one. When the search dies below the cap it has visited every
+    surviving shape, and its exhaustion certificate records their number
+    per size. A fixed point in every neighborhood answers the cap at
+    once, within ``is_independence_set``'s assignment cap.
     """
     tspec = as_tuple_spec(specs)
     if cap < 1:
@@ -637,6 +593,7 @@ def max_independence(specs, cap: int, traj: Trajectory,
 
     fixed = _fixed_head_everywhere(tspec.specs, traj)
     if fixed is not None:
+        _check_assignment_cap(len(tspec), cap)
         shape = tuple(range(cap))
         realizers = {sigma: fixed for sigma in
                      itertools.product(range(len(tspec)), repeat=cap)}
@@ -644,38 +601,29 @@ def max_independence(specs, cap: int, traj: Trajectory,
             cap, IndependenceWitness(shape, realizers), None)
 
     occs = [occupancy(s, traj) for s in tspec.specs]
-    # singletons always embed through the center's own head
-    if cap == 1:
-        return _cap_result(tspec, traj, horizon, (0,), budget)
-
     heads = _head_keys(tspec.specs, traj)
-    pairs = _pair_diffs(tspec, traj, horizon, budget)
-    pair_set = set(pairs)
-    visited = [0] * (cap + 1)
+    # a shape holds distinct times up to the horizon
+    visited = [0] * (min(cap, horizon + 1) + 1)
     visited[1] = 1
     best_shape = (0,)
 
-    def extend(shape: tuple[int, ...], table, grown):
+    def extend(shape: tuple[int, ...], table):
         nonlocal best_shape
-        for d, cand_table in grown:
+        for d in _extensions(shape, table, occs, heads, horizon, budget):
             cand = shape + (d,)
             visited[len(cand)] += 1
             if len(cand) > len(best_shape):
                 best_shape = cand
             if len(cand) == cap:
                 return cand
-            if cand_table is None:
-                cand_table = _extend_table(shape, table, d, occs, heads,
-                                           horizon, budget)
-            got = extend(cand, cand_table, _survivors(
-                cand, cand_table, pairs, pair_set, occs, heads, horizon,
-                budget))
+            got = extend(cand, _extend_table(shape, table, d, occs, horizon,
+                                             budget))
             if got is not None:
                 return got
         return None
 
-    found = extend((0,), _root_table(occs, horizon),
-                   ((d, None) for d in pairs))
+    # singletons always embed through the center's own head
+    found = (0,) if cap == 1 else extend((0,), _root_table(occs, horizon))
     if found is not None:
         return _cap_result(tspec, traj, horizon, found, budget)
     # exhausted: visited counts the surviving shapes per size, hence the label

@@ -1,8 +1,10 @@
 """Command-line surface: files written, exit codes, budgets, replays."""
 
+import hashlib
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -393,6 +395,26 @@ class TestCertificateReplay:
         assert code == EXIT_INVALID
         assert "composite certificates cannot be replayed yet" in err
 
+    def test_fixed_head_certificate_past_the_cap_is_inconclusive(
+            self, run, tmp_path, capsys):
+        # the limit head lies in both neighborhoods, so the replay would
+        # answer the target length with 2^40 realizers
+        text = (run / "cert-11.txt").read_text(encoding="utf-8")
+        text = text.replace("tuple: U1(a0),U1(a_inf)",
+                            "tuple: U1(a_inf),U2(a_inf)", 1)
+        text = text.replace("target-length: 5", "target-length: 40", 1)
+        path = tmp_path / "forged.txt"
+        path.write_text(text, encoding="utf-8")
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, "verify", "--replay", str(path),
+                                 "--manifest",
+                                 str(run / "manifest-log-m-2-2.txt"),
+                                 "--budget-nodes", "1")
+        assert time.monotonic() - started < 5
+        assert code == EXIT_INCONCLUSIVE
+        assert out == ""
+        assert "2^40 assignments exceed the cap" in err
+
     @pytest.mark.parametrize("flags, env", [
         (["--budget-nodes", "1"], {}),
         ([], {"SEQENT_NODE_BUDGET": "1"})], ids=["flag", "env"])
@@ -648,6 +670,84 @@ class TestFlower:
 
 
 R2_SMALL = ["verify", "--suite", "R2", "--m", "2", "--kmax", "1"]
+
+
+# sha256 of every file the two commands write, with its `nodes:` lines
+# dropped: search refactors may change how many nodes a search spends, but
+# not one other byte of the artifacts
+ARTIFACT_SHA256 = {
+    ("verify", "--suite", "all", "--m", "2", "--kmax", "2", "--nmax", "2"): {
+        "cert-01.txt":
+            "4ea09aed99921f58716558c86b0c71fc5b2f5cb021eef4ebef37e3011a8cc853",
+        "cert-02.txt":
+            "a6c38f89dc1e8e8290db516ccfd0539458f7add7ab78c6f407d4ab03f703a959",
+        "cert-03.txt":
+            "cf3a0052be098e66a09897e268a498135abb898249f1d76454b37446f6588b6b",
+        "cert-04.txt":
+            "418e2d2ef707a8d9562224de45c6f530cdbc106a9f59b9f2590f40386dab8dcd",
+        "cert-05.txt":
+            "8cf54c996cf412a375db0207509aaf5f1d05af9c9c05d60a51013c6b64ca0022",
+        "cert-06.txt":
+            "2d87213a9b63a87e0ca16386b8a04c2d7e628e5a745542c3a0f4292577e9d5fd",
+        "cert-07.txt":
+            "2bfa4dc6ae38faff9214ecc015423e060c465c33f697604cf8d09a014ab00d4a",
+        "cert-08.txt":
+            "c7b01ab7f99cdd0c5b04e1c3551d50e4497dffe27912e851272fd7c87253d31b",
+        "cert-09.txt":
+            "af35cb5eeff9922a27ec7f78ad67bef0b96476cd25197e9528a263a654d04bac",
+        "cert-10.txt":
+            "e2606b4b6d23bb1ad0a1c86496ac7945d0de58ab09acdeaef1caa3e33b60369c",
+        "cert-11.txt":
+            "bd1e8253fee3c505880a68ba1d9a1bdace3124ae3b6a7d5d91fb33ff9ff6607a",
+        "manifest-log-infty-2.txt":
+            "2ff494a26b8fda7d356d69f78082043c0d17c5890d471a72effc01ebdb121261",
+        "manifest-log-m-2-2.txt":
+            "344bd1dbd1181eb0604dc08e57ba97f48431ff47977f7d50f864e8cd65bdd94b",
+        "report-01-block-independence.txt":
+            "3bbeaea83e4466f608f633259723c27eb55be10e3a5c7e858f33aef87e0ff02e",
+        "report-02-block-independence.txt":
+            "ee8b8175e920c0b2903647e679034bd09576a8ace516e163186f4789550360f2",
+        "report-03-far-pair-exclusion.txt":
+            "344c4c0e1f10d9e5d1cea0cdba77ce60192acfb7289c49858fd205e5545ad067",
+        "report-04-growth.txt":
+            "fdaac3330dc67f405896f09371e94c0f9a09ca4e3bf5d0cda7bd13706d300e0a",
+        "report-05-dense-block-independence.txt":
+            "6ded61071a04d25a3e5b36b5956ec136c126bdcbd6adea448af14a839ef76a7e",
+        "report-06-dense-block-independence.txt":
+            "4f0d5a9da7eebd13ed3ce91c1843085ade8a2fdc6733ca62f0b86ef3f8cb08e3",
+        "report-07-block-parts.txt":
+            "d1d2506cfcb8907a3e7895f035e8143d830b980772c82abbcf69bf5d929057c9",
+        "report-08-block-parts.txt":
+            "d7d0263778b839a4f17cfc34762a6a32e4f4d024b9bc6d6c52600dff6f96937d",
+        "report-09-shiftability.txt":
+            "f60105199f2c79e295a82e059890b1b63ae44b5ca62b8f37ec31187f0b0685e2",
+        "report-10-growth.txt":
+            "9be3ddb827e57756f89ea0459963a4b2144774107955d47e0c240a00875bdb6f",
+    },
+    ("flower", "--petals", "p2=2,p3=3"): {
+        "cert-cross-01.txt":
+            "203f619829dea487c871331c27266e8bc49e9b7988f8cab0ed5cf35a3e43ace0",
+        "cert-cross-02.txt":
+            "ac89b156d4c03fe6b03178c33c5315f90637edc8dcd174e1823076f2cb476bd0",
+        "report-cross-petal.txt":
+            "d2dea4f0f26890f33828726013e324e1e66f07dd49f8c57dbacf35862ad94594",
+    },
+}
+
+
+class TestArtifactDigests:
+    @pytest.mark.parametrize("argv", list(ARTIFACT_SHA256),
+                             ids=["verify-all", "flower"])
+    def test_files_are_pinned_except_node_counts(self, argv, tmp_path,
+                                                 capsys):
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == EXIT_PASS
+        got = {}
+        for path in sorted(tmp_path.iterdir()):
+            kept = [line for line in path.read_bytes().splitlines(True)
+                    if not line.startswith(b"nodes: ")]
+            got[path.name] = hashlib.sha256(b"".join(kept)).hexdigest()
+        assert got == ARTIFACT_SHA256[argv]
 
 
 class TestBadOptions:

@@ -58,6 +58,24 @@ class TestWitnessFirst:
         assert [c.render() for c in ev.centers] == ["e1", "e2", "e3", "e4",
                                                     "e5"]
 
+    def test_highest_block_is_tried_first(self, dense4, monkeypatch):
+        # block 4's shape passes at every level, so each level makes one
+        # check; block 3's shape fails the five centers on levels 1 to 3,
+        # so trying it first would add three
+        checks = []
+        check = seqent.entropy.is_independence_set
+
+        def counted(times, *args, **kwargs):
+            checks.append(times)
+            return check(times, *args, **kwargs)
+
+        monkeypatch.setattr(seqent.entropy, "is_independence_set", counted)
+        monkeypatch.setattr(seqent.entropy, "max_independence", _no_search)
+        ev = h_star_lower_bound(dense4, [Symbol.dense(j) for j in range(1, 6)],
+                                cap=4)
+        assert (ev.p, ev.per_level) == (5, {1: 4, 2: 4, 3: 4, 4: 4})
+        assert checks == [dense4.manifest.block(4).times[:4]] * 4
+
     def test_block_two_witnesses_three_heads(self, m3k2, monkeypatch):
         monkeypatch.setattr(seqent.entropy, "max_independence", _no_search)
         ev = h_star_lower_bound(m3k2, [Symbol.head(i) for i in range(3)],

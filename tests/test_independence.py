@@ -25,12 +25,10 @@ from seqent.formats import replay_certificate
 from seqent.independence import (
     ExhaustionCertificate,
     SearchBudget,
-    as_tuple_spec,
     is_independence_set,
     max_independence,
     occupancy,
     shift_property_check,
-    _pair_diffs,
 )
 from seqent.model import (
     FAMILY_LOG_INFTY,
@@ -244,6 +242,18 @@ class TestMaxIndependence:
         assert res.certificate is None
         assert is_independence_set(res.witness.times, specs, m2k2).ok
 
+    def test_fixed_head_answer_obeys_the_assignment_cap(self, m2k2):
+        # the limit head lies in both neighborhoods; its table of 2^18
+        # realizers is past the cap that is_independence_set enforces,
+        # and spends no nodes, so only the cap can stop it
+        specs = (U(Symbol.head_inf(), 1), U(Symbol.head_inf(), 2))
+        assert 2 ** 18 > independence.DEFAULT_ASSIGNMENT_CAP
+        with pytest.raises(CapExceeded, match="2\\^18 assignments"):
+            max_independence(specs, cap=18, traj=m2k2,
+                             budget=SearchBudget(max_nodes=1))
+        res = max_independence(specs, cap=3, traj=m2k2)
+        assert res.length == 3 and len(res.witness.realizers) == 8
+
     def test_budget_exhaustion_raises(self, m2k3):
         specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))
         with pytest.raises(ResourceBudgetExceeded):
@@ -302,6 +312,15 @@ def _dense_or_random_builds(rng, dense2, count):
         yield traj, specs
 
 
+def _root_extensions(specs, traj, horizon, budget):
+    """The candidate generator at the root (0,): the ascending d making
+    (0, d) an independence set."""
+    occs = [occupancy(s, traj) for s in specs]
+    return independence._extensions(
+        (0,), independence._root_table(occs, horizon), occs,
+        independence._head_keys(specs, traj), horizon, budget)
+
+
 class TestPairStage:
     @PAIR_PATHS
     def test_pair_diffs_match_oracle(self, limit, dense2, m2k2, monkeypatch):
@@ -319,8 +338,7 @@ class TestPairStage:
                 continue  # head-indexed builds always take the sparse path
             if all(s.center.kind == KIND_HEAD_INF for s in specs):
                 continue  # the limit head covers these before the pair stage
-            got = _pair_diffs(as_tuple_spec(specs), traj, horizon,
-                              SearchBudget())
+            got = _root_extensions(specs, traj, horizon, SearchBudget())
             want = tuple(d for d in range(1, horizon + 1)
                          if naive_is_independence_set((0, d), specs, traj,
                                                       horizon=horizon))
@@ -332,14 +350,14 @@ class TestPairStage:
     def test_dense_pair_stage_is_exact_on_both_paths(self, dense2,
                                                      monkeypatch):
         specs = tuple(U(Symbol.dense(j), 1) for j in (1, 2, 3))
-        tspec = as_tuple_spec(specs)
-        bitmask = _pair_diffs(tspec, dense2, dense2.horizon, SearchBudget())
+        bitmask = _root_extensions(specs, dense2, dense2.horizon,
+                                   SearchBudget())
         for d in range(1, 60):
             assert (d in bitmask) == is_independence_set(
                 (0, d), specs, dense2).ok
         monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
-        assert _pair_diffs(tspec, dense2, dense2.horizon,
-                           SearchBudget()) == bitmask
+        assert _root_extensions(specs, dense2, dense2.horizon,
+                                SearchBudget()) == bitmask
 
     @pytest.mark.parametrize("label", ["level-shapes", "depth-first"],
                              ids=["level", "dfs"])
@@ -449,14 +467,12 @@ class TestRealizerTables:
                 horizon = rng.choice(edges)
             syms = materialize(traj, horizon)
             budget = SearchBudget()
-            heads = independence._head_keys(specs, traj)
-            viable = set(_pair_diffs(as_tuple_spec(specs), traj, horizon,
-                                     budget))
+            viable = set(_root_extensions(specs, traj, horizon, budget))
             for _walk in range(3):
                 # extend along random shapes whose pairs all survive
                 shape = (0,)
                 table = independence._root_table(occs, horizon)
-                while table is not None:
+                while True:
                     checked += _assert_table_is_exact(shape, table, specs,
                                                       traj, horizon, syms)
                     ds = [d for d in range(shape[-1] + 1, horizon + 1)
@@ -465,20 +481,19 @@ class TestRealizerTables:
                         break
                     d = rng.choice(ds)
                     table = independence._extend_table(
-                        shape, table, d, occs, heads, horizon, budget)
+                        shape, table, d, occs, horizon, budget)
                     shape += (d,)
-                if table is None:
-                    assert not naive_is_independence_set(
-                        shape, specs, traj, horizon=horizon)
         assert checked >= 200
 
 
 class TestExtensions:
-    """The candidate generator against one ``_extend_table`` call per d."""
+    """The candidate generator against one set check per d."""
 
     @PAIR_PATHS
     def test_generated_sets_match_per_d_extension(self, limit, dense2, m2k2,
                                                   monkeypatch):
+        # the reference folds a table per d, with none of the generator's
+        # set algebra
         monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
         rng = random.Random(8128)
         cases = list(_dense_or_random_builds(rng, dense2, 60))
@@ -490,7 +505,7 @@ class TestExtensions:
                   (m2k2, (U(Symbol.head_inf(), 1), U(Symbol.head(1), 1),
                           U(Symbol.head(0), 2)))]
         sizes = [0] * 4
-        bulk = per_d = deep_inf = 0
+        deep_inf = 0
         for traj, specs in cases:
             if all(s.center.kind == KIND_HEAD_INF for s in specs):
                 continue  # the limit head answers these before any search
@@ -499,39 +514,24 @@ class TestExtensions:
             horizon = min(traj.horizon, rng.randrange(40, 121))
             label = (traj.family, horizon, [s.render() for s in specs])
 
-            def extend(shape, table, d):
-                return independence._extend_table(
-                    shape, table, d, occs, heads, horizon, SearchBudget())
-
             shape, table = (0,), independence._root_table(occs, horizon)
-            pairs = independence._extensions(shape, table, occs, heads,
-                                             horizon, SearchBudget())
             while len(shape) <= 3:
                 want = tuple(d for d in range(shape[-1] + 1, horizon + 1)
-                             if extend(shape, table, d) is not None)
+                             if is_independence_set(shape + (d,), specs, traj,
+                                                    horizon=horizon).ok)
                 assert independence._extensions(
                     shape, table, occs, heads, horizon,
-                    SearchBudget()) == want, label
-                grown = list(independence._survivors(
-                    shape, table, pairs, set(pairs), occs, heads, horizon,
-                    SearchBudget()))
-                assert tuple(d for d, _ in grown) == want, (label, shape)
-                for d, got in grown:
-                    if got is None:
-                        bulk += 1
-                    else:
-                        per_d += 1
-                        assert got == extend(shape, table, d)
+                    SearchBudget()) == want, (label, shape)
                 sizes[len(shape)] += 1
                 deep_inf += len(shape) > 1 and any(
                     s.center.kind == KIND_HEAD_INF for s in specs)
                 if not want:
                     break
                 d = rng.choice(want)
-                table = extend(shape, table, d)
+                table = independence._extend_table(
+                    shape, table, d, occs, horizon, SearchBudget())
                 shape += (d,)
-        assert min(sizes[1:]) >= 10 and deep_inf >= 4 and bulk and per_d, (
-            sizes, deep_inf, bulk, per_d)
+        assert min(sizes[1:]) >= 10 and deep_inf >= 4, (sizes, deep_inf)
 
     def test_tuple_without_finite_center_is_an_internal_error(self, m2k2):
         specs = (U(Symbol.head_inf(), 1), U(Symbol.head_inf(), 2))
@@ -553,8 +553,8 @@ class TestExtensions:
             specs = tuple(U(Symbol.dense(j), 1) for j in (1, 2, 3))
             if case == "sparse":
                 monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
-        # the nodes spent before the first bulk pass below the root that
-        # reads anything
+        # the nodes spent before the first generator pass below the root
+        # that reads anything
         entries = []
         generate = independence._extensions
 
