@@ -306,26 +306,32 @@ def _root_table(occs, horizon, lo=0):
 
 
 def _extend_table(shape, table, d, occs, horizon, budget):
-    """Realizer table of shape + (d,).
+    """Realizer table of shape + (d,), one group per list of ``table``.
 
     A table lists, per assignment in ``itertools.product`` order, the
     ascending orbit starts u <= horizon - shape[-1] that realize it on
     shape, or None where every neighborhood is infinity-centered (a
     co-finite set, and the limit head realizes the assignment anyway).
-    Extending keeps the starts whose u + d lands in the new neighborhood,
-    and keeps every list, empty ones too: an empty list's assignment may
-    still be realized by a closed-form head. Each list element examined
-    spends one node.
+    The list of assignment sigma, the i-th of ``table``, yields the
+    group (i, sigma, lists): the k lists of sigma + (c,), entries
+    i * k + c of the new table. Each keeps the starts whose u + d lands
+    in A_c, and is kept even when empty, since a closed-form head may
+    still realize its assignment. Groups come shortest list first (None
+    last), so a reader that stops early builds the least. Each list
+    element examined spends one node.
     """
     cut = horizon - d
-    out = []
-    sigmas = itertools.product(range(len(occs)), repeat=len(shape))
-    for sigma, starts in zip(sigmas, table):
+    sigmas = list(itertools.product(range(len(occs)), repeat=len(shape)))
+    order = sorted(range(len(table)),
+                   key=lambda i: (table[i] is None, len(table[i] or ())))
+    for i in order:
+        sigma, starts = sigmas[i], table[i]
         if starts is None:
             misses = [(t, occs[c]._miss_set) for t, c in zip(shape, sigma)]
         else:
             starts = starts[:bisect.bisect_right(starts, cut)]
-        for c, occ in enumerate(occs):
+        lists = []
+        for occ in occs:
             if starts is not None:
                 budget.spend(len(starts))
                 if occ.complement:
@@ -335,8 +341,7 @@ def _extend_table(shape, table, d, occs, horizon, budget):
                     hit = occ._times_set
                     kept = tuple([u for u in starts if u + d in hit])
             elif occ.complement:
-                out.append(None)
-                continue
+                kept = None
             else:
                 # anchor on the new neighborhood's hits b = u + d
                 times = occ.times
@@ -346,22 +351,25 @@ def _extend_table(shape, table, d, occs, horizon, budget):
                 kept = tuple([b - d for b in anchors
                               if all(b - d + t not in miss
                                      for t, miss in misses)])
-            out.append(kept)
-    return tuple(out)
+            lists.append(kept)
+        yield i, sigma, lists
 
 
-def _extensions(shape, table, occs, heads, horizon,
-                budget) -> tuple[int, ...]:
+def _extensions(shape, groups, occs, heads, horizon, budget):
     """The d in (shape[-1], horizon] for which shape + (d,) is an
-    independence set, ascending, given ``table``, the realizer table of
-    shape, and the tuple's ``heads`` (``_head_keys``).
+    independence set, ascending, with the realizer table of shape; or
+    ((), None) once no d is left.
 
-    Assignment (sigma, c) of shape + (d,) is realized at d by a start u in
-    sigma's list with u + d in A_c, or by a closed-form head. Survivors
-    therefore form the intersection, over the assignments that no head
-    realizes for every d, of {d : u + d in A_c for some u}: tid-list
-    intersection along the time axis, shortest lists first, stopping once
-    nothing is left.
+    ``groups`` yields the table of shape as ``_extend_table`` does (the
+    root table is one group, of the empty assignment), and ``heads`` are
+    the tuple's ``_head_keys``. Assignment (sigma, c) of shape + (d,) is
+    realized at d by a start u in sigma's list with u + d in A_c, or by a
+    closed-form head. Survivors therefore form the intersection, over the
+    assignments that no head realizes for every d, of {d : u + d in A_c
+    for some u}: tid-list intersection along the time axis. Each group's
+    sets are intersected as the group arrives, shortest list first, and
+    no further group is read once nothing is left, so only a surviving
+    shape has its whole table built.
 
     Short builds of the dense family hold each set as an int mask, the OR
     of A_c's mask shifted down by every u; an assignment whose
@@ -369,9 +377,9 @@ def _extensions(shape, table, occs, heads, horizon,
     imposes nothing. Elsewhere the sets are sparse, the differences b - u
     of A_c's hits b past u. On the head-indexed family a finite-center
     assignment also holds at its one head difference, and an assignment
-    with an infinity neighborhood, whose set is co-finite, is tested per d
-    the way ``_extend_table`` tests it, first realizer first. Every list
-    element and hit read spends one node.
+    with an infinity neighborhood, whose set is co-finite, is tested per
+    live d (``_cofinite_kept``). Every list element and hit read spends
+    one node.
     """
     centers, windows = heads
     if all(c is None for c in centers):
@@ -380,90 +388,117 @@ def _extensions(shape, table, occs, heads, horizon,
         # every d up to the horizon, with no hit list to anchor on
         raise RuntimeError(
             "tuple has no finite-center neighborhood to anchor on")
+    k = len(occs)
     lo = shape[-1] + 1
-    pairs = []
-    sigmas = itertools.product(range(len(occs)), repeat=len(shape))
-    for sigma, starts in zip(sigmas, table):
-        idx = None if starts is None else _head_index(shape, sigma, heads)
-        for c, occ in enumerate(occs):
-            if starts is None and occ.complement:
-                continue  # the limit head realizes it
-            if windows is None and idx == centers[c]:
-                continue  # so does the fixed head of a shared dense center
-            finite = starts is not None and not occ.complement
-            head = (centers[c] - idx if finite and windows is not None
-                    and idx is not None else None)
-            # an all-infinity sigma reads the hits of A_c instead
-            size = len(starts if starts is not None else occ.times)
-            pairs.append((size, finite, sigma, c, starts, head))
-    pairs.sort(key=lambda p: p[0])
-    if pairs:
-        # the first set is a finite assignment's differences
-        first = next(i for i, p in enumerate(pairs) if p[1])
-        pairs.insert(0, pairs.pop(first))
-
+    table = [None] * k ** len(shape)
+    masks = None
+    live = None
     if windows is None and occs[0].n_points <= DENSE_BITMASK_LIMIT:
         span = (1 << (horizon + 1)) - 1
         live = span >> lo << lo
         masks = [occ.as_int() & span for occ in occs]
-        for _, _, _, c, starts, _ in pairs:
-            budget.spend(len(starts))
-            mask = masks[c]
-            acc = 0
-            for u in starts:
-                acc |= mask >> u
-            live &= acc
-            if not live:
-                return ()
-        return _int_to_bits(live)
-
-    live = None
-    for _, finite, sigma, c, starts, head in pairs:
-        occ = occs[c]
-        if finite:
-            hits = occ.times
-            top = bisect.bisect_right(hits, horizon)
-            got = set()
-            if head is not None and lo <= head <= horizon:
-                got.add(head)
-            for u in starts:
-                window = hits[bisect.bisect_left(hits, u + lo):top]
-                budget.spend(len(window))
-                got.update([b - u for b in window])
-            live = got if live is None else live & got
-        else:
-            read = 0
-            kept = set()
-            if starts is None:
-                # anchor on the new neighborhood's hits b = u + d
+    for i, sigma, lists in groups:
+        table[i * k:i * k + k] = lists
+        pairs = []
+        for j, starts in enumerate(lists):
+            sigma_j = sigma + (j,)
+            idx = None if starts is None else _head_index(shape, sigma_j,
+                                                          heads)
+            for c, occ in enumerate(occs):
+                if starts is None and occ.complement:
+                    continue  # the limit head realizes it
+                if windows is None and idx == centers[c]:
+                    continue  # so does the fixed head of a shared dense center
+                finite = starts is not None and not occ.complement
+                # an all-infinity sigma reads the hits of A_c instead
+                size = len(starts if starts is not None else occ.times)
+                pairs.append((size, finite, sigma_j, c, starts, idx))
+        pairs.sort(key=lambda p: p[0])
+        if live is None and pairs:
+            # the first set is a finite assignment's differences
+            first = next(n for n, p in enumerate(pairs) if p[1])
+            pairs.insert(0, pairs.pop(first))
+        for _, finite, sigma_j, c, starts, idx in pairs:
+            occ = occs[c]
+            if masks is not None:
+                budget.spend(len(starts))
+                mask = masks[c]
+                acc = 0
+                for u in starts:
+                    acc |= mask >> u
+                live &= acc
+            elif finite:
                 hits = occ.times
                 top = bisect.bisect_right(hits, horizon)
-                misses = [(t, occs[s]._miss_set) for t, s in zip(shape, sigma)]
-            for d in live:
-                if starts is not None:
-                    for u in starts:
-                        if u > horizon - d:
-                            break
-                        read += 1
-                        if u + d not in occ._miss_set:
-                            kept.add(d)
-                            break
-                else:
-                    for i in range(bisect.bisect_left(hits, d), top):
-                        read += 1
-                        u = hits[i] - d
-                        if all(u + t not in miss for t, miss in misses):
-                            kept.add(d)
-                            break
-                if d not in kept and _head_index(
-                        shape + (d,), sigma + (c,), heads) is not None:
-                    kept.add(d)
-            budget.spend(read)
-            live = kept
-        if not live:
-            return ()
+                got = set()
+                if windows is not None and idx is not None:
+                    head = centers[c] - idx
+                    if lo <= head <= horizon:
+                        got.add(head)
+                for u in starts:
+                    window = hits[bisect.bisect_left(hits, u + lo):top]
+                    budget.spend(len(window))
+                    got.update([b - u for b in window])
+                live = got if live is None else live & got
+            else:
+                live = _cofinite_kept(live, shape, sigma_j, c, starts, idx,
+                                      occs, heads, horizon, budget)
+            if not live:
+                return (), None
+    if masks is not None:
+        return _int_to_bits(live), tuple(table)
     # only one dense center throughout: its fixed head realizes everything
-    return tuple(range(lo, horizon + 1) if live is None else sorted(live))
+    return (tuple(range(lo, horizon + 1)) if live is None
+            else tuple(sorted(live))), tuple(table)
+
+
+def _cofinite_kept(live, shape, sigma, c, starts, idx, occs, heads, horizon,
+                   budget) -> set[int]:
+    """The d in ``live`` at which assignment (sigma, c) of shape + (d,) is
+    realized, where its set is co-finite: A_c is an infinity neighborhood,
+    or sigma is made purely of them and ``starts`` is None.
+
+    The closed-form head goes first. With ``starts``, sigma's finite
+    centers pin its index ``idx`` (``_head_index``), which then has to
+    clear A_c's window, |idx + d| >= window; without, the index is
+    center - d, which has to clear every earlier time's window. Then the
+    realizers are tested as ``_extend_table`` tests them, first one
+    first, one node per start read.
+    """
+    centers, windows = heads
+    occ = occs[c]
+    read = 0
+    kept = set()
+    if starts is None:
+        # anchor on the new neighborhood's hits b = u + d
+        hits = occ.times
+        top = bisect.bisect_right(hits, horizon)
+        misses = [(t, occs[s]._miss_set) for t, s in zip(shape, sigma)]
+        clear = [(centers[c] + t, windows[s]) for t, s in zip(shape, sigma)]
+    for d in live:
+        if starts is not None:
+            if idx is not None and abs(idx + d) >= windows[c]:
+                kept.add(d)
+                continue
+            for u in starts:
+                if u > horizon - d:
+                    break
+                read += 1
+                if u + d not in occ._miss_set:
+                    kept.add(d)
+                    break
+        else:
+            if all(abs(a - d) >= w for a, w in clear):
+                kept.add(d)
+                continue
+            for i in range(bisect.bisect_left(hits, d), top):
+                read += 1
+                u = hits[i] - d
+                if all(u + t not in miss for t, miss in misses):
+                    kept.add(d)
+                    break
+    budget.spend(read)
+    return kept
 
 
 def _check_assignment_cap(k: int, n: int):
@@ -518,7 +553,11 @@ def is_independence_set(J, specs, traj: Trajectory,
     shape = (0,)
     table = _root_table(occs, hi + t0, lo + t0)
     for t in J[1:]:
-        table = _extend_table(shape, table, t - t0, occs, horizon, budget)
+        child = [None] * (len(table) * k)
+        for i, _, lists in _extend_table(shape, table, t - t0, occs, horizon,
+                                         budget):
+            child[i * k:i * k + k] = lists
+        table = child
         shape += (t - t0,)
 
     heads = _head_keys(specs, traj)
@@ -573,14 +612,15 @@ def max_independence(specs, cap: int, traj: Trajectory,
                      budget: SearchBudget | None = None) -> MaxIndependenceResult:
     """Largest independence-set size for the tuple, capped at cap.
 
-    Shapes are explored depth-first, in lexicographic order. Every node,
-    the root (0,) included, takes its children from the exact candidate
-    generator ``_extensions`` and builds a child's table only to descend
-    into it, so the first shape of the largest size found is the least
-    one. When the search dies below the cap it has visited every
+    Shapes are explored depth-first, in lexicographic order, so the first
+    shape of the largest size found is the least one. Every node, the
+    root (0,) included, takes its children from the exact candidate
+    generator ``_extensions``, which builds the node's table only as far
+    as it needs to. When the search dies below the cap it has visited every
     surviving shape, and its exhaustion certificate records their number
-    per size. A fixed point in every neighborhood answers the cap at
-    once, within ``is_independence_set``'s assignment cap.
+    per size. A fixed point in every neighborhood answers at once, with
+    the first min(cap, horizon + 1) times, no certificate and one node
+    per time, within ``is_independence_set``'s assignment cap.
     """
     tspec = as_tuple_spec(specs)
     if cap < 1:
@@ -591,25 +631,28 @@ def max_independence(specs, cap: int, traj: Trajectory,
     if budget is None:
         budget = SearchBudget()
 
+    # a shape holds distinct times up to the horizon
+    longest = min(cap, horizon + 1)
     fixed = _fixed_head_everywhere(tspec.specs, traj)
     if fixed is not None:
-        _check_assignment_cap(len(tspec), cap)
-        shape = tuple(range(cap))
+        _check_assignment_cap(len(tspec), longest)
+        budget.spend(longest)
+        shape = tuple(range(longest))
         realizers = {sigma: fixed for sigma in
-                     itertools.product(range(len(tspec)), repeat=cap)}
+                     itertools.product(range(len(tspec)), repeat=longest)}
         return MaxIndependenceResult(
-            cap, IndependenceWitness(shape, realizers), None)
+            longest, IndependenceWitness(shape, realizers), None)
 
     occs = [occupancy(s, traj) for s in tspec.specs]
     heads = _head_keys(tspec.specs, traj)
-    # a shape holds distinct times up to the horizon
-    visited = [0] * (min(cap, horizon + 1) + 1)
+    visited = [0] * (longest + 1)
     visited[1] = 1
     best_shape = (0,)
 
-    def extend(shape: tuple[int, ...], table):
+    def extend(shape: tuple[int, ...], groups):
         nonlocal best_shape
-        for d in _extensions(shape, table, occs, heads, horizon, budget):
+        ds, table = _extensions(shape, groups, occs, heads, horizon, budget)
+        for d in ds:
             cand = shape + (d,)
             visited[len(cand)] += 1
             if len(cand) > len(best_shape):
@@ -623,7 +666,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
         return None
 
     # singletons always embed through the center's own head
-    found = (0,) if cap == 1 else extend((0,), _root_table(occs, horizon))
+    found = (0,) if cap == 1 else extend(
+        (0,), [(0, (), _root_table(occs, horizon))])
     if found is not None:
         return _cap_result(tspec, traj, horizon, found, budget)
     # exhausted: visited counts the surviving shapes per size, hence the label

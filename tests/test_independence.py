@@ -254,6 +254,20 @@ class TestMaxIndependence:
         res = max_independence(specs, cap=3, traj=m2k2)
         assert res.length == 3 and len(res.witness.realizers) == 8
 
+    def test_fixed_head_answer_is_bounded_by_the_horizon(self, m2k2):
+        # 1^n assignments never pass the assignment cap, so the horizon
+        # bounds the answer and the budget its cost
+        specs = (U(Symbol.head_inf(), 1),)
+        with pytest.raises(ResourceBudgetExceeded):
+            max_independence(specs, cap=10 ** 6, traj=m2k2, horizon=100,
+                             budget=SearchBudget(max_nodes=1))
+        budget = SearchBudget()
+        res = max_independence(specs, cap=10 ** 6, traj=m2k2, horizon=100,
+                               budget=budget)
+        assert res.length == 101 and res.certificate is None
+        assert res.witness.times == tuple(range(101))
+        assert budget.nodes == 101
+
     def test_budget_exhaustion_raises(self, m2k3):
         specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))
         with pytest.raises(ResourceBudgetExceeded):
@@ -272,6 +286,34 @@ class TestMaxIndependence:
                                 horizon=horizon)
         assert four.certificate is None
         assert four.witness.times == (0, 9, 18, 27)
+
+    def test_dead_pairs_build_one_group_of_their_tables(self, dense4,
+                                                         monkeypatch):
+        # each of the 933 pair tables of the five-center refutation stops
+        # at its first group, the shortest parent list's; only the final
+        # witness check of (0,) and its pair builds a full table
+        horizon = dense4.block_range(3)[1]
+        five = [U(Symbol.dense(j), 1) for j in range(1, 6)]
+        pulled = []
+        shortest_first = []
+        build = independence._extend_table
+
+        def spy(shape, table, *args):
+            pulled.append([len(table), 0])
+            for i, sigma, lists in build(shape, table, *args):
+                if not pulled[-1][1]:
+                    shortest_first.append(
+                        len(table[i]) == min(map(len, table)))
+                pulled[-1][1] += 1
+                yield i, sigma, lists
+
+        monkeypatch.setattr(independence, "_extend_table", spy)
+        res = max_independence(five, cap=4, traj=dense4, horizon=horizon)
+        assert res.certificate.frontier_sizes == (1, 933, 0)
+        assert res.certificate.died_level == 3
+        assert pulled[:-1] == [[5, 1]] * 933
+        assert pulled[-1] == [5, 5]
+        assert all(shortest_first) and len(shortest_first) == 934
 
 
 class TestSearchBudget:
@@ -312,13 +354,28 @@ def _dense_or_random_builds(rng, dense2, count):
         yield traj, specs
 
 
+def _root_groups(occs, horizon):
+    """The root table as the one group of the empty assignment."""
+    return [(0, (), independence._root_table(occs, horizon))]
+
+
 def _root_extensions(specs, traj, horizon, budget):
     """The candidate generator at the root (0,): the ascending d making
     (0, d) an independence set."""
     occs = [occupancy(s, traj) for s in specs]
     return independence._extensions(
-        (0,), independence._root_table(occs, horizon), occs,
-        independence._head_keys(specs, traj), horizon, budget)
+        (0,), _root_groups(occs, horizon), occs,
+        independence._head_keys(specs, traj), horizon, budget)[0]
+
+
+def _child_table(shape, table, d, occs, horizon, budget):
+    """The full table of shape + (d,), in product order."""
+    k = len(occs)
+    child = [None] * (len(table) * k)
+    for i, _, lists in independence._extend_table(shape, table, d, occs,
+                                                  horizon, budget):
+        child[i * k:i * k + k] = lists
+    return child
 
 
 class TestPairStage:
@@ -480,8 +537,8 @@ class TestRealizerTables:
                     if not ds or len(shape) == 4:
                         break
                     d = rng.choice(ds)
-                    table = independence._extend_table(
-                        shape, table, d, occs, horizon, budget)
+                    table = _child_table(shape, table, d, occs, horizon,
+                                         budget)
                     shape += (d,)
         assert checked >= 200
 
@@ -514,31 +571,70 @@ class TestExtensions:
             horizon = min(traj.horizon, rng.randrange(40, 121))
             label = (traj.family, horizon, [s.render() for s in specs])
 
-            shape, table = (0,), independence._root_table(occs, horizon)
-            while len(shape) <= 3:
+            shape = (0,)
+            ds, table = independence._extensions(
+                shape, _root_groups(occs, horizon), occs, heads, horizon,
+                SearchBudget())
+            while True:
                 want = tuple(d for d in range(shape[-1] + 1, horizon + 1)
                              if is_independence_set(shape + (d,), specs, traj,
                                                     horizon=horizon).ok)
-                assert independence._extensions(
-                    shape, table, occs, heads, horizon,
-                    SearchBudget()) == want, (label, shape)
+                assert ds == want, (label, shape)
                 sizes[len(shape)] += 1
                 deep_inf += len(shape) > 1 and any(
                     s.center.kind == KIND_HEAD_INF for s in specs)
-                if not want:
+                if not want or len(shape) == 3:
                     break
                 d = rng.choice(want)
-                table = independence._extend_table(
-                    shape, table, d, occs, horizon, SearchBudget())
-                shape += (d,)
+                ds, table_d = independence._extensions(
+                    shape + (d,), independence._extend_table(
+                        shape, table, d, occs, horizon, SearchBudget()),
+                    occs, heads, horizon, SearchBudget())
+                # a surviving shape comes with its full table
+                full = _child_table(shape, table, d, occs, horizon,
+                                    SearchBudget())
+                if ds:
+                    assert table_d == tuple(full), label
+                shape, table = shape + (d,), table_d
         assert min(sizes[1:]) >= 10 and deep_inf >= 4, (sizes, deep_inf)
+
+    def test_cofinite_heads_match_head_index(self, m2k2):
+        # with no orbit start and no hit to anchor on, only a closed-form
+        # head realizes a co-finite assignment: the generator's index test
+        # must agree with _head_index at every d, window edges included
+        specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1),
+                 U(Symbol.head(-3), 2), U(Symbol.head_inf(), 3))
+        heads = independence._head_keys(specs, m2k2)
+        centers = heads[0]
+        occs = [occupancy(s, m2k2) if centers[i] is None
+                else independence.OccupancyVector(m2k2.n_points, times=())
+                for i, s in enumerate(specs)]
+        horizon = 40
+        partial = 0
+        for shape in ((0,), (0, 2), (0, 5, 9)):
+            live = set(range(shape[-1] + 1, horizon + 1))
+            for sigma in itertools.product(range(4), repeat=len(shape)):
+                pure = all(centers[s] is None for s in sigma)
+                for c in range(4):
+                    if pure == (centers[c] is None):
+                        continue  # the limit head's, or not co-finite
+                    idx = (None if pure else
+                           independence._head_index(shape, sigma, heads))
+                    got = independence._cofinite_kept(
+                        live, shape, sigma, c, None if pure else (), idx,
+                        occs, heads, horizon, SearchBudget())
+                    want = {d for d in live if independence._head_index(
+                        shape + (d,), sigma + (c,), heads) is not None}
+                    assert got == want, (shape, sigma, c)
+                    partial += 0 < len(want) < len(live)
+        assert partial >= 20, partial
 
     def test_tuple_without_finite_center_is_an_internal_error(self, m2k2):
         specs = (U(Symbol.head_inf(), 1), U(Symbol.head_inf(), 2))
         occs = [occupancy(s, m2k2) for s in specs]
         with pytest.raises(RuntimeError, match="anchor") as info:
             independence._extensions(
-                (0,), independence._root_table(occs, 50), occs,
+                (0,), _root_groups(occs, 50), occs,
                 independence._head_keys(specs, m2k2), 50, SearchBudget())
         assert not isinstance(info.value, ValueError)
 
@@ -553,27 +649,40 @@ class TestExtensions:
             specs = tuple(U(Symbol.dense(j), 1) for j in (1, 2, 3))
             if case == "sparse":
                 monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
-        # the nodes spent before the first generator pass below the root
-        # that reads anything
+        # for the first generator pass below the root whose first group
+        # costs nodes to build and then to read: the nodes spent before
+        # the pass, and once that group is built
         entries = []
         generate = independence._extensions
 
-        def spy(shape, table, occs, heads, horizon, budget):
+        def spy(shape, groups, occs, heads, horizon, budget):
             before = budget.nodes
-            out = generate(shape, table, occs, heads, horizon, budget)
-            if len(shape) > 1 and budget.nodes > before:
-                entries.append(before)
+            marks = []
+
+            def watched():
+                for group in groups:
+                    marks.append(budget.nodes)
+                    yield group
+                    marks.append(budget.nodes)
+
+            out = generate(shape, watched(), occs, heads, horizon, budget)
+            read = marks[1] if len(marks) > 1 else budget.nodes
+            if len(shape) > 1 and before < marks[0] < read:
+                entries.append((before, marks[0]))
             return out
 
         monkeypatch.setattr(independence, "_extensions", spy)
         max_independence(specs, cap=5, traj=traj)
         monkeypatch.setattr(independence, "_extensions", generate)
         assert entries
-        with pytest.raises(ResourceBudgetExceeded) as info:
-            max_independence(specs, cap=5, traj=traj,
-                             budget=SearchBudget(max_nodes=entries[0]))
-        names = [entry.name for entry in info.traceback]
-        assert names[-2:] == ["_extensions", "spend"], names
+        before, built = entries[0]
+        for nodes, tail in ((before, ["_extensions", "_extend_table"]),
+                            (built, ["_extensions"])):
+            with pytest.raises(ResourceBudgetExceeded) as info:
+                max_independence(specs, cap=5, traj=traj,
+                                 budget=SearchBudget(max_nodes=nodes))
+            names = [entry.name for entry in info.traceback]
+            assert names[-len(tail) - 1:] == tail + ["spend"], names
 
 
 class TestShiftProperty:
