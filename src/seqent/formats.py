@@ -1,10 +1,11 @@
 """Deterministic file formats: manifests, symbol listings, certificates,
 reports.
 
-Every file is line-oriented UTF-8 with a leading ``format: 1`` header and a
-``kind`` line. Manifests carry the full build schedule plus the segmentation
-for audit, and a sha256 content hash; rebuilding from the schedule must
-reproduce the manifest byte for byte. Infinity renders as the token ``inf``.
+Every file is line-oriented UTF-8 with LF line endings, a leading
+``format: 1`` header and a ``kind`` line. Manifests carry the full build
+schedule plus the segmentation for audit, and a sha256 content hash;
+rebuilding from the schedule must reproduce the manifest byte for byte.
+Infinity renders as the token ``inf``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, islice
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -43,11 +44,12 @@ def parse_field(label: str, text, parse=str, low=None):
 
 
 @contextmanager
-def input_file(path, what: str):
-    """An input file opened as UTF-8 text; a missing, unreadable or
-    undecodable file is an InvalidConfig naming it."""
+def input_file(path, what: str, newline=None):
+    """An input file opened as UTF-8 text, its line endings translated to
+    newlines unless newline is "" (as ``open`` takes it); a missing,
+    unreadable or undecodable file is an InvalidConfig naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline=newline) as fh:
             yield fh
     except OSError as exc:
         raise InvalidConfig(
@@ -128,7 +130,7 @@ def manifest_string(traj: Trajectory) -> str:
 
 def write_manifest(traj: Trajectory, path) -> str:
     text = manifest_string(traj)
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
     return text
 
 
@@ -148,11 +150,14 @@ def _ints(text: str) -> list[int]:
 
 
 def read_manifest(path) -> dict:
-    """Parse a manifest file: header, schedule, and verified content hash."""
-    with input_file(path, "manifest") as fh:
-        text = fh.read()
+    """Parse a manifest file: header, schedule, and the content hash,
+    checked over the file as written."""
+    with input_file(path, "manifest", newline="") as fh:
+        return _parse_manifest(fh.read(), f"manifest {path}")
+
+
+def _parse_manifest(text: str, source: str) -> dict:
     lines = text.splitlines()
-    source = f"manifest {path}"
     if not lines or lines[0] != f"format: {FORMAT_VERSION}":
         raise InvalidConfig("unsupported or missing format header")
     if _header_value(lines, "kind", source) != "manifest":
@@ -160,9 +165,9 @@ def read_manifest(path) -> dict:
     hash_line = lines[-1]
     if not hash_line.startswith("hash: "):
         raise InvalidConfig(f"{source} is missing its hash line")
-    body = "\n".join(lines[:-1]) + "\n"
-    recorded = hash_line[len("hash: "):]
-    if config_hash(body) != recorded:
+    # the hash line is the last line, so its text last occurs where it starts
+    body = text[:text.rindex(hash_line)]
+    if config_hash(body) != hash_line[len("hash: "):]:
         raise InvalidConfig("manifest content does not match its hash")
 
     def value(key, parse=_ints):
@@ -196,8 +201,20 @@ def rebuild_from_manifest(data: dict) -> Trajectory:
 
 
 def replay_manifest(path) -> tuple[bool, str]:
-    """Rebuild from a manifest's schedule and compare byte for byte."""
-    data = read_manifest(path)
+    """Rebuild from a manifest's schedule and compare byte for byte.
+
+    Every manifest line ends in a newline. A line with another ending, or
+    none, fails replay before the hash, which covers the bytes as written,
+    is checked.
+    """
+    with input_file(path, "manifest", newline="") as fh:
+        text = fh.read()
+    for i, line in enumerate(text.splitlines(keepends=True), 1):
+        ending = line[len(line.splitlines()[0]):]
+        if ending != "\n":
+            return False, (f"line {i} ending differs: file has {ending!r}, "
+                           f"rebuild '\\n'")
+    data = _parse_manifest(text, f"manifest {path}")
     rebuilt = manifest_string(rebuild_from_manifest(data))
     if rebuilt == data["text"]:
         return True, "manifest reproduced byte for byte"
@@ -220,11 +237,20 @@ def _symbol_header(family: str, lo: int, hi: int) -> str:
 
 
 def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
-    """The data lines for times [lo, hi], one string per emitter piece."""
+    """The data lines for times [lo, hi], one string per emitter piece.
+
+    A piece is rendered by one ``%`` format call: a line template repeated
+    once per time, applied to the interleaved (time, index) ints. A ``%`` in
+    the segment path is escaped so the template keeps two fields a line.
+    """
     prefix = "a" if traj.family == FAMILY_LOG_M else "e"
     for t0, indices, path in traj.symbol_pieces(lo, hi):
-        yield "".join([f"{t}\t{prefix}{i}\t{path}\n"
-                       for t, i in zip(count(t0), indices)])
+        n = len(indices)
+        fields = [0] * (2 * n)
+        fields[0::2] = range(t0, t0 + n)
+        fields[1::2] = indices
+        line = f"%d\t{prefix}%d\t{path.replace('%', '%%')}\n"
+        yield line * n % tuple(fields)
 
 
 def write_symbols(traj: Trajectory, path, lo: int = 0,
@@ -238,7 +264,7 @@ def write_symbols(traj: Trajectory, path, lo: int = 0,
     if hi - lo + 1 > SYMBOL_LINE_CAP:
         raise InvalidConfig(f"span [{lo}, {hi}] exceeds {SYMBOL_LINE_CAP} "
                             f"lines; pass a range")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chain([_symbol_header(traj.family, lo, hi)],
                             _symbol_chunks(traj, lo, hi)))
     return hi - lo + 1
@@ -317,7 +343,7 @@ def certificate_string(cert: ExhaustionCertificate) -> str:
 
 def write_certificate(cert: ExhaustionCertificate, path) -> str:
     text = certificate_string(cert)
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
     return text
 
 
@@ -398,5 +424,5 @@ def report_string(report, config_fingerprint: str | None = None) -> str:
 
 def write_report(report, path, config_fingerprint: str | None = None) -> str:
     text = report_string(report, config_fingerprint)
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
     return text

@@ -31,8 +31,10 @@ KIND_DENSE = "dense"
 FAMILY_LOG_M = "log-m"
 FAMILY_LOG_INFTY = "log-infty"
 
-# longest piece Trajectory.symbol_pieces yields, in times
-PIECE_TIMES = 65_536
+# longest piece Trajectory.symbol_pieces yields, in times; formats renders
+# a piece with one format call, whose whole-piece temporaries (an int list,
+# its tuple, the line template) this keeps small
+PIECE_TIMES = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +416,8 @@ class Trajectory:
 
         A piece holds the symbol indices of at most PIECE_TIMES times from t0
         on that share one segment and, for the head-indexed family, one run:
-        a ``range`` there, a list slice for the dense family.
+        a ``range`` there, a list slice for the dense family. Symbol files
+        render each piece with one format call.
         """
         if lo <= hi:
             self.check_time(lo)

@@ -264,6 +264,15 @@ class TestReplay:
         assert code == EXIT_INVALID
         assert "--manifest" in err
 
+    def test_crlf_manifest_fails(self, built, capsys):
+        manifest, _ = built
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        code, out, _ = run_cli(capsys, "verify", "--replay", str(manifest))
+        assert code == EXIT_FAIL
+        assert out == (f"FAIL replay {manifest}: line 1 ending differs: "
+                       f"file has '\\r\\n', rebuild '\\n'\n")
+
     def test_tampered_manifest_is_invalid(self, built, capsys):
         manifest, _ = built
         text = manifest.read_text(encoding="utf-8")
@@ -503,6 +512,23 @@ class TestSymbolReplayFailures:
         assert self.replay(capsys, tmp_path, manifest, edited) == (
             EXIT_FAIL, "line 30005: file has '30000\\ta29186\\tB1/IG2', "
                        "rebuild gives '30000\\ta29185\\tB1/IG2'")
+
+    @pytest.mark.parametrize("t", [17_200, 17_201],
+                             ids=["last-of-first-piece",
+                                  "first-of-second-piece"])
+    def test_symbol_edited_at_a_piece_boundary(self, built, tmp_path, capsys,
+                                               m2k2, t):
+        manifest, lines = built
+        # the long run from time 817 on is cut after PIECE_TIMES times
+        starts = [t0 for t0, _, _ in m2k2.symbol_pieces(817, 40_000)]
+        assert starts[1] == 817 + seqent.model.PIECE_TIMES == 17_201
+        edited = list(lines)
+        want = f"{t}\ta{t - 815}\tB1/IG2"
+        assert edited[4 + t] == want
+        edited[4 + t] = f"{t}\ta{t - 814}\tB1/IG2"
+        assert self.replay(capsys, tmp_path, manifest, edited) == (
+            EXIT_FAIL, f"line {t + 5}: file has {edited[4 + t]!r}, "
+                       f"rebuild gives {want!r}")
 
     def test_family_mismatch(self, built, tmp_path, capsys):
         manifest, lines = built

@@ -1,5 +1,6 @@
 """Serialization: manifests, symbol files, certificates, reports, replay."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -95,6 +96,28 @@ class TestManifest:
         ok, message = replay_manifest(path)
         assert ok, message
 
+    @pytest.mark.parametrize("ending, changed", [
+        ("\r\n", slice(None)), ("\r", slice(2, 3)), ("", slice(-1, None))],
+        ids=["crlf", "lone-cr", "no-final-newline"])
+    def test_line_ending_differences_fail_replay(self, tmp_path, m2k2,
+                                                 ending, changed):
+        rows = manifest_string(m2k2).splitlines(keepends=True)
+        numbers = range(1, len(rows) + 1)[changed]
+        for i in numbers:
+            rows[i - 1] = rows[i - 1][:-1] + ending
+        path = tmp_path / "m.txt"
+        path.write_bytes("".join(rows).encode("utf-8"))
+        assert replay_manifest(path) == (
+            False, f"line {numbers[0]} ending differs: file has {ending!r}, "
+                   f"rebuild '\\n'")
+
+    def test_hash_covers_the_bytes_as_written(self, tmp_path, m2k2):
+        path = tmp_path / "m.txt"
+        path.write_bytes(manifest_string(m2k2).replace(
+            "\n", "\r\n").encode("utf-8"))
+        with pytest.raises(InvalidConfig, match="does not match its hash"):
+            read_manifest(path)
+
     def test_function_table_present(self, m2k2):
         text = manifest_string(m2k2)
         assert "functions[1]: 0,0;0,1;1,0;1,1" in text
@@ -149,6 +172,13 @@ class TestSymbolReplayEdges:
         write_symbols(dense2, path, 3, 40)
         path.write_text(path.read_text(encoding="utf-8").rstrip("\n"),
                         encoding="utf-8")
+        assert replay_symbols(path, dense2) == (
+            True, "38 symbol lines reproduced")
+
+    def test_crlf_symbol_file_still_replays(self, tmp_path, dense2):
+        path = tmp_path / "s.txt"
+        write_symbols(dense2, path, 3, 40)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert replay_symbols(path, dense2) == (
             True, "38 symbol lines reproduced")
 
@@ -220,6 +250,16 @@ class TestSymbolEmitterDifferential:
                         boundary_spans(rng, traj.horizon, boundaries, 30, 1500)
                         + [(0, min(traj.horizon, 3000)),
                            (traj.horizon, traj.horizon)])
+
+    def test_format_characters_in_a_segment_path(self, tmp_path,
+                                                 monkeypatch, dense2):
+        odd = "B1/%d%%{0}%s}/S2"
+        segments = list(dense2.manifest.segments)
+        segments[1] = dataclasses.replace(segments[1], path=odd)
+        monkeypatch.setattr(dense2.manifest, "segments", segments)
+        self._check(tmp_path, dense2, [(0, dense2.horizon)])
+        text = (tmp_path / "s.txt").read_text(encoding="utf-8")
+        assert text.count(f"\t{odd}\n") == segments[1].length > 0
 
     @staticmethod
     def _check(tmp_path, traj, spans):
