@@ -152,7 +152,7 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
             return
         # every consecutive value along the block is an eps-step; the block
         # takes few distinct (previous, current) index steps, test each once
-        idx = [traj.symbol_index_at(t) for t in range(block.start, block.end)]
+        idx = traj.dense_slice(block.start, block.end)
         bad = {(a, b) for a, b in set(zip(idx, idx[1:]))
                if abs(dense_value(b) - dense_value(a)) >= block.eps}
         if bad:
@@ -162,19 +162,24 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
             report.counterexample = (
                 f"step at time {block.start + t} jumps {jump} >= {block.eps}")
             return
-        # glue chains are minimal for their endpoint values
+        # glue chains are minimal for their endpoint values; the block glues
+        # few distinct endpoint pairs, each pair's minimum is found once
+        least: dict[tuple[int, int], int] = {}
         for seg in segs_by_block[n]:
             if seg.kind != "glue":
                 continue
-            before = dense_value(traj.symbol_index_at(seg.start - 1))
+            before = traj.symbol_index_at(seg.start - 1)
             if _glue_has_home(seg, block):
                 interior = seg.length - 1
                 end = seg.start + seg.length - 1
             else:
                 interior = seg.length
                 end = seg.start + seg.length
-            after = dense_value(traj.symbol_index_at(end))
-            need = chain_min_interior(before, after, block.eps)
+            after = traj.symbol_index_at(end)
+            if (before, after) not in least:
+                least[before, after] = chain_min_interior(
+                    dense_value(before), dense_value(after), block.eps)
+            need = least[before, after]
             if interior != need:
                 report.counterexample = (
                     f"{seg.path} has {interior} interior points, "

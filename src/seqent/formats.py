@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -237,7 +237,8 @@ def _symbol_header(family: str, lo: int, hi: int) -> str:
 
 
 def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
-    """The data lines for times [lo, hi], one string per emitter piece.
+    """The data lines for times [lo, hi]: a (first time, text) pair per
+    emitter piece.
 
     A piece is rendered by one ``%`` format call: a line template repeated
     once per time, applied to the interleaved (time, index) ints. A ``%`` in
@@ -250,7 +251,7 @@ def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
         fields[0::2] = range(t0, t0 + n)
         fields[1::2] = indices
         line = f"%d\t{prefix}%d\t{path.replace('%', '%%')}\n"
-        yield line * n % tuple(fields)
+        yield t0, line * n % tuple(fields)
 
 
 def write_symbols(traj: Trajectory, path, lo: int = 0,
@@ -265,8 +266,8 @@ def write_symbols(traj: Trajectory, path, lo: int = 0,
         raise InvalidConfig(f"span [{lo}, {hi}] exceeds {SYMBOL_LINE_CAP} "
                             f"lines; pass a range")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chain([_symbol_header(traj.family, lo, hi)],
-                            _symbol_chunks(traj, lo, hi)))
+        fh.write(_symbol_header(traj.family, lo, hi))
+        fh.writelines(text for _, text in _symbol_chunks(traj, lo, hi))
     return hi - lo + 1
 
 
@@ -282,7 +283,8 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
 
     Returns (ok, message); on mismatch the message names the first
     offending line, which is the counterexample. The file is streamed
-    against the rendered pieces; only a file that differs is re-scanned.
+    against the rendered pieces; a file that differs is read once more,
+    counting its lines and comparing them from its first differing piece on.
     """
     head = list(islice(_file_lines(path), 4))
     if len(head) < 4 or head[1] != "kind: symbols":
@@ -299,25 +301,40 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     n_lines = hi - lo + 1
     renderable = (lo >= 0 and hi <= traj.horizon
                   and 0 <= n_lines <= SYMBOL_LINE_CAP)
+    same = 0  # data lines before the first piece the file does not match
     if renderable:
-        texts = chain([_symbol_header(family, lo, hi)],
-                      _symbol_chunks(traj, lo, hi))
+        header = _symbol_header(family, lo, hi)
         with input_file(path, "symbol file") as fh:
-            if all(fh.read(len(c)) == c for c in texts) and not fh.read(1):
-                return True, f"{n_lines} symbol lines reproduced"
-    n_data = sum(1 for _ in islice(_file_lines(path), 4, None))
+            if fh.read(len(header)) == header:
+                for t0, text in _symbol_chunks(traj, lo, hi):
+                    if fh.read(len(text)) != text:
+                        same = t0 - lo
+                        break
+                else:
+                    if not fh.read(1):
+                        return True, f"{n_lines} symbol lines reproduced"
+    # one pass over the data lines counts them all and compares them from
+    # the first piece the file does not reproduce on
+    data = islice(_file_lines(path), 4, None)
+    n_data = sum(1 for _ in islice(data, same))
+    differs = None
+    if renderable:
+        expected = (line for _, text in _symbol_chunks(traj, lo + same, hi)
+                    for line in text.splitlines())
+        for number, (want, got) in enumerate(zip(expected, data), 5 + same):
+            n_data += 1
+            if got != want:
+                differs = (f"line {number}: file has {got!r}, "
+                           f"rebuild gives {want!r}")
+                break
+    n_data += sum(1 for _ in data)
     if n_data != n_lines:
         return False, f"{n_data} data lines do not cover range {lo},{hi}"
     if not renderable:
         return False, (f"range {lo},{hi} does not lie in [0, {traj.horizon}] "
                        f"within {SYMBOL_LINE_CAP} lines")
-    expected = (line for chunk in _symbol_chunks(traj, lo, hi)
-                for line in chunk.splitlines())
-    data = islice(_file_lines(path), 4, None)
-    for number, (got, want) in enumerate(zip(data, expected), 5):
-        if got != want:
-            return False, (f"line {number}: file has {got!r}, "
-                           f"rebuild gives {want!r}")
+    if differs:
+        return False, differs
     return True, f"{n_lines} symbol lines reproduced"
 
 

@@ -19,6 +19,7 @@ individual points. The dense family is short enough to store explicitly.
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -295,7 +296,10 @@ class Trajectory:
         self._runs = runs or []
         self._run_starts = [r[0] for r in self._runs]
         self._dense = dense_symbols
-        self._dense_hits: dict[int, list[int]] | None = None
+        # dense hit lists, one per asked index, found by ``dense_hits`` in
+        # the symbols packed as array bytes (with the array's typecode)
+        self._dense_hits: dict[int, tuple[int, ...]] = {}
+        self._dense_packed: tuple[bytes, str] | None = None
         if family == FAMILY_LOG_M:
             last = self._runs[-1]
             self.n_points = last[0] + last[2]
@@ -382,15 +386,52 @@ class Trajectory:
         return cached
 
     def dense_hits(self, j: int) -> tuple[int, ...]:
-        """All orbit times whose symbol is e_j, ascending."""
+        """All orbit times whose symbol is e_j, ascending.
+
+        Only index j is looked up, and its tuple is cached. The first call
+        packs the dense symbols into an ``array`` whose items fit the
+        largest index; j's hits are the item-aligned occurrences of its
+        item bytes in the packed bytes.
+        """
         if self._dense is None:
             raise ValueError("dense_hits applies to the dense family")
-        if self._dense_hits is None:
-            table: dict[int, list[int]] = {}
-            for t, idx in enumerate(self._dense):
-                table.setdefault(idx, []).append(t)
-            self._dense_hits = table
-        return tuple(self._dense_hits.get(j, ()))
+        hits = self._dense_hits.get(j)
+        if hits is None:
+            hits = self._dense_hits[j] = tuple(self._packed_times(j))
+        return hits
+
+    def _packed_times(self, j: int):
+        """Times of j's item-aligned occurrences in the packed symbols."""
+        if self._dense_packed is None:
+            for code in "BHIQ":  # the narrowest items that hold every index
+                try:
+                    data = array(code, self._dense).tobytes()
+                except OverflowError:
+                    continue
+                self._dense_packed = data, code
+                break
+        data, code = self._dense_packed
+        size = array(code).itemsize
+        if not 0 <= j < 1 << 8 * size:
+            return
+        needle = array(code, [j]).tobytes()
+        find = data.find
+        i = find(needle)
+        while i >= 0:
+            if i % size:  # an aligned match may start one byte further on
+                i = find(needle, i + 1)
+            else:
+                yield i // size
+                i = find(needle, i + size)
+
+    def dense_slice(self, lo: int, hi: int) -> list[int]:
+        """Dense positions of x_lo, ..., x_(hi-1), as a new list."""
+        if self._dense is None:
+            raise ValueError("dense_slice applies to the dense family")
+        if lo < hi:
+            self.check_time(lo)
+            self.check_time(hi - 1)
+        return self._dense[lo:hi]
 
     def near_head_times(self, width: int) -> tuple[int, ...]:
         """Orbit times with |symbol index| <= width (log-m), ascending.

@@ -38,6 +38,15 @@ def naive_symbol_lines(traj, lo, hi):
             for t in range(lo, hi + 1)]
 
 
+def naive_dense_hits(traj):
+    """{index: ascending times} for every dense index present, one pass
+    over the symbols with one point query per time."""
+    table = {}
+    for t in range(traj.n_points):
+        table.setdefault(traj.symbol_index_at(t), []).append(t)
+    return {j: tuple(times) for j, times in table.items()}
+
+
 def _threshold(traj, level, offset):
     return traj.manifest.block(level).start + offset
 

@@ -111,6 +111,35 @@ class TestValidateGrowth:
             f"{tail.path} has {tail.length} interior points, "
             f"minimal is {tail.length - 1}")
 
+    def test_dense_padded_glue_with_a_repeated_endpoint_pair_caught(
+            self, dense2):
+        symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
+        block = dense2.manifest.block(2)
+        glue = [s for s in dense2.manifest.segments
+                if s.path.startswith("B2/G") and s.end < block.end]
+        pairs = [(symbols[s.start - 1], symbols[s.end]) for s in glue]
+        # the first glue segment whose endpoint pair an earlier one used
+        i = next(i for i, pair in enumerate(pairs) if pair in pairs[:i])
+        seg = glue[i]
+        # repeat its first interior point and shift everything after it
+        symbols.insert(seg.start, symbols[seg.start])
+        segments = []
+        for s in dense2.manifest.segments:
+            if s == seg:
+                s = dataclasses.replace(s, length=s.length + 1)
+            elif s.start > seg.start:
+                s = dataclasses.replace(s, start=s.start + 1)
+            segments.append(s)
+        blocks = dense2.manifest.blocks[:-1] + [dataclasses.replace(
+            block, end=block.end + 1,
+            piece_starts=tuple(p + (p > seg.start)
+                               for p in block.piece_starts))]
+        rep = validate_growth(_dense_copy(dense2, symbols, blocks, segments))
+        assert not rep.passed
+        assert rep.counterexample == (
+            f"{seg.path} has {seg.length + 1} interior points, "
+            f"minimal is {seg.length}")
+
     def test_dense_wrong_tolerance_caught(self, dense2):
         symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
         blocks = list(dense2.manifest.blocks)

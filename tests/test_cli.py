@@ -530,6 +530,19 @@ class TestSymbolReplayFailures:
             EXIT_FAIL, f"line {t + 5}: file has {edited[4 + t]!r}, "
                        f"rebuild gives {want!r}")
 
+    def test_two_edits_in_different_pieces_name_the_earlier(
+            self, built, tmp_path, capsys, m2k2):
+        manifest, lines = built
+        starts = [t0 for t0, _, _ in m2k2.symbol_pieces(817, 40_000)]
+        assert starts[1] <= 20_000 < starts[2] <= 40_000
+        edited = list(lines)
+        for t in (20_000, 40_000):
+            assert edited[4 + t] == f"{t}\ta{t - 815}\tB1/IG2"
+            edited[4 + t] = f"{t}\ta{t - 814}\tB1/IG2"
+        assert self.replay(capsys, tmp_path, manifest, edited) == (
+            EXIT_FAIL, "line 20005: file has '20000\\ta19186\\tB1/IG2', "
+                       "rebuild gives '20000\\ta19185\\tB1/IG2'")
+
     def test_family_mismatch(self, built, tmp_path, capsys):
         manifest, lines = built
         edited = ["family: log-infty" if line == "family: log-m" else line

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import naive_dense_hits
 from seqent.errors import HorizonExceeded, InvalidConfig, UnknownBlock
 from seqent.model import (
+    FAMILY_LOG_INFTY,
     PIECE_TIMES,
     ModelPoint,
     NeighborhoodSpec,
     Symbol,
+    Trajectory,
     dense_index,
     dense_value,
     head_member,
@@ -108,6 +111,48 @@ class TestTrajectoryAccessors:
         for t in (0, 7, 8, 808, 809, 8335134, 8335135, 841848636):
             seg = m2k3.segment_at(t)
             assert seg.start <= t < seg.end
+
+
+def _dense_over(traj, symbols):
+    """A dense trajectory over hand-made symbols, with traj's manifest."""
+    return Trajectory(FAMILY_LOG_INFTY, traj.m, traj.manifest,
+                      dense_symbols=symbols, schedule=traj.schedule)
+
+
+class TestDenseHits:
+    @pytest.mark.parametrize("name", ["dense2", "dense4"])
+    def test_every_index_matches_the_one_pass_table(self, request, name):
+        traj = request.getfixturevalue(name)
+        table = naive_dense_hits(traj)
+        for j, times in table.items():
+            assert traj.dense_hits(j) == times, j
+        assert traj.dense_hits(max(table) + 1) == ()
+
+    def test_aligned_match_one_byte_after_a_misaligned_one(self, dense2):
+        # little-endian 2-byte items give bytes 00 01 01 01: a misaligned
+        # 257 at offset 1, one byte before the aligned one
+        traj = _dense_over(dense2, [256, 257])
+        assert traj.dense_hits(257) == (1,)
+        assert traj.dense_hits(256) == (0,)
+        assert traj.dense_hits(1) == ()
+
+    def test_indices_above_two_bytes(self, dense2):
+        traj = _dense_over(dense2, [1, 70_000, 65_537, 1, 4_464])
+        assert traj.dense_hits(70_000) == (1,)
+        assert traj.dense_hits(65_537) == (2,)
+        assert traj.dense_hits(1) == (0, 3)
+        # the low two bytes of 70,000: hit only where it is the index
+        assert traj.dense_hits(4_464) == (4,)
+        assert traj.dense_hits(2 ** 40) == ()
+
+    def test_dense_slice_checks_its_span(self, dense2):
+        assert dense2.dense_slice(3, 7) == [
+            dense2.symbol_index_at(t) for t in range(3, 7)]
+        assert dense2.dense_slice(5, 5) == []
+        with pytest.raises(HorizonExceeded):
+            dense2.dense_slice(0, dense2.n_points + 1)
+        with pytest.raises(HorizonExceeded):
+            dense2.dense_slice(-1, 3)
 
 
 class TestMembership:
