@@ -36,15 +36,15 @@ from .formats import (
 )
 from .independence import (
     ExhaustionCertificate, IndependenceResult, IndependenceWitness,
-    MaxIndependenceResult, OccupancyVector, SearchBudget, TupleSpec,
+    MaxIndependenceResult, OccupancyVector, SearchBudget,
     is_independence_set, max_independence, occupancy,
     shift_property_check,
 )
 from .model import (
     FAMILY_LOG_INFTY, FAMILY_LOG_M, BlockRecord, ModelPoint, NeighborhoodSpec,
-    ResolvedNeighborhood, SegmentationManifest, SegmentRecord, Symbol,
-    Trajectory, dense_index, dense_value, infinity_window, itinerary_hits,
-    iterate, parse_symbol, point_member, resolve, step,
+    SegmentationManifest, SegmentRecord, Symbol, Trajectory, dense_index,
+    dense_value, infinity_window, itinerary_hits, iterate, parse_symbol,
+    point_member, step,
 )
 
 __version__ = "0.1.0"
@@ -74,15 +74,14 @@ __all__ = [
     "write_certificate", "write_manifest", "write_report", "write_symbols",
     # independence
     "ExhaustionCertificate", "IndependenceResult", "IndependenceWitness",
-    "MaxIndependenceResult", "OccupancyVector", "SearchBudget", "TupleSpec",
+    "MaxIndependenceResult", "OccupancyVector", "SearchBudget",
     "is_independence_set", "max_independence", "occupancy",
     "shift_property_check",
     # model
     "FAMILY_LOG_INFTY", "FAMILY_LOG_M", "BlockRecord", "ModelPoint",
-    "NeighborhoodSpec", "ResolvedNeighborhood", "SegmentationManifest",
-    "SegmentRecord", "Symbol", "Trajectory", "dense_index", "dense_value",
-    "infinity_window", "itinerary_hits", "iterate", "parse_symbol",
-    "point_member", "resolve", "step",
+    "NeighborhoodSpec", "SegmentationManifest", "SegmentRecord", "Symbol",
+    "Trajectory", "dense_index", "dense_value", "infinity_window",
+    "itinerary_hits", "iterate", "parse_symbol", "point_member", "step",
     # submodules
     "checks", "construct", "entropy", "errors", "flower", "formats",
     "independence", "model",

@@ -56,14 +56,13 @@ class CheckReport:
             line += f" counterexample: {self.counterexample}"
         return line
 
-
-class _Timer:
     def __enter__(self):
-        self.t0 = _time.monotonic()
+        """Time the check: ``elapsed`` is set however the block exits."""
+        self._started = _time.monotonic()
         return self
 
     def __exit__(self, *exc):
-        self.elapsed = _time.monotonic() - self.t0
+        self.elapsed = _time.monotonic() - self._started
         return False
 
 
@@ -85,13 +84,12 @@ def validate_growth(traj: Trajectory) -> CheckReport:
     tolerance 2^-n, realizes all (n+1)^(n+1) patterns, and glue chains are
     minimal for their endpoints.
     """
-    report = CheckReport("growth", {"family": traj.family, "m": str(traj.m)})
-    with _Timer() as tm:
+    with CheckReport("growth",
+                     {"family": traj.family, "m": str(traj.m)}) as report:
         if traj.family == FAMILY_LOG_M:
             _validate_growth_log_m(traj, report)
         else:
             _validate_growth_dense(traj, report)
-    report.elapsed = tm.elapsed
     return report
 
 
@@ -224,9 +222,8 @@ def check_part_structure(k: int, l: int, traj: Trajectory) -> CheckReport:
     the designated-time positions shifted by the piece's pattern.
     """
     _require_family(traj, FAMILY_LOG_M, "check_part_structure")
-    report = CheckReport("part-structure",
-                         {"m": str(traj.m), "k": str(k), "l": str(l)})
-    with _Timer() as tm:
+    with CheckReport("part-structure",
+                     {"m": str(traj.m), "k": str(k), "l": str(l)}) as report:
         block = traj.manifest.block(k)
         if not 1 <= l <= len(block.functions):
             raise InvalidConfig(f"block {k} has {len(block.functions)} pieces")
@@ -247,7 +244,6 @@ def check_part_structure(k: int, l: int, traj: Trajectory) -> CheckReport:
             report.details.append(
                 f"{len(expected)} hits at designated offsets "
                 f"{[t - j for t in expected]}")
-    report.elapsed = tm.elapsed
     return report
 
 
@@ -260,9 +256,8 @@ def check_distance_uniqueness(k: int, l: int, traj: Trajectory) -> CheckReport:
     identifies its pair of designated indices.
     """
     _require_family(traj, FAMILY_LOG_M, "check_distance_uniqueness")
-    report = CheckReport("distance-uniqueness",
-                         {"m": str(traj.m), "k": str(k), "l": str(l)})
-    with _Timer() as tm:
+    with CheckReport("distance-uniqueness",
+                     {"m": str(traj.m), "k": str(k), "l": str(l)}) as report:
         block = traj.manifest.block(k)
         if not 1 <= l <= len(block.functions):
             raise InvalidConfig(f"block {k} has {len(block.functions)} pieces")
@@ -281,26 +276,22 @@ def check_distance_uniqueness(k: int, l: int, traj: Trajectory) -> CheckReport:
                     report.counterexample = (
                         f"distance {dist} of hits ({pts[i1]}, {pts[i2]}) "
                         f"matches windows {hits}, expected [({i1}, {i2})]")
-                    report.elapsed = tm.elapsed
                     return report
                 if dist in seen:
                     report.counterexample = (
                         f"distance {dist} realized by both {seen[dist]} "
                         f"and ({i1}, {i2})")
-                    report.elapsed = tm.elapsed
                     return report
                 seen[dist] = (i1, i2)
         report.passed = True
         report.details.append(f"{len(seen)} pairwise distances, all unique")
-    report.elapsed = tm.elapsed
     return report
 
 
 def check_block_parts(k: int, traj: Trajectory) -> CheckReport:
     """Part structure and distance uniqueness across every piece of block k."""
     _require_family(traj, FAMILY_LOG_M, "check_block_parts")
-    report = CheckReport("block-parts", {"m": str(traj.m), "k": str(k)})
-    with _Timer() as tm:
+    with CheckReport("block-parts", {"m": str(traj.m), "k": str(k)}) as report:
         block = traj.manifest.block(k)
         pieces = len(block.functions)
         for l in range(1, pieces + 1):
@@ -309,12 +300,10 @@ def check_block_parts(k: int, traj: Trajectory) -> CheckReport:
                 if not sub.passed:
                     report.counterexample = (
                         f"piece {l}: {sub.name}: {sub.counterexample}")
-                    report.elapsed = tm.elapsed
                     return report
         report.passed = True
         report.details.append(
             f"{pieces} pieces: hit sets and distance windows all exact")
-    report.elapsed = tm.elapsed
     return report
 
 
@@ -333,9 +322,8 @@ def check_shiftability(traj: Trajectory, horizon: int) -> CheckReport:
     Cross-block pairs must admit no shift at all.
     """
     _require_family(traj, FAMILY_LOG_M, "check_shiftability")
-    report = CheckReport("shiftability",
-                         {"m": str(traj.m), "horizon": str(horizon)})
-    with _Timer() as tm:
+    with CheckReport("shiftability",
+                     {"m": str(traj.m), "horizon": str(horizon)}) as report:
         location: dict[int, tuple[int, int, int]] = {}
         for block in traj.manifest.blocks:
             for l in range(1, len(block.functions) + 1):
@@ -350,7 +338,6 @@ def check_shiftability(traj: Trajectory, horizon: int) -> CheckReport:
             report.counterexample = (
                 f"{len(unlocated)} hits outside all parts, first at "
                 f"{unlocated[0]}")
-            report.elapsed = tm.elapsed
             return report
 
         violations: list[str] = []
@@ -406,7 +393,6 @@ def check_shiftability(traj: Trajectory, horizon: int) -> CheckReport:
             report.details.extend(violations[1:])
         else:
             report.passed = True
-    report.elapsed = tm.elapsed
     return report
 
 
@@ -419,9 +405,8 @@ def verify_block_independence(k: int, traj: Trajectory,
     """The designated times of block k form an independence set for the
     tuple of level-k neighborhoods of a_0 .. a_{m-1}."""
     _require_family(traj, FAMILY_LOG_M, "verify_block_independence")
-    report = CheckReport("block-independence",
-                         {"m": str(traj.m), "k": str(k)})
-    with _Timer() as tm:
+    with CheckReport("block-independence",
+                     {"m": str(traj.m), "k": str(k)}) as report:
         block = traj.manifest.block(k)
         specs = tuple(NeighborhoodSpec(Symbol.head(i), k)
                       for i in range(traj.m))
@@ -437,7 +422,6 @@ def verify_block_independence(k: int, traj: Trajectory,
             report.details.append(f"all {count} assignments realized")
         else:
             report.counterexample = f"assignment {res.failing} unrealizable"
-    report.elapsed = tm.elapsed
     return report
 
 
@@ -473,11 +457,10 @@ def verify_far_pair_exclusion(traj: Trajectory, offsets=None, cap: int = 5,
         offsets = far_offsets(traj.m)
     if horizon is None:
         horizon = traj.block_range(traj.kmax)[1]
-    report = CheckReport("far-pair-exclusion",
-                         {"m": str(traj.m), "cap": str(cap),
-                          "horizon": str(horizon),
-                          "offsets": ",".join(str(o) for o in offsets)})
-    with _Timer() as tm:
+    with CheckReport("far-pair-exclusion",
+                     {"m": str(traj.m), "cap": str(cap),
+                      "horizon": str(horizon),
+                      "offsets": ",".join(str(o) for o in offsets)}) as report:
         failures = []
         for off in offsets:
             if off == "inf":
@@ -509,7 +492,6 @@ def verify_far_pair_exclusion(traj: Trajectory, offsets=None, cap: int = 5,
             report.details.extend(failures[1:])
         else:
             report.passed = True
-    report.elapsed = tm.elapsed
     return report
 
 
@@ -522,8 +504,7 @@ def verify_dense_block_independence(n: int, traj: Trajectory,
     is carried entirely by the block's own pattern segments.
     """
     _require_family(traj, FAMILY_LOG_INFTY, "verify_dense_block_independence")
-    report = CheckReport("dense-block-independence", {"n": str(n)})
-    with _Timer() as tm:
+    with CheckReport("dense-block-independence", {"n": str(n)}) as report:
         block = traj.manifest.block(n)
         specs = tuple(NeighborhoodSpec(Symbol.dense(j), n)
                       for j in range(1, n + 2))
@@ -542,5 +523,4 @@ def verify_dense_block_independence(n: int, traj: Trajectory,
                 f"in-block starts")
         else:
             report.counterexample = f"assignment {res.failing} unrealizable"
-    report.elapsed = tm.elapsed
     return report

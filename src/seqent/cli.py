@@ -159,10 +159,9 @@ def _suite_reports(args, builds: _Builds) -> list:
     budget = _budget(args)
     suite = args.suite
     reports = []
-    log_m_configs = [(2, 3), (3, 3)]
-    if args.m is not None:
-        kmax = args.kmax if args.kmax is not None else 3
-        log_m_configs = [(args.m, kmax)]
+    kmax = args.kmax if args.kmax is not None else 3
+    log_m_configs = ([(2, kmax), (3, kmax)] if args.m is None
+                     else [(args.m, kmax)])
 
     if suite in ("R1", "all"):
         for m, kmax in log_m_configs:
@@ -171,8 +170,7 @@ def _suite_reports(args, builds: _Builds) -> list:
                 reports.append(verify_block_independence(k, traj,
                                                          budget=budget))
     if suite in ("R2", "all"):
-        m, kmax = log_m_configs[0] if args.m is not None else (2, 3)
-        traj = builds.log_m(m, kmax)
+        traj = builds.log_m(*log_m_configs[0])
         reports.append(verify_far_pair_exclusion(traj, cap=args.cap,
                                                  budget=budget))
     if suite in ("section3", "all"):
@@ -360,32 +358,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct and verify countable systems with "
                     "prescribed supremum sequence entropy.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # subcommands set allow_abbrev=False: options match exactly, so an
+    # option a subcommand lacks is refused, not read as a longer one
 
-    def add_common(p):
-        p.add_argument("--m", type=int, default=None,
-                       help="alphabet size for the head-indexed family")
+    def add_common(p, kmax_default, m=True, out=True, budgets=True):
+        if m:
+            p.add_argument("--m", type=int, default=None,
+                           help="alphabet size for the head-indexed family")
         p.add_argument("--kmax", type=int, default=None,
-                       help="blocks to build (default 3 for m=2, else 2)")
+                       help=f"blocks to build (default {kmax_default})")
         p.add_argument("--nmax", type=int, default=4,
                        help="blocks for the dense family (default 4)")
-        p.add_argument("--out", default=None,
-                       help="directory for manifests, reports, certificates")
-        p.add_argument("--budget-nodes", type=int, default=None,
-                       help="node budget (env SEQENT_NODE_BUDGET)")
-        p.add_argument("--budget-seconds", type=float, default=None,
-                       help="time budget (env SEQENT_TIME_BUDGET)")
+        if out:
+            p.add_argument("--out", default=None,
+                           help="directory for manifests, reports, "
+                                "certificates")
+        if budgets:
+            p.add_argument("--budget-nodes", type=int, default=None,
+                           help="node budget (env SEQENT_NODE_BUDGET)")
+            p.add_argument("--budget-seconds", type=float, default=None,
+                           help="time budget (env SEQENT_TIME_BUDGET)")
 
-    b = sub.add_parser("build", help="build a trajectory and write files")
+    b = sub.add_parser("build", help="build a trajectory and write files",
+                       allow_abbrev=False)
     b.add_argument("--family", choices=(FAMILY_LOG_M, FAMILY_LOG_INFTY),
                    required=True)
-    add_common(b)
+    add_common(b, "3", budgets=False)
     b.set_defaults(kmax=3)
     b.add_argument("--symbols", type=int, default=None,
                    help="symbol lines to write (default "
                         f"{DEFAULT_SYMBOL_LINES}; 0 skips the file)")
     b.set_defaults(func=_cmd_build)
 
-    v = sub.add_parser("verify", help="run a verification suite or replay")
+    v = sub.add_parser("verify", help="run a verification suite or replay",
+                       allow_abbrev=False)
     v.add_argument("--suite", choices=SUITES, default=None)
     v.add_argument("--replay", default=None,
                    help="manifest or certificate file to replay")
@@ -393,10 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="manifest for certificate replays")
     v.add_argument("--cap", type=int, default=5,
                    help="length cap for exclusion searches (default 5)")
-    add_common(v)
+    add_common(v, "3")
     v.set_defaults(func=_cmd_verify)
 
-    e = sub.add_parser("entropy", help="independence-based entropy evidence")
+    e = sub.add_parser("entropy", help="independence-based entropy evidence",
+                       allow_abbrev=False)
     e.add_argument("--family", choices=(FAMILY_LOG_M, FAMILY_LOG_INFTY),
                    default=FAMILY_LOG_M)
     e.add_argument("--centers", default=None,
@@ -406,10 +413,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="independence length every level must sustain")
     e.add_argument("--levels", default=None,
                    help="comma list of levels (default: all built)")
-    add_common(e)
+    add_common(e, "3 for m=2, else 2", out=False)
     e.set_defaults(func=_cmd_entropy)
 
-    f = sub.add_parser("flower", help="compose petals and check separation")
+    f = sub.add_parser("flower", help="compose petals and check separation",
+                       allow_abbrev=False)
     f.add_argument("--petals", required=True,
                    help="comma list name=BASE, e.g. p2=2,p3=3")
     f.add_argument("--modes", default=None,
@@ -418,7 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list collapsedName=targetName")
     f.add_argument("--unbounded", action="store_true",
                    help="declare an unbounded family of alphabet sizes")
-    add_common(f)
+    # --nmax is unread here, but its default is part of the config hash
+    add_common(f, "2", m=False)
     # cross-petal checks are pair searches; the config hash names that cap
     f.set_defaults(kmax=2, cap=2)
     f.set_defaults(func=_cmd_flower)

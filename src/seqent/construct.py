@@ -130,23 +130,14 @@ def patterns(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(m), repeat=k + 1))
 
 
-def _wind_feasible_for_all(w: int, m: int) -> bool:
-    for p in range(m):
-        for q in range(m):
-            try:
-                plan_wind(p, q, w)
-            except Infeasible:
-                return False
-    return True
-
-
 def minimal_schedule(m: int, kmax: int) -> GrowthSchedule:
     """Least schedule obeying the growth rules.
 
     The very first wind has the pinned length 3m + 2. Every other
     constrained length is the least value strictly greater than 100 times
-    the number of points before it, rounded up (never needed in practice)
-    to wind feasibility.
+    the number of points before it. No length needs rounding up to make its
+    wind feasible: ``plan_wind`` needs at most m + 6 points between heads
+    a_-1 .. a_m, and 3m + 2 is already that many for m >= 2.
     """
     if m < 2:
         raise ScheduleInvalid("alphabet size must be at least 2")
@@ -165,33 +156,17 @@ def minimal_schedule(m: int, kmax: int) -> GrowthSchedule:
                 w = 3 * m + 2
             else:
                 w = GROWTH_FACTOR * (block_start + n) + 1
-            while not _wind_feasible_for_all(w, m):
-                w += 1
             ws.append(w)
             n += w - 1
         piece_len = n + 1
         funcs = patterns(m, k)
         pos = block_start + piece_len
         igs = []
-        for l in range(1, len(funcs)):
+        for _ in range(1, len(funcs)):
             g = GROWTH_FACTOR * pos + 1
-            gp = funcs[l - 1][k] + 1
-            gq = funcs[l][0] - 1
-            while True:
-                try:
-                    plan_wind(gp, gq, g)
-                    break
-                except Infeasible:
-                    g += 1
             igs.append(g)
             pos += g + piece_len
         og = GROWTH_FACTOR * pos + 1
-        while True:
-            try:
-                plan_wind(m, -1, og)
-                break
-            except Infeasible:
-                og += 1
         pos += og
         winds.append(ws)
         inner.append(igs)

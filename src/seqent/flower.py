@@ -18,7 +18,7 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from .checks import CheckReport, _Timer
+from .checks import CheckReport
 from .errors import InvalidConfig
 from .independence import (
     ExhaustionCertificate, SearchBudget, is_independence_set, occupancy,
@@ -213,8 +213,7 @@ def cross_petal_check(comp: CompositeSystem,
     restricted to orbit starts past the junction. The budget, when given,
     bounds both.
     """
-    report = CheckReport("cross-petal", {"cap": "2"})
-    with _Timer() as tm:
+    with CheckReport("cross-petal", {"cap": "2"}) as report:
         built = [p for p in comp.active_petals()
                  if p.trajectory is not None
                  and p.trajectory.family == FAMILY_LOG_M]
@@ -244,7 +243,6 @@ def cross_petal_check(comp: CompositeSystem,
             report.counterexample = violations[0]
         else:
             report.passed = True
-    report.elapsed = tm.elapsed
     return report
 
 

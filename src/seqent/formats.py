@@ -282,9 +282,11 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     """Compare a symbol file line by line against a rebuilt trajectory.
 
     Returns (ok, message); on mismatch the message names the first
-    offending line, which is the counterexample. The file is streamed
-    against the rendered pieces; a file that differs is read once more,
-    counting its lines and comparing them from its first differing piece on.
+    offending line, which is the counterexample. Header lines must be the
+    ones ``write_symbols`` writes, not merely parse to the same values.
+    The file is streamed against the rendered pieces; a file that differs
+    is read once more, counting its lines and comparing them from its
+    first differing piece on.
     """
     head = list(islice(_file_lines(path), 4))
     if len(head) < 4 or head[1] != "kind: symbols":
@@ -301,9 +303,9 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     n_lines = hi - lo + 1
     renderable = (lo >= 0 and hi <= traj.horizon
                   and 0 <= n_lines <= SYMBOL_LINE_CAP)
+    header = _symbol_header(family, lo, hi)
     same = 0  # data lines before the first piece the file does not match
     if renderable:
-        header = _symbol_header(family, lo, hi)
         with input_file(path, "symbol file") as fh:
             if fh.read(len(header)) == header:
                 for t0, text in _symbol_chunks(traj, lo, hi):
@@ -333,6 +335,10 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     if not renderable:
         return False, (f"range {lo},{hi} does not lie in [0, {traj.horizon}] "
                        f"within {SYMBOL_LINE_CAP} lines")
+    for number, (got, want) in enumerate(zip(head, header.splitlines()), 1):
+        if got != want:
+            return False, (f"line {number}: file has {got!r}, "
+                           f"rebuild gives {want!r}")
     if differs:
         return False, differs
     return True, f"{n_lines} symbol lines reproduced"

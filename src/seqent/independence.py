@@ -23,8 +23,9 @@ import itertools
 import time as _time
 from dataclasses import dataclass
 
-from .errors import CapExceeded, ResourceBudgetExceeded
+from .errors import CapExceeded, InvalidConfig, ResourceBudgetExceeded
 from .model import (
+    FAMILY_LOG_INFTY,
     FAMILY_LOG_M,
     KIND_DENSE,
     KIND_HEAD,
@@ -35,7 +36,6 @@ from .model import (
     Trajectory,
     head_member,
     infinity_window,
-    resolve,
 )
 
 DENSE_BITMASK_LIMIT = 1 << 21  # trajectories at most this long use int masks
@@ -44,35 +44,6 @@ DEFAULT_ASSIGNMENT_CAP = 200_000
 
 # ---------------------------------------------------------------------------
 # public result types
-
-
-@dataclass(frozen=True)
-class TupleSpec:
-    """An ordered tuple of neighborhood specs searched together."""
-
-    specs: tuple[NeighborhoodSpec, ...]
-
-    def __post_init__(self):
-        if not self.specs:
-            raise ValueError("a tuple spec needs at least one neighborhood")
-
-    def __len__(self):
-        return len(self.specs)
-
-    def __iter__(self):
-        return iter(self.specs)
-
-    def __getitem__(self, i):
-        return self.specs[i]
-
-    def render(self) -> str:
-        return ",".join(s.render() for s in self.specs)
-
-
-def as_tuple_spec(specs) -> TupleSpec:
-    if isinstance(specs, TupleSpec):
-        return specs
-    return TupleSpec(tuple(specs))
 
 
 @dataclass
@@ -204,16 +175,34 @@ def _int_to_bits(mask: int) -> tuple[int, ...]:
 
 
 def occupancy(spec: NeighborhoodSpec, traj: Trajectory) -> OccupancyVector:
-    """Occupancy of a neighborhood over orbit indices."""
+    """Occupancy of a neighborhood over orbit indices.
+
+    A finite center's orbit part is its hit list from the level's
+    threshold on. An infinity neighborhood's orbit part is co-finite, so it
+    is held as its complement, the times near index 0.
+    """
     cache = traj._occ_cache
     got = cache.get(spec)
     if got is not None:
         return got
-    view = resolve(spec, traj)
-    if view.is_enumerable:
-        vec = OccupancyVector(traj.n_points, times=view.orbit_times())
+    if spec.level < 1:
+        raise ValueError("neighborhood levels are 1-based")
+    center = spec.center
+    dense = center.kind == KIND_DENSE
+    if dense != (traj.family == FAMILY_LOG_INFTY):
+        # each family has heads of its own kind only
+        raise InvalidConfig(f"{spec.render()} needs the "
+                            f"{'dense' if dense else 'head-indexed'} family")
+    if center.kind == KIND_HEAD_INF:
+        vec = OccupancyVector(traj.n_points, miss_times=traj.near_head_times(
+            infinity_window(spec.level) - 1))
     else:
-        vec = OccupancyVector(traj.n_points, miss_times=view.orbit_miss_times())
+        # levels are tied to built blocks through their thresholds
+        threshold = traj.level_threshold(spec.level) + spec.threshold_offset
+        hits = (traj.dense_hits(center.index) if dense
+                else traj.head_hits(center.index))
+        vec = OccupancyVector(traj.n_points,
+                              times=hits[bisect.bisect_left(hits, threshold):])
     cache[spec] = vec
     return vec
 
@@ -523,13 +512,14 @@ def is_independence_set(J, specs, traj: Trajectory,
     ``start_range`` rules heads out, and the infinity scan then serves the
     assignments made purely of infinity neighborhoods.
     """
-    tspec = as_tuple_spec(specs)
+    if not specs:
+        raise ValueError("a tuple needs at least one neighborhood")
     J = tuple(sorted(J))
     if len(set(J)) != len(J):
         raise ValueError("independence sets hold distinct times")
     if any(t < 0 for t in J):
         raise ValueError("times are nonnegative")
-    k = len(tspec)
+    k = len(specs)
     _check_assignment_cap(k, len(J))
     if horizon is None:
         horizon = traj.horizon
@@ -544,7 +534,6 @@ def is_independence_set(J, specs, traj: Trajectory,
     if budget is None:
         budget = SearchBudget()
 
-    specs = tspec.specs
     occs = [occupancy(s, traj) for s in specs]
     lo, hi = (0, horizon) if start_range is None else start_range
     lo, hi = max(lo, 0), min(hi, horizon - J[-1])
@@ -598,11 +587,11 @@ def _fixed_head_everywhere(specs, traj) -> ModelPoint | None:
     return None
 
 
-def _cap_result(tspec, traj, horizon, shape, budget,
+def _cap_result(specs, traj, horizon, shape, budget,
                 cert: ExhaustionCertificate | None = None
                 ) -> MaxIndependenceResult:
     """Result of length len(shape) carrying the shape's witness table."""
-    res = is_independence_set(shape, tspec, traj, horizon=horizon,
+    res = is_independence_set(shape, specs, traj, horizon=horizon,
                               budget=budget)
     return MaxIndependenceResult(len(shape), res.witness, cert)
 
@@ -622,7 +611,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
     the first min(cap, horizon + 1) times, no certificate and one node
     per time, within ``is_independence_set``'s assignment cap.
     """
-    tspec = as_tuple_spec(specs)
+    if not specs:
+        raise ValueError("a tuple needs at least one neighborhood")
     if cap < 1:
         raise ValueError("cap must be positive")
     if horizon is None:
@@ -633,18 +623,18 @@ def max_independence(specs, cap: int, traj: Trajectory,
 
     # a shape holds distinct times up to the horizon
     longest = min(cap, horizon + 1)
-    fixed = _fixed_head_everywhere(tspec.specs, traj)
+    fixed = _fixed_head_everywhere(specs, traj)
     if fixed is not None:
-        _check_assignment_cap(len(tspec), longest)
+        _check_assignment_cap(len(specs), longest)
         budget.spend(longest)
         shape = tuple(range(longest))
         realizers = {sigma: fixed for sigma in
-                     itertools.product(range(len(tspec)), repeat=longest)}
+                     itertools.product(range(len(specs)), repeat=longest)}
         return MaxIndependenceResult(
             longest, IndependenceWitness(shape, realizers), None)
 
-    occs = [occupancy(s, traj) for s in tspec.specs]
-    heads = _head_keys(tspec.specs, traj)
+    occs = [occupancy(s, traj) for s in specs]
+    heads = _head_keys(specs, traj)
     visited = [0] * (longest + 1)
     visited[1] = 1
     best_shape = (0,)
@@ -669,14 +659,15 @@ def max_independence(specs, cap: int, traj: Trajectory,
     found = (0,) if cap == 1 else extend(
         (0,), [(0, (), _root_table(occs, horizon))])
     if found is not None:
-        return _cap_result(tspec, traj, horizon, found, budget)
+        return _cap_result(specs, traj, horizon, found, budget)
     # exhausted: visited counts the surviving shapes per size, hence the label
     died = len(best_shape) + 1
     cert = ExhaustionCertificate(
-        tuple_rendered=tspec.render(), target_length=cap, horizon=horizon,
-        search="level-shapes", frontier_sizes=tuple(visited[1:died] + [0]),
-        died_level=died, nodes_used=budget.nodes)
-    return _cap_result(tspec, traj, horizon, best_shape, budget, cert)
+        tuple_rendered=",".join(s.render() for s in specs),
+        target_length=cap, horizon=horizon, search="level-shapes",
+        frontier_sizes=tuple(visited[1:died] + [0]), died_level=died,
+        nodes_used=budget.nodes)
+    return _cap_result(specs, traj, horizon, best_shape, budget, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -692,18 +683,16 @@ def shift_property_check(J, specs, traj: Trajectory,
     preimage reading of the original tuple. Applies to head-indexed
     trajectories with finite centers.
     """
-    tspec = as_tuple_spec(specs)
     if traj.family != FAMILY_LOG_M:
         raise ValueError("the shift property applies to the head-indexed family")
-    if any(s.center.kind != KIND_HEAD for s in tspec.specs):
+    if any(s.center.kind != KIND_HEAD for s in specs):
         raise ValueError("the shift property needs finite centers")
     J = tuple(sorted(J))
     if len(J) < 2:
         raise ValueError("need at least two times to drop the minimum")
     shifted_times = tuple(t - 1 for t in J[1:])
-    shifted = TupleSpec(tuple(
-        NeighborhoodSpec(Symbol.head(s.center.index - 1), s.level,
-                         s.threshold_offset - 1)
-        for s in tspec.specs))
+    shifted = tuple(NeighborhoodSpec(Symbol.head(s.center.index - 1), s.level,
+                                     s.threshold_offset - 1)
+                    for s in specs)
     return is_independence_set(shifted_times, shifted, traj,
                                horizon=horizon).ok

@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import HorizonExceeded, InvalidConfig, UnknownBlock
+from .errors import HorizonExceeded, UnknownBlock
 
 KIND_HEAD = "head"
 KIND_HEAD_INF = "head-inf"
@@ -515,11 +515,11 @@ def iterate(point: ModelPoint, t: int, traj: Trajectory) -> ModelPoint:
 
 
 # ---------------------------------------------------------------------------
-# membership and resolution
+# membership
 
 
 def orbit_member(spec: NeighborhoodSpec, t: int, traj: Trajectory) -> bool:
-    """Does the orbit point x_t lie in the resolved neighborhood."""
+    """Does the orbit point x_t lie in the neighborhood."""
     if not 0 <= t < traj.n_points:
         return False
     center = spec.center
@@ -532,7 +532,7 @@ def orbit_member(spec: NeighborhoodSpec, t: int, traj: Trajectory) -> bool:
 
 
 def head_member(spec: NeighborhoodSpec, sym: Symbol, traj: Trajectory) -> bool:
-    """Does the head named by sym lie in the resolved neighborhood."""
+    """Does the head named by sym lie in the neighborhood."""
     center = spec.center
     if center.kind == KIND_HEAD_INF:
         if sym.kind == KIND_HEAD_INF:
@@ -547,67 +547,6 @@ def point_member(spec: NeighborhoodSpec, point: ModelPoint, traj: Trajectory) ->
     if point.is_orbit:
         return orbit_member(spec, point.time, traj)
     return head_member(spec, point.symbol, traj)
-
-
-class ResolvedNeighborhood:
-    """Set-like view of all model points inside a neighborhood.
-
-    Finite-center neighborhoods materialize on demand; infinity-centered
-    ones are genuinely infinite (every head a_j with |j| large enough is a
-    member), so they only support membership tests and sparse complements.
-    """
-
-    def __init__(self, spec: NeighborhoodSpec, traj: Trajectory):
-        self.spec = spec
-        self.traj = traj
-
-    def __contains__(self, point: ModelPoint) -> bool:
-        return point_member(self.spec, point, self.traj)
-
-    @property
-    def is_enumerable(self) -> bool:
-        return self.spec.center.kind != KIND_HEAD_INF
-
-    def orbit_times(self) -> tuple[int, ...]:
-        """Ascending orbit times inside the neighborhood (finite centers)."""
-        spec, traj = self.spec, self.traj
-        center = spec.center
-        if center.kind == KIND_HEAD_INF:
-            raise ValueError("infinity neighborhoods have a dense orbit part; "
-                             "use orbit_miss_times for the complement")
-        threshold = traj.level_threshold(spec.level) + spec.threshold_offset
-        if center.kind == KIND_HEAD:
-            hits = traj.head_hits(center.index)
-        else:
-            hits = traj.dense_hits(center.index)
-        i = bisect.bisect_left(hits, threshold)
-        return hits[i:]
-
-    def orbit_miss_times(self) -> tuple[int, ...]:
-        """Ascending orbit times outside an infinity neighborhood."""
-        if self.spec.center.kind != KIND_HEAD_INF:
-            raise ValueError("only infinity neighborhoods expose a complement")
-        return self.traj.near_head_times(infinity_window(self.spec.level) - 1)
-
-
-def resolve(spec: NeighborhoodSpec, traj: Trajectory) -> ResolvedNeighborhood:
-    """Resolve a neighborhood spec against a trajectory.
-
-    The result behaves like a set of model points (``in`` tests work for both
-    orbit points and heads). Finite-center neighborhoods list their orbit
-    times; infinity-centered ones are infinite by design.
-    """
-    if spec.level < 1:
-        raise ValueError("neighborhood levels are 1-based")
-    dense = spec.center.kind == KIND_DENSE
-    if dense != (traj.family == FAMILY_LOG_INFTY):
-        # each family has heads of its own kind only
-        raise InvalidConfig(f"{spec.render()} needs the "
-                            f"{'dense' if dense else 'head-indexed'} family")
-    if spec.center.kind != KIND_HEAD_INF:
-        # levels are tied to built blocks through their thresholds
-        traj.manifest.block(spec.level)
-    return ResolvedNeighborhood(spec, traj)
 
 
 def itinerary_hits(

@@ -1,6 +1,7 @@
 """Verification checks: growth, parts, distances, shiftability, exclusion."""
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,21 @@ def _dense_copy(traj, symbols, blocks=None, segments=None):
         list(man.segments if segments is None else segments))
     return Trajectory(FAMILY_LOG_INFTY, traj.m, manifest,
                       dense_symbols=symbols, schedule=traj.schedule)
+
+
+class TestCheckReport:
+    def test_elapsed_is_set_on_every_exit(self):
+        def returns_early():
+            with CheckReport("early") as report:
+                time.sleep(0.01)
+                return report
+
+        assert returns_early().elapsed >= 0.01
+        with pytest.raises(RuntimeError):
+            with CheckReport("raises") as report:
+                time.sleep(0.01)
+                raise RuntimeError("stop")
+        assert report.elapsed >= 0.01
 
 
 class TestValidateGrowth:

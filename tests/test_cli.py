@@ -145,6 +145,14 @@ class TestVerifySuites:
         assert code == EXIT_PASS
         assert "PASS block-independence" in out
 
+    def test_kmax_without_m_applies_to_both_default_alphabets(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "R1",
+                               "--kmax", "1")
+        assert code == EXIT_PASS
+        assert [line.split(" (")[0] for line in out.splitlines()] == [
+            "PASS block-independence [m=2 k=1 assignments=4]",
+            "PASS block-independence [m=3 k=1 assignments=9]"]
+
     def test_all_suites_small_config(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         code, out, _ = run_cli(capsys, "verify", "--suite", "all",
@@ -880,6 +888,19 @@ class TestEntryPoints:
         ["verify", "--suite", "R2", "--mode", "level"],
         ["entropy", "--mode", "dfs"]])
     def test_mode_option_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--family", "log-m", "--m", "2", "--budget-nodes", "1"],
+        ["build", "--family", "log-m", "--m", "2", "--budget-seconds", "1"],
+        ["entropy", "--m", "2", "--out", "out"],
+        ["flower", "--petals", "p2=2,p3=3", "--m", "2"]],
+        ids=["build-budget-nodes", "build-budget-seconds", "entropy-out",
+             "flower-m"])
+    def test_unread_option_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_INVALID

@@ -167,6 +167,21 @@ class TestSymbolReplayEdges:
         assert self.replay(tmp_path, dense2, "range: -1,2\n" + lines) == (
             False, "range -1,2 does not lie in [0, 366] within 1000000 lines")
 
+    @pytest.mark.parametrize("line, edited, number", [
+        ("range: 3,40", "range: 003,+40", 4),
+        ("family: log-infty", "log-infty", 3)])
+    def test_header_not_as_written_fails(self, tmp_path, dense2, line,
+                                         edited, number):
+        # the header reads the same, but a rebuild writes other bytes
+        path = tmp_path / "s.txt"
+        write_symbols(dense2, path, 3, 40)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(line + "\n", edited + "\n", 1),
+                        encoding="utf-8")
+        assert replay_symbols(path, dense2) == (
+            False, f"line {number}: file has {edited!r}, "
+                   f"rebuild gives {line!r}")
+
     def test_missing_final_newline_still_replays(self, tmp_path, dense2):
         path = tmp_path / "s.txt"
         write_symbols(dense2, path, 3, 40)

@@ -39,7 +39,6 @@ from seqent.model import (
     Symbol,
     head_member,
     itinerary_hits,
-    resolve,
 )
 
 
@@ -64,8 +63,6 @@ class TestOccupancy:
         # the dense family has no limit head, so U(a_inf) names nothing
         traj = build_log_infty(1)
         spec = U(Symbol.head_inf(), 1)
-        with pytest.raises(InvalidConfig):
-            resolve(spec, traj)
         with pytest.raises(InvalidConfig):
             occupancy(spec, traj)
         for specs in ((spec,), (U(Symbol.dense(1), 1), spec)):
@@ -206,6 +203,16 @@ class TestIsIndependenceSet:
     def test_duplicate_times_rejected(self, m2k2):
         with pytest.raises(ValueError):
             is_independence_set((3, 3), (U(Symbol.head(0), 1),), m2k2)
+
+    @pytest.mark.parametrize("call", [
+        lambda traj: is_independence_set((0, 1), (), traj),
+        lambda traj: max_independence((), cap=2, traj=traj),
+        lambda traj: shift_property_check((0, 1), (), traj)],
+        ids=["is_independence_set", "max_independence",
+             "shift_property_check"])
+    def test_empty_tuple_rejected(self, m2k2, call):
+        with pytest.raises(ValueError, match="at least one neighborhood"):
+            call(m2k2)
 
     def test_assignment_cap_raises(self, m2k2):
         specs = (U(Symbol.head(0), 1), U(Symbol.head(1), 1))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from _oracles import naive_dense_hits
 from seqent.errors import HorizonExceeded, InvalidConfig, UnknownBlock
+from seqent.independence import occupancy
 from seqent.model import (
     FAMILY_LOG_INFTY,
     PIECE_TIMES,
@@ -21,7 +22,6 @@ from seqent.model import (
     orbit_member,
     parse_symbol,
     point_member,
-    resolve,
     step,
 )
 
@@ -192,9 +192,9 @@ class TestMembership:
 
     def test_resolve_validates_level(self, m2k2):
         with pytest.raises(ValueError):
-            resolve(NeighborhoodSpec(Symbol.head(0), 0), m2k2)
+            occupancy(NeighborhoodSpec(Symbol.head(0), 0), m2k2)
         with pytest.raises(UnknownBlock):
-            resolve(NeighborhoodSpec(Symbol.head(0), 5), m2k2)
+            occupancy(NeighborhoodSpec(Symbol.head(0), 5), m2k2)
 
     @pytest.mark.parametrize("center, family, message", [
         ("a0", "dense", "U1(a0) needs the head-indexed family"),
@@ -203,15 +203,8 @@ class TestMembership:
             self, m2k2, dense2, center, family, message):
         traj = dense2 if family == "dense" else m2k2
         with pytest.raises(InvalidConfig) as exc:
-            resolve(NeighborhoodSpec(parse_symbol(center), 1), traj)
+            occupancy(NeighborhoodSpec(parse_symbol(center), 1), traj)
         assert str(exc.value) == message
-
-    def test_resolved_orbit_times_level_one(self, m2k3):
-        view = resolve(NeighborhoodSpec(Symbol.head(0), 1), m2k3)
-        times = view.orbit_times()
-        in_b1 = [t for t in times if t <= m2k3.block_range(1)[1]]
-        assert len(in_b1) == 8
-        assert len(times) == 96
 
 
 class TestPackageSurface:
@@ -224,7 +217,7 @@ class TestPackageSurface:
         exec("from seqent import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(seqent.__all__)
-        assert len(set(seqent.__all__)) == len(seqent.__all__) == 88
+        assert len(set(seqent.__all__)) == len(seqent.__all__) == 85
         modules = {n for n, v in namespace.items()
                    if isinstance(v, types.ModuleType)}
         assert modules == {"checks", "construct", "entropy", "errors",
