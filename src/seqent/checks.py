@@ -13,7 +13,9 @@ from __future__ import annotations
 import bisect
 import time as _time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
+from .construct import chain_min_interior
 from .errors import InvalidConfig
 from .independence import (
     ExhaustionCertificate,
@@ -127,10 +129,6 @@ def _validate_growth_log_m(traj: Trajectory, report: CheckReport):
 
 
 def _validate_growth_dense(traj: Trajectory, report: CheckReport):
-    from fractions import Fraction
-
-    from .construct import chain_min_interior
-
     segs_by_block: dict[int, list] = {}
     for seg in traj.manifest.segments:
         n = int(seg.path.split("/")[0][1:])

@@ -118,12 +118,6 @@ class GrowthSchedule:
     eps: list[Fraction] = field(default_factory=list)
     times: list[list[int]] = field(default_factory=list)
 
-    @property
-    def kmax(self) -> int:
-        if self.family == FAMILY_LOG_M:
-            return len(self.winds)
-        return len(self.eps)
-
 
 def patterns(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All functions {0..k} -> {0..m-1} in lexicographic order."""

@@ -117,12 +117,6 @@ class CompositeSystem:
     collapse_targets: dict[str, str] = field(default_factory=dict)
     unbounded_family: bool = False
 
-    def petal(self, petal_id: str) -> PetalSystem:
-        for p in self.petals:
-            if p.petal_id == petal_id:
-                return p
-        raise InvalidConfig(f"unknown petal {petal_id}")
-
     def active_petals(self) -> list[PetalSystem]:
         return [p for p in self.petals
                 if self.modes[p.petal_id] == MODE_ACTIVE]

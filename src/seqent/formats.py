@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
+from .construct import GrowthSchedule, build_log_infty, build_log_m, patterns
 from .errors import InvalidConfig
 from .independence import (
     ExhaustionCertificate, SearchBudget, max_independence,
@@ -93,7 +94,6 @@ def _segment_line(seg) -> str:
 
 def manifest_string(traj: Trajectory) -> str:
     """Canonical manifest text for a built trajectory, hash line included."""
-    from .construct import patterns
     sched = traj.schedule
     lines = [f"format: {FORMAT_VERSION}", "kind: manifest",
              f"family: {traj.family}", f"m: {traj.m}",
@@ -176,7 +176,6 @@ def _parse_manifest(text: str, source: str) -> dict:
     family = value("family", str)
     m = value("m", int)
     kmax = value("kmax", int)
-    from .construct import GrowthSchedule
     if family == FAMILY_LOG_M:
         winds = [value(f"winds[{k}]") for k in range(1, kmax + 1)]
         inner = [value(f"inner-gaps[{k}]") for k in range(1, kmax + 1)]
@@ -194,7 +193,6 @@ def _parse_manifest(text: str, source: str) -> dict:
 
 
 def rebuild_from_manifest(data: dict) -> Trajectory:
-    from .construct import build_log_infty, build_log_m
     if data["family"] == FAMILY_LOG_M:
         return build_log_m(data["m"], data["kmax"], data["schedule"])
     return build_log_infty(data["kmax"], data["schedule"])

@@ -34,11 +34,9 @@ from .model import (
     NeighborhoodSpec,
     Symbol,
     Trajectory,
-    head_member,
     infinity_window,
 )
 
-DENSE_BITMASK_LIMIT = 1 << 21  # trajectories at most this long use int masks
 DEFAULT_ASSIGNMENT_CAP = 200_000
 
 
@@ -125,9 +123,9 @@ class OccupancyVector:
     """Orbit indices inside one neighborhood, as a sorted hit list.
 
     Stored sparsely: either the hit times themselves or, for the dense
-    orbit part of an infinity neighborhood, the miss times. A hit list on a
-    short build can also be read as a literal int bitmask, the set
-    representation of the candidate generator's dense backend.
+    orbit part of an infinity neighborhood, the miss times. A hit list can
+    also be read as a literal int bitmask, the set representation of the
+    candidate generator on the dense family.
     """
 
     def __init__(self, n_points: int, times: tuple[int, ...] | None = None,
@@ -146,9 +144,7 @@ class OccupancyVector:
         return self.miss_times is not None
 
     def as_int(self) -> int:
-        """Literal bitmask of the hit times; only for short builds."""
-        if self.n_points > DENSE_BITMASK_LIMIT:
-            raise ValueError("trajectory too long for a literal bitmask")
+        """Literal bitmask of the hit times."""
         if self._mask is None:
             self._mask = _bits_to_int(self.times, self.n_points)
         return self._mask
@@ -262,25 +258,6 @@ def _head_realizer(J, sigma, heads) -> ModelPoint | None:
                            else Symbol.head(idx))
 
 
-def _infinity_orbit_scan(J, occs, lo, hi, budget):
-    """First orbit start in [lo, hi] realizing an assignment made purely of
-    infinity neighborhoods (``occs[i]`` at time J[i]), or None.
-
-    The orbit complements of infinity neighborhoods are sparse (a handful of
-    near-zero indices per run), so the first start clearing all of them is
-    found by skipping the finitely many collisions.
-    """
-    blocked = {h - t for t, occ in zip(J, occs) for h in occ.miss_times
-               if lo <= h - t <= hi}
-    budget.spend(len(blocked) + 1)
-    u = lo
-    while u in blocked:
-        u += 1
-    if u > hi:
-        return None
-    return ModelPoint.orbit(u)
-
-
 # ---------------------------------------------------------------------------
 # realizer tables
 
@@ -360,15 +337,16 @@ def _extensions(shape, groups, occs, heads, horizon, budget):
     no further group is read once nothing is left, so only a surviving
     shape has its whole table built.
 
-    Short builds of the dense family hold each set as an int mask, the OR
-    of A_c's mask shifted down by every u; an assignment whose
+    The family picks the set representation. The dense family's blocks
+    are explicit, bounded orbits, so there each set is an int mask, the OR
+    of A_c's mask shifted down by every u, and an assignment whose
     neighborhoods share a dense center is realized by that fixed head and
-    imposes nothing. Elsewhere the sets are sparse, the differences b - u
-    of A_c's hits b past u. On the head-indexed family a finite-center
-    assignment also holds at its one head difference, and an assignment
-    with an infinity neighborhood, whose set is co-finite, is tested per
-    live d (``_cofinite_kept``). Every list element and hit read spends
-    one node.
+    imposes nothing. The head-indexed family's horizons grow by a factor
+    per segment, so there the sets are sparse, the differences b - u of
+    A_c's hits b past u; a finite-center assignment also holds at its one
+    head difference, and an assignment with an infinity neighborhood,
+    whose set is co-finite, is tested per live d (``_cofinite_kept``).
+    Every shifted mask, list element and hit read spends one node.
     """
     centers, windows = heads
     if all(c is None for c in centers):
@@ -380,9 +358,9 @@ def _extensions(shape, groups, occs, heads, horizon, budget):
     k = len(occs)
     lo = shape[-1] + 1
     table = [None] * k ** len(shape)
-    masks = None
+    dense = windows is None
     live = None
-    if windows is None and occs[0].n_points <= DENSE_BITMASK_LIMIT:
+    if dense:
         span = (1 << (horizon + 1)) - 1
         live = span >> lo << lo
         masks = [occ.as_int() & span for occ in occs]
@@ -396,31 +374,31 @@ def _extensions(shape, groups, occs, heads, horizon, budget):
             for c, occ in enumerate(occs):
                 if starts is None and occ.complement:
                     continue  # the limit head realizes it
-                if windows is None and idx == centers[c]:
+                if dense and idx == centers[c]:
                     continue  # so does the fixed head of a shared dense center
                 finite = starts is not None and not occ.complement
                 # an all-infinity sigma reads the hits of A_c instead
                 size = len(starts if starts is not None else occ.times)
                 pairs.append((size, finite, sigma_j, c, starts, idx))
         pairs.sort(key=lambda p: p[0])
-        if live is None and pairs:
+        if live is None:
             # the first set is a finite assignment's differences
             first = next(n for n, p in enumerate(pairs) if p[1])
             pairs.insert(0, pairs.pop(first))
         for _, finite, sigma_j, c, starts, idx in pairs:
             occ = occs[c]
-            if masks is not None:
-                budget.spend(len(starts))
+            if dense:
                 mask = masks[c]
                 acc = 0
                 for u in starts:
+                    budget.spend()
                     acc |= mask >> u
                 live &= acc
             elif finite:
                 hits = occ.times
                 top = bisect.bisect_right(hits, horizon)
                 got = set()
-                if windows is not None and idx is not None:
+                if idx is not None:
                     head = centers[c] - idx
                     if lo <= head <= horizon:
                         got.add(head)
@@ -434,11 +412,9 @@ def _extensions(shape, groups, occs, heads, horizon, budget):
                                       occs, heads, horizon, budget)
             if not live:
                 return (), None
-    if masks is not None:
+    if dense:
         return _int_to_bits(live), tuple(table)
-    # only one dense center throughout: its fixed head realizes everything
-    return (tuple(range(lo, horizon + 1)) if live is None
-            else tuple(sorted(live))), tuple(table)
+    return tuple(sorted(live)), tuple(table)
 
 
 def _cofinite_kept(live, shape, sigma, c, starts, idx, occs, heads, horizon,
@@ -509,11 +485,14 @@ def is_independence_set(J, specs, traj: Trajectory,
     the shape J - J[0], keeping every list, since an assignment
     earlier in product order may die later than one whose prefix died
     first. A witness is the first orbit start, else the closed-form head;
-    ``start_range`` rules heads out, and the infinity scan then serves the
-    assignments made purely of infinity neighborhoods.
+    ``start_range`` rules heads out, and with them the co-finite
+    neighborhoods of infinity centers, which it rejects.
     """
     if not specs:
         raise ValueError("a tuple needs at least one neighborhood")
+    if start_range is not None and any(s.center.kind == KIND_HEAD_INF
+                                       for s in specs):
+        raise ValueError("start_range needs finite-center neighborhoods")
     J = tuple(sorted(J))
     if len(set(J)) != len(J):
         raise ValueError("independence sets hold distinct times")
@@ -559,9 +538,6 @@ def is_independence_set(J, specs, traj: Trajectory,
             point = ModelPoint.orbit(starts[i] - t0)
         elif start_range is None:
             point = _head_realizer(J, sigma, heads)
-        elif starts is None:
-            point = _infinity_orbit_scan(J, [occs[c] for c in sigma], lo,
-                                         hi, budget)
         else:
             point = None
         if point is None:
@@ -575,16 +551,17 @@ def is_independence_set(J, specs, traj: Trajectory,
 
 
 def _fixed_head_everywhere(specs, traj) -> ModelPoint | None:
-    """A fixed point lying in every neighborhood realizes everything."""
-    candidates = []
-    if traj.family == FAMILY_LOG_M:
-        candidates.append(Symbol.head_inf())
-    else:
-        candidates.extend(s.center for s in specs if s.center.kind == KIND_DENSE)
-    for sym in candidates:
-        if all(head_member(s, sym, traj) for s in specs):
-            return ModelPoint.head(sym)
-    return None
+    """A fixed point lying in every neighborhood realizes everything: the
+    limit head when every center is a_inf, a dense head when every center
+    is that head."""
+    centers, windows = _head_keys(specs, traj)
+    if len(set(centers)) > 1:
+        return None
+    if centers[0] is None:
+        return ModelPoint.head(Symbol.head_inf())
+    if windows is None:
+        return ModelPoint.head(Symbol.dense(centers[0]))
+    return None  # a head-indexed head moves
 
 
 def _cap_result(specs, traj, horizon, shape, budget,
@@ -623,6 +600,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
 
     # a shape holds distinct times up to the horizon
     longest = min(cap, horizon + 1)
+    # built first: they reject centers of the other family
+    occs = [occupancy(s, traj) for s in specs]
     fixed = _fixed_head_everywhere(specs, traj)
     if fixed is not None:
         _check_assignment_cap(len(specs), longest)
@@ -633,7 +612,6 @@ def max_independence(specs, cap: int, traj: Trajectory,
         return MaxIndependenceResult(
             longest, IndependenceWitness(shape, realizers), None)
 
-    occs = [occupancy(s, traj) for s in specs]
     heads = _head_keys(specs, traj)
     visited = [0] * (longest + 1)
     visited[1] = 1

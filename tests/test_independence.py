@@ -168,13 +168,15 @@ class TestSatisfiable:
             else:
                 assert got is None, t
 
-    def test_infinity_orbit_scan_with_start_range(self, m2k3):
-        # all-infinity assignments must still find orbit witnesses when
-        # heads are unavailable
-        specs = (U(Symbol.head_inf(), 1), U(Symbol.head_inf(), 1))
-        res = _check_fold((0, 3), specs, m2k3, 200, start_range=(1, 10**6))
-        assert res.ok
-        assert all(p.is_orbit for p in res.witness.realizers.values())
+    def test_start_range_rejects_infinity_centers(self, m2k3):
+        # a restricted system holds orbit points only, and an infinity
+        # neighborhood's orbit part is co-finite
+        for specs in ((U(Symbol.head_inf(), 1),),
+                      (U(Symbol.head(0), 1), U(Symbol.head_inf(), 2))):
+            for J in ((), (0, 3)):
+                with pytest.raises(ValueError, match="finite-center"):
+                    is_independence_set(J, specs, m2k3, horizon=200,
+                                        start_range=(1, 10**6))
 
 
 class TestIsIndependenceSet:
@@ -275,6 +277,33 @@ class TestMaxIndependence:
         assert res.witness.times == tuple(range(101))
         assert budget.nodes == 101
 
+    def test_fixed_head_shortcut_matches_head_membership(self, m2k2, dense2):
+        # the shortcut fires exactly when one fixed head lies in every
+        # neighborhood: the limit head on the head-indexed family, whose
+        # finite heads move, and a dense head on the dense family
+        rng = random.Random(5050)
+        fired = {FAMILY_LOG_M: 0, FAMILY_LOG_INFTY: 0}
+        for i in range(120):
+            traj = (m2k2, dense2)[i % 2]
+            if traj.family == FAMILY_LOG_M:
+                pool = [Symbol.head_inf(), Symbol.head(0), Symbol.head(1)]
+                fixed = pool[:1]
+            else:
+                pool = fixed = [Symbol.dense(j) for j in (1, 2, 3)]
+            k = rng.randrange(1, 4)
+            if rng.random() < 0.5:
+                centers = [rng.choice(pool)] * k  # one center, mixed levels
+            else:
+                centers = [rng.choice(pool) for _ in range(k)]
+            specs = tuple(U(c, rng.randrange(1, 3)) for c in centers)
+            inside = [h for h in fixed
+                      if all(head_member(s, h, traj) for s in specs)]
+            got = independence._fixed_head_everywhere(specs, traj)
+            assert got == (ModelPoint.head(inside[0]) if inside else None), (
+                traj.family, [s.render() for s in specs])
+            fired[traj.family] += got is not None
+        assert min(fired.values()) >= 10, fired
+
     def test_budget_exhaustion_raises(self, m2k3):
         specs = (U(Symbol.head(0), 1), U(Symbol.head_inf(), 1))
         with pytest.raises(ResourceBudgetExceeded):
@@ -341,12 +370,6 @@ class TestSearchBudget:
             budget.spend()
 
 
-# the bitmask pair stage runs on short dense builds; the sparse one on the
-# rest, and on dense builds too once the mask limit is forced to zero
-PAIR_PATHS = pytest.mark.parametrize(
-    "limit", [independence.DENSE_BITMASK_LIMIT, 0], ids=["bitmask", "sparse"])
-
-
 def _dense_or_random_builds(rng, dense2, count):
     """Random small builds of both families plus random dense2 tuples."""
     for i in range(count):
@@ -386,9 +409,7 @@ def _child_table(shape, table, d, occs, horizon, budget):
 
 
 class TestPairStage:
-    @PAIR_PATHS
-    def test_pair_diffs_match_oracle(self, limit, dense2, m2k2, monkeypatch):
-        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
+    def test_pair_diffs_match_oracle(self, dense2, m2k2):
         rng = random.Random(2718)
         cases = [(traj, specs, min(traj.horizon, rng.randrange(40, 121)))
                  for traj, specs in _dense_or_random_builds(rng, dense2, 48)]
@@ -398,8 +419,6 @@ class TestPairStage:
                       300))
         checked = 0
         for traj, specs, horizon in cases:
-            if limit == 0 and traj.family != FAMILY_LOG_INFTY:
-                continue  # head-indexed builds always take the sparse path
             if all(s.center.kind == KIND_HEAD_INF for s in specs):
                 continue  # the limit head covers these before the pair stage
             got = _root_extensions(specs, traj, horizon, SearchBudget())
@@ -411,49 +430,30 @@ class TestPairStage:
             checked += 1
         assert checked >= 10
 
-    def test_dense_pair_stage_is_exact_on_both_paths(self, dense2,
-                                                     monkeypatch):
+    def test_dense_pair_stage_is_exact(self, dense2):
         specs = tuple(U(Symbol.dense(j), 1) for j in (1, 2, 3))
-        bitmask = _root_extensions(specs, dense2, dense2.horizon,
-                                   SearchBudget())
+        got = _root_extensions(specs, dense2, dense2.horizon, SearchBudget())
         for d in range(1, 60):
-            assert (d in bitmask) == is_independence_set(
-                (0, d), specs, dense2).ok
-        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
-        assert _root_extensions(specs, dense2, dense2.horizon,
-                                SearchBudget()) == bitmask
+            assert (d in got) == is_independence_set((0, d), specs, dense2).ok
 
     @pytest.mark.parametrize("label", ["level-shapes", "depth-first"],
                              ids=["level", "dfs"])
-    def test_sparse_path_certificate_matches_bitmask(self, label, dense2,
-                                                     monkeypatch):
-        # the sparse pair stage once took candidates only from same-symbol
-        # hit differences and lost the pairs that fixed dense heads realize;
-        # the bitmask path's certificate, under either label a format-1
-        # search wrote, replays on the sparse path
+    def test_dense_certificate_replays_under_both_labels(self, label,
+                                                         dense2):
+        # the pairs that fixed dense heads realize count in the frontier;
+        # the certificate, under either label a format-1 search wrote,
+        # replays
         specs = (U(Symbol.dense(1), 1), U(Symbol.dense(2), 1))
         want = max_independence(specs, cap=6, traj=dense2)
-        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
         assert replay_certificate(
             dataclasses.replace(want.certificate, search=label),
             dense2) == (True, "certificate reproduced")
-        got = max_independence(specs, cap=6, traj=dense2)
         assert want.certificate.frontier_sizes[1] == 166
-        assert got.length == want.length
-        assert (got.certificate.frontier_sizes
-                == want.certificate.frontier_sizes)
-        assert got.certificate.died_level == want.certificate.died_level
-        assert got.witness.times == want.witness.times
 
-    @PAIR_PATHS
-    def test_max_independence_matches_oracle(self, limit, dense2,
-                                             monkeypatch):
-        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
+    def test_max_independence_matches_oracle(self, dense2):
         rng = random.Random(1618)
         for traj, specs in _dense_or_random_builds(rng, dense2, 40):
             horizon = min(traj.horizon, rng.randrange(8, 19))
-            if limit == 0 and traj.family != FAMILY_LOG_INFTY:
-                continue
             want = naive_max_independence(specs, 3, traj, horizon=horizon)
             got = max_independence(specs, cap=3, traj=traj, horizon=horizon)
             assert got.length == want, (traj.family, horizon,
@@ -553,12 +553,9 @@ class TestRealizerTables:
 class TestExtensions:
     """The candidate generator against one set check per d."""
 
-    @PAIR_PATHS
-    def test_generated_sets_match_per_d_extension(self, limit, dense2, m2k2,
-                                                  monkeypatch):
+    def test_generated_sets_match_per_d_extension(self, dense2, m2k2):
         # the reference folds a table per d, with none of the generator's
         # set algebra
-        monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", limit)
         rng = random.Random(8128)
         cases = list(_dense_or_random_builds(rng, dense2, 60))
         # shared dense centers; infinity neighborhoods beside finite ones
@@ -645,7 +642,7 @@ class TestExtensions:
                 independence._head_keys(specs, m2k2), 50, SearchBudget())
         assert not isinstance(info.value, ValueError)
 
-    @pytest.mark.parametrize("case", ["bitmask", "sparse", "head-indexed"])
+    @pytest.mark.parametrize("case", ["bitmask", "head-indexed"])
     def test_budget_stops_bulk_generation(self, case, dense2, m2k2,
                                           monkeypatch):
         if case == "head-indexed":
@@ -654,8 +651,6 @@ class TestExtensions:
         else:
             traj = dense2
             specs = tuple(U(Symbol.dense(j), 1) for j in (1, 2, 3))
-            if case == "sparse":
-                monkeypatch.setattr(independence, "DENSE_BITMASK_LIMIT", 0)
         # for the first generator pass below the root whose first group
         # costs nodes to build and then to read: the nodes spent before
         # the pass, and once that group is built
@@ -755,7 +750,10 @@ class TestEngineAgainstOracle:
             J = tuple(t + 1 for t in random_times(rng, horizon - 1))
             lo = rng.randrange(0, horizon // 2)
             width = rng.choice((8, horizon))
-            for start_range in (None, (lo, lo + rng.randrange(0, width))):
+            start_range = (lo, lo + rng.randrange(0, width))
+            cases.append((traj, specs, J, horizon, None))
+            if all(s.center.kind != KIND_HEAD_INF for s in specs):
+                # restricted systems take finite centers only
                 cases.append((traj, specs, J, horizon, start_range))
             if rng.random() < 0.5:
                 # a shifted independent shape, so that witness tables show
@@ -772,19 +770,17 @@ class TestEngineAgainstOracle:
             specs = tuple(U(Symbol.dense(j), n) for j in range(1, n + 2))
             cases.append((dense2, specs, block.times, dense2.horizon,
                           (block.start, block.end - 1 - block.times[-1])))
-        tables = restricted = all_inf = scans = 0
+        tables = restricted = all_inf = 0
         for traj, specs, J, horizon, start_range in cases:
             res = _check_fold(J, specs, traj, horizon, start_range)
             if res.ok:
-                inf_only = sum(
+                all_inf += sum(
                     all(specs[c].center.kind == KIND_HEAD_INF for c in sigma)
                     for sigma in res.witness.realizers)
-                all_inf += inf_only
-                scans += inf_only if start_range is not None else 0
             tables += res.ok and J[0] > 0
             restricted += res.ok and start_range is not None
         assert tables >= 20 and all_inf >= 10, (tables, all_inf)
-        assert restricted >= 5 and scans >= 5, (restricted, scans)
+        assert restricted >= 5, restricted
 
     def test_randomized_start_range_agreement(self):
         # restricted systems hold orbit points only, first start ascending
@@ -803,4 +799,9 @@ class TestEngineAgainstOracle:
             else:
                 lo = rng.randrange(0, horizon // 2)
             start_range = (lo, lo + rng.randrange(0, horizon))
-            _check_fold(J, specs, traj, horizon, start_range)
+            if any(s.center.kind == KIND_HEAD_INF for s in specs):
+                with pytest.raises(ValueError, match="finite-center"):
+                    is_independence_set(J, specs, traj, horizon=horizon,
+                                        start_range=start_range)
+            else:
+                _check_fold(J, specs, traj, horizon, start_range)
