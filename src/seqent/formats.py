@@ -45,12 +45,14 @@ def parse_field(label: str, text, parse=str, low=None):
 
 
 @contextmanager
-def input_file(path, what: str, newline=None):
+def input_file(path, what: str, newline=None, binary=False):
     """An input file opened as UTF-8 text, its line endings translated to
-    newlines unless newline is "" (as ``open`` takes it); a missing,
-    unreadable or undecodable file is an InvalidConfig naming it."""
+    newlines unless newline is "" (as ``open`` takes it), or as bytes if
+    binary; a missing, unreadable or undecodable file is an InvalidConfig
+    naming it."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with (open(path, "rb") if binary else
+              open(path, encoding="utf-8", newline=newline)) as fh:
             yield fh
     except OSError as exc:
         raise InvalidConfig(
@@ -235,12 +237,13 @@ def _symbol_header(family: str, lo: int, hi: int) -> str:
 
 
 def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
-    """The data lines for times [lo, hi]: a (first time, text) pair per
-    emitter piece.
+    """The data lines for times [lo, hi]: a (first time, UTF-8 bytes) pair
+    per emitter piece.
 
-    A piece is rendered by one ``%`` format call: a line template repeated
-    once per time, applied to the interleaved (time, index) ints. A ``%`` in
-    the segment path is escaped so the template keeps two fields a line.
+    A piece is rendered by one bytes ``%`` format call: a line template
+    repeated once per time, applied to the interleaved (time, index) ints. A
+    ``%`` in the segment path is escaped so the template keeps two fields a
+    line.
     """
     prefix = "a" if traj.family == FAMILY_LOG_M else "e"
     for t0, indices, path in traj.symbol_pieces(lo, hi):
@@ -248,7 +251,7 @@ def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
         fields = [0] * (2 * n)
         fields[0::2] = range(t0, t0 + n)
         fields[1::2] = indices
-        line = f"%d\t{prefix}%d\t{path.replace('%', '%%')}\n"
+        line = f"%d\t{prefix}%d\t{path.replace('%', '%%')}\n".encode()
         yield t0, line * n % tuple(fields)
 
 
@@ -263,9 +266,9 @@ def write_symbols(traj: Trajectory, path, lo: int = 0,
     if hi - lo + 1 > SYMBOL_LINE_CAP:
         raise InvalidConfig(f"span [{lo}, {hi}] exceeds {SYMBOL_LINE_CAP} "
                             f"lines; pass a range")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_symbol_header(traj.family, lo, hi))
-        fh.writelines(text for _, text in _symbol_chunks(traj, lo, hi))
+    with open(path, "wb") as fh:
+        fh.write(_symbol_header(traj.family, lo, hi).encode())
+        fh.writelines(piece for _, piece in _symbol_chunks(traj, lo, hi))
     return hi - lo + 1
 
 
@@ -282,9 +285,9 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     Returns (ok, message); on mismatch the message names the first
     offending line, which is the counterexample. Header lines must be the
     ones ``write_symbols`` writes, not merely parse to the same values.
-    The file is streamed against the rendered pieces; a file that differs
-    is read once more, counting its lines and comparing them from its
-    first differing piece on.
+    The file's bytes are streamed against the rendered pieces; a file that
+    differs is decoded and read once more, counting its lines and comparing
+    them from its first differing piece on.
     """
     head = list(islice(_file_lines(path), 4))
     if len(head) < 4 or head[1] != "kind: symbols":
@@ -304,10 +307,11 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     header = _symbol_header(family, lo, hi)
     same = 0  # data lines before the first piece the file does not match
     if renderable:
-        with input_file(path, "symbol file") as fh:
-            if fh.read(len(header)) == header:
-                for t0, text in _symbol_chunks(traj, lo, hi):
-                    if fh.read(len(text)) != text:
+        with input_file(path, "symbol file", binary=True) as fh:
+            encoded = header.encode()
+            if fh.read(len(encoded)) == encoded:
+                for t0, piece in _symbol_chunks(traj, lo, hi):
+                    if fh.read(len(piece)) != piece:
                         same = t0 - lo
                         break
                 else:
@@ -319,8 +323,8 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     n_data = sum(1 for _ in islice(data, same))
     differs = None
     if renderable:
-        expected = (line for _, text in _symbol_chunks(traj, lo + same, hi)
-                    for line in text.splitlines())
+        expected = (line for _, piece in _symbol_chunks(traj, lo + same, hi)
+                    for line in piece.decode().splitlines())
         for number, (want, got) in enumerate(zip(expected, data), 5 + same):
             n_data += 1
             if got != want:

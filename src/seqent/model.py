@@ -346,16 +346,6 @@ class Trajectory:
         i = bisect.bisect_right(self._segment_starts, t) - 1
         return self.manifest.segments[i]
 
-    def block_of_time(self, t: int) -> int:
-        """Block number whose span (block proper plus trailing gap) holds t."""
-        self.check_time(t)
-        blocks = self.manifest.blocks
-        starts = [b.start for b in blocks]
-        i = bisect.bisect_right(starts, t) - 1
-        if i < 0:
-            raise UnknownBlock(f"time {t} precedes the first block")
-        return blocks[i].level
-
     def block_range(self, k: int) -> tuple[int, int]:
         """Inclusive time range of block k proper (no trailing outer gap)."""
         b = self.manifest.block(k)

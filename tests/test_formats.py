@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+import seqent.formats
 import seqent.model
 from _oracles import naive_symbol_lines
 
 from seqent.checks import validate_growth, verify_far_pair_exclusion
+from seqent.cli import EXIT_INVALID, main
 from seqent.construct import build_log_infty, build_log_m, minimal_schedule
 from seqent.errors import InvalidConfig
 from seqent.formats import (
@@ -197,6 +199,44 @@ class TestSymbolReplayEdges:
         assert replay_symbols(path, dense2) == (
             True, "38 symbol lines reproduced")
 
+    def test_canonical_file_replays_without_the_line_reread(
+            self, tmp_path, monkeypatch, dense2):
+        # a file as written is compared piece by piece as bytes; only its
+        # header is read as lines
+        path = tmp_path / "s.txt"
+        write_symbols(dense2, path, 3, 340)
+        file_lines = seqent.formats._file_lines
+        entered = []
+
+        def counted(p):
+            entered.append(p)
+            return file_lines(p)
+
+        monkeypatch.setattr(seqent.formats, "_file_lines", counted)
+        assert replay_symbols(path, dense2) == (
+            True, "338 symbol lines reproduced")
+        assert entered == [path]
+
+    def test_non_utf8_byte_deep_in_the_file_is_invalid(
+            self, tmp_path, capsys, dense4):
+        # the last data line lies well past the header's first decoded read
+        path = tmp_path / "s.txt"
+        write_symbols(dense4, path, 0, 3000)
+        data = bytearray(path.read_bytes())
+        last_digit = data.rindex(b"\t", 0, -1) - 1
+        assert last_digit > 8 * 1024
+        data[last_digit] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidConfig, match="is not UTF-8 text"):
+            replay_symbols(path, dense4)
+        manifest = tmp_path / "manifest.txt"
+        write_manifest(dense4, manifest)
+        code = main(["verify", "--replay", str(path), "--manifest",
+                     str(manifest)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_INVALID, "")
+        assert f"symbol file {path} is not UTF-8 text" in captured.err
+
 
 # sha256 of symbol files written before symbol lines were rendered per
 # piece; the piece renderer must reproduce them byte for byte
@@ -215,6 +255,8 @@ class TestSymbolDigests:
         path = tmp_path / "s.txt"
         assert write_symbols(m3k3, path, 0, 999_999) == 1_000_000
         assert file_sha256(path) == M3K3_FIRST_MILLION_SHA256
+        assert replay_symbols(path, m3k3) == (
+            True, "1000000 symbol lines reproduced")
 
     def test_full_dense4_file(self, tmp_path, dense4):
         path = tmp_path / "s.txt"
@@ -268,7 +310,7 @@ class TestSymbolEmitterDifferential:
 
     def test_format_characters_in_a_segment_path(self, tmp_path,
                                                  monkeypatch, dense2):
-        odd = "B1/%d%%{0}%s}/S2"
+        odd = "B1/%d%%{0}%s}/S2é"
         segments = list(dense2.manifest.segments)
         segments[1] = dataclasses.replace(segments[1], path=odd)
         monkeypatch.setattr(dense2.manifest, "segments", segments)

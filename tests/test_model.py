@@ -83,10 +83,6 @@ class TestTrajectoryAccessors:
     def test_block_two_starts_after_outer_gap(self, m2k3):
         assert m2k3.block_range(2)[0] == 841848636
 
-    def test_block_of_time(self, m2k3):
-        assert m2k3.block_of_time(0) == 1
-        assert m2k3.block_of_time(841848636) == 2
-
     def test_unknown_block_raises(self, m2k2):
         with pytest.raises(UnknownBlock):
             m2k2.manifest.block(9)
