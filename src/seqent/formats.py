@@ -236,23 +236,58 @@ def _symbol_header(family: str, lo: int, hi: int) -> str:
             f"range: {lo},{hi}\n")
 
 
+def _formatted_lines(line: bytes, t0: int, indices) -> bytes:
+    """The lines for times t0, t0 + 1, ... and the given indices: line, with
+    a ``%d`` field for the time and one for the index, repeated once per
+    time and applied to the interleaved ints."""
+    n = len(indices)
+    fields = [0] * (2 * n)
+    fields[0::2] = range(t0, t0 + n)
+    fields[1::2] = indices
+    return line * n % tuple(fields)
+
+
 def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
     """The data lines for times [lo, hi]: a (first time, UTF-8 bytes) pair
     per emitter piece.
 
-    A piece is rendered by one bytes ``%`` format call: a line template
-    repeated once per time, applied to the interleaved (time, index) ints. A
-    ``%`` in the segment path is escaped so the template keeps two fields a
-    line.
+    Lines are rendered by a bytes ``%`` call: a line template, with a
+    ``%`` in the segment path escaped, repeated once per time and applied
+    to the interleaved (time, index) ints. A head-indexed piece is a run,
+    index t + c with c fixed, so within an aligned block of times 100q to
+    100q + 99 only the digits before the last two of each field change.
+    Its blocks whose first time and index are at least 100 are rendered
+    from one 100-line template per piece instead, whose placeholder bytes
+    0xF8-0xFA (never in UTF-8) are replaced by q, the index's hundreds
+    q + floor(c / 100), and those plus one for the lines past the index's
+    carry.
     """
     prefix = "a" if traj.family == FAMILY_LOG_M else "e"
     for t0, indices, path in traj.symbol_pieces(lo, hi):
-        n = len(indices)
-        fields = [0] * (2 * n)
-        fields[0::2] = range(t0, t0 + n)
-        fields[1::2] = indices
         line = f"%d\t{prefix}%d\t{path.replace('%', '%%')}\n".encode()
-        yield t0, line * n % tuple(fields)
+        first = last = 0  # q of the first block and one past the last
+        if isinstance(indices, range):
+            c = indices.start - t0
+            first = -(-max(t0, 100, 100 - c) // 100)
+            last = (t0 + len(indices)) // 100
+        if first >= last:
+            yield t0, _formatted_lines(line, t0, indices)
+            continue
+        mid, end = f"\t{prefix}".encode(), f"\t{path}\n".encode()
+        template = b"".join(
+            b"\xf8%02d%s%s%02d%s" % (
+                r, mid, b"\xf9" if r + c % 100 < 100 else b"\xfa",
+                (r + c) % 100, end)
+            for r in range(100))
+        k = c // 100
+        head, tail = 100 * first - t0, 100 * last - t0
+        yield t0, b"".join([
+            _formatted_lines(line, t0, indices[:head]),
+            *[template.replace(b"\xf8", b"%d" % q)
+              .replace(b"\xf9", b"%d" % (q + k))
+              .replace(b"\xfa", b"%d" % (q + k + 1))
+              for q in range(first, last)],
+            _formatted_lines(line, t0 + tail, indices[tail:])])
 
 
 def write_symbols(traj: Trajectory, path, lo: int = 0,

@@ -33,8 +33,8 @@ FAMILY_LOG_M = "log-m"
 FAMILY_LOG_INFTY = "log-infty"
 
 # longest piece Trajectory.symbol_pieces yields, in times; formats renders
-# a piece with one format call, whose whole-piece temporaries (an int list,
-# its tuple, the line template) this keeps small
+# a piece into one bytes object, and its whole-piece temporaries (an int
+# list, its tuple, the line template, the blocks) this keeps small
 PIECE_TIMES = 16_384
 
 
@@ -448,7 +448,7 @@ class Trajectory:
         A piece holds the symbol indices of at most PIECE_TIMES times from t0
         on that share one segment and, for the head-indexed family, one run:
         a ``range`` there, a list slice for the dense family. Symbol files
-        render each piece with one format call.
+        render each piece into one bytes object.
         """
         if lo <= hi:
             self.check_time(lo)

@@ -280,21 +280,35 @@ def boundary_spans(rng, horizon, boundaries, count, longest):
     return spans
 
 
+def width_spans(runs, reach=250):
+    """Spans of 2 * reach times centred where a time, or an index of one of
+    the (start, first, length) runs, first has 3, 4 or 5 digits."""
+    widths = (100, 1000, 10_000)
+    centres = set(widths) | {start + w - first for start, first, length in runs
+                             for w in widths if 0 <= w - first < length}
+    return [(max(0, t - reach), t + reach - 1) for t in sorted(centres)]
+
+
 class TestSymbolEmitterDifferential:
     """The piece renderer against a per-point oracle built on symbol_at and
     segment_at, for both families."""
 
-    @pytest.mark.parametrize("piece_times", [seqent.model.PIECE_TIMES, 5])
-    def test_head_indexed_family(self, tmp_path, monkeypatch, m2k3,
+    @pytest.mark.parametrize("piece_times",
+                             [seqent.model.PIECE_TIMES, 250, 5])
+    def test_head_indexed_family(self, tmp_path, monkeypatch, m2k3, m3k3,
                                  piece_times):
         monkeypatch.setattr(seqent.model, "PIECE_TIMES", piece_times)
         window = 9_000_000
+        runs = [r for r in m2k3.runs if r[0] < window]
         boundaries = sorted(
-            {r[0] for r in m2k3.runs if r[0] < window}
+            {r[0] for r in runs}
             | {s.start for s in m2k3.manifest.segments if s.start < window})
         rng = random.Random(7100 + piece_times)
         self._check(tmp_path, m2k3,
-                    boundary_spans(rng, m2k3.horizon, boundaries, 40, 3000))
+                    boundary_spans(rng, m2k3.horizon, boundaries, 40, 3000)
+                    + width_spans(runs))
+        # one run, index t - 10, goes from a-5 through a0 and a99 to a550
+        self._check(tmp_path, m3k3, [(5, 560)])
 
     @pytest.mark.parametrize("piece_times", [seqent.model.PIECE_TIMES, 5])
     def test_dense_family(self, tmp_path, monkeypatch, dense2, dense4,
@@ -308,13 +322,17 @@ class TestSymbolEmitterDifferential:
                         + [(0, min(traj.horizon, 3000)),
                            (traj.horizon, traj.horizon)])
 
-    def test_format_characters_in_a_segment_path(self, tmp_path,
-                                                 monkeypatch, dense2):
+    @pytest.mark.parametrize("family", ["dense2", "m2k3"])
+    def test_format_characters_in_a_segment_path(self, tmp_path, request,
+                                                 monkeypatch, family):
+        # m2k3's second segment holds a run past a100 and one of negative
+        # indices, so its path goes through both renderers
+        traj = request.getfixturevalue(family)
         odd = "B1/%d%%{0}%s}/S2é"
-        segments = list(dense2.manifest.segments)
+        segments = list(traj.manifest.segments)
         segments[1] = dataclasses.replace(segments[1], path=odd)
-        monkeypatch.setattr(dense2.manifest, "segments", segments)
-        self._check(tmp_path, dense2, [(0, dense2.horizon)])
+        monkeypatch.setattr(traj.manifest, "segments", segments)
+        self._check(tmp_path, traj, [(0, min(traj.horizon, 1000))])
         text = (tmp_path / "s.txt").read_text(encoding="utf-8")
         assert text.count(f"\t{odd}\n") == segments[1].length > 0
 
