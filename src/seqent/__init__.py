@@ -15,15 +15,14 @@ from .checks import (
     verify_dense_block_independence, verify_far_pair_exclusion,
 )
 from .construct import (
-    GrowthSchedule, WindPlan, build_eps_chain, build_log_infty, build_log_m,
+    GrowthSchedule, WindPlan, build_log_infty, build_log_m,
     chain_min_interior, default_dense_schedule, minimal_schedule, patterns,
     plan_wind,
 )
 from .entropy import HStarEvidence, h_star_lower_bound
 from .errors import (
     CapExceeded, HorizonExceeded, Infeasible, InvalidConfig,
-    ResourceBudgetExceeded, ScheduleInvalid, SeqentError, TooShort,
-    UnknownBlock,
+    ResourceBudgetExceeded, ScheduleInvalid, SeqentError, UnknownBlock,
 )
 from .flower import (
     CompositeSystem, PetalSystem, Value, compose, cross_petal_check,
@@ -56,15 +55,14 @@ __all__ = [
     "part_expected_times", "validate_growth", "verify_block_independence",
     "verify_dense_block_independence", "verify_far_pair_exclusion",
     # construct
-    "GrowthSchedule", "WindPlan", "build_eps_chain", "build_log_infty",
-    "build_log_m", "chain_min_interior", "default_dense_schedule",
-    "minimal_schedule", "patterns", "plan_wind",
+    "GrowthSchedule", "WindPlan", "build_log_infty", "build_log_m",
+    "chain_min_interior", "default_dense_schedule", "minimal_schedule",
+    "patterns", "plan_wind",
     # entropy
     "HStarEvidence", "h_star_lower_bound",
     # errors
     "CapExceeded", "HorizonExceeded", "Infeasible", "InvalidConfig",
-    "ResourceBudgetExceeded", "ScheduleInvalid", "SeqentError", "TooShort",
-    "UnknownBlock",
+    "ResourceBudgetExceeded", "ScheduleInvalid", "SeqentError", "UnknownBlock",
     # flower
     "CompositeSystem", "PetalSystem", "Value", "compose", "cross_petal_check",
     "parse_value", "value_calculus",

@@ -11,9 +11,11 @@ horizon.
 from __future__ import annotations
 
 import bisect
+import functools
 import time as _time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .construct import chain_min_interior
 from .errors import InvalidConfig
@@ -129,52 +131,65 @@ def _validate_growth_log_m(traj: Trajectory, report: CheckReport):
 
 
 def _validate_growth_dense(traj: Trajectory, report: CheckReport):
-    segs_by_block: dict[int, list] = {}
-    for seg in traj.manifest.segments:
-        n = int(seg.path.split("/")[0][1:])
-        segs_by_block.setdefault(n, []).append(seg)
+    """Growth rules, block by block; a block's segments start inside it.
+
+    Each consecutive pair of symbols in a block is a step inside one of
+    its distinct pieces or the (last, first) junction of two consecutive
+    placements, so each distinct pair is tested once for an eps-step.
+    """
+    pieces, starts, ids = traj.piece_table
+    firsts = [piece[0] for piece in pieces]
+    lasts = [piece[-1] for piece in pieces]
+    value = functools.cache(dense_value)
+    index_at = traj.symbol_index_at
+    segments = traj.manifest.segments
     for block in traj.manifest.blocks:
         n = block.level
         if block.eps != Fraction(1, 2 ** n):
             report.counterexample = (
                 f"block {n} tolerance {block.eps}, expected 1/{2 ** n}")
             return
-        patterns_seen = [s for s in segs_by_block[n] if s.kind == "pattern"]
+        segs = segments[
+            bisect.bisect_left(segments, block.start, key=attrgetter("start")):
+            bisect.bisect_left(segments, block.end, key=attrgetter("start"))]
+        seen = sum(seg.kind == "pattern" for seg in segs)
         want = (n + 1) ** (n + 1)
-        if len(patterns_seen) != want:
+        if seen != want:
             report.counterexample = (
-                f"block {n} realizes {len(patterns_seen)} patterns, "
-                f"expected {want}")
+                f"block {n} realizes {seen} patterns, expected {want}")
             return
-        # every consecutive value along the block is an eps-step; the block
-        # takes few distinct (previous, current) index steps, test each once
-        idx = traj.dense_slice(block.start, block.end)
-        bad = {(a, b) for a, b in set(zip(idx, idx[1:]))
-               if abs(dense_value(b) - dense_value(a)) >= block.eps}
+        # the block's placements are lo..hi - 1
+        lo = bisect.bisect_left(starts, block.start)
+        hi = bisect.bisect_left(starts, block.end)
+        steps = set(zip(map(lasts.__getitem__, ids[lo:hi - 1]),
+                        map(firsts.__getitem__, ids[lo + 1:hi])))
+        for i in set(ids[lo:hi]):
+            steps.update(zip(pieces[i], pieces[i][1:]))
+        bad = {(a, b) for a, b in steps
+               if abs(value(b) - value(a)) >= block.eps}
         if bad:
-            t = next(t for t in range(1, len(idx))
-                     if (idx[t - 1], idx[t]) in bad)
-            jump = abs(dense_value(idx[t]) - dense_value(idx[t - 1]))
+            # the first bad step in placement order: into a placement from
+            # the one before (none at lo), or inside it
+            t = next(starts[p] + o for p in range(lo, hi) for o, step in
+                     enumerate(zip((lasts[ids[p - 1]] if p > lo else 0,)
+                                   + pieces[ids[p]], pieces[ids[p]]))
+                     if step in bad)
+            jump = abs(value(index_at(t)) - value(index_at(t - 1)))
             report.counterexample = (
-                f"step at time {block.start + t} jumps {jump} >= {block.eps}")
+                f"step at time {t} jumps {jump} >= {block.eps}")
             return
         # glue chains are minimal for their endpoint values; the block glues
         # few distinct endpoint pairs, each pair's minimum is found once
         least: dict[tuple[int, int], int] = {}
-        for seg in segs_by_block[n]:
+        for seg in segs:
             if seg.kind != "glue":
                 continue
-            before = traj.symbol_index_at(seg.start - 1)
-            if _glue_has_home(seg, block):
-                interior = seg.length - 1
-                end = seg.start + seg.length - 1
-            else:
-                interior = seg.length
-                end = seg.start + seg.length
-            after = traj.symbol_index_at(end)
+            home = seg.end == block.end  # the tail owns the return point
+            interior = seg.length - home
+            before, after = index_at(seg.start - 1), index_at(seg.end - home)
             if (before, after) not in least:
                 least[before, after] = chain_min_interior(
-                    dense_value(before), dense_value(after), block.eps)
+                    value(before), value(after), block.eps)
             need = least[before, after]
             if interior != need:
                 report.counterexample = (
@@ -182,19 +197,14 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
                     f"minimal is {need}")
                 return
         # blocks start and end at the first enumeration value
-        if traj.symbol_at(block.start).index != 1:
+        if index_at(block.start) != 1:
             report.counterexample = f"block {n} does not start at e1"
             return
-        if traj.symbol_at(block.end - 1).index != 1:
+        if index_at(block.end - 1) != 1:
             report.counterexample = f"block {n} does not end at e1"
             return
     report.details.append(f"{len(traj.manifest.blocks)} blocks checked")
     report.passed = True
-
-
-def _glue_has_home(seg, block: BlockRecord) -> bool:
-    """The tail glue of a block owns the final return point."""
-    return seg.start + seg.length == block.end
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .construct import build_log_infty, build_log_m, minimal_schedule
 from .entropy import h_star_lower_bound
 from .errors import (
     CapExceeded, Infeasible, InvalidConfig, ResourceBudgetExceeded,
-    ScheduleInvalid, SeqentError, TooShort, UnknownBlock,
+    ScheduleInvalid, SeqentError, UnknownBlock,
 )
 from .flower import (
     MODE_ACTIVE, PetalSystem, Value, compose, cross_petal_check,
@@ -450,8 +450,7 @@ def main(argv=None) -> int:
     except (ResourceBudgetExceeded, CapExceeded) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (InvalidConfig, ScheduleInvalid, Infeasible, TooShort,
-            UnknownBlock) as exc:
+    except (InvalidConfig, ScheduleInvalid, Infeasible, UnknownBlock) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SeqentError as exc:

@@ -10,18 +10,19 @@ values inside block n.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import Infeasible, ScheduleInvalid, TooShort
+from .errors import Infeasible, ScheduleInvalid
 from .model import (
     FAMILY_LOG_INFTY,
     FAMILY_LOG_M,
     BlockRecord,
     SegmentRecord,
     SegmentationManifest,
-    Symbol,
     Trajectory,
     dense_index,
     dense_value,
@@ -55,14 +56,6 @@ class WindPlan:
     @property
     def left_length(self) -> int:
         return self.q + self.jump_depth + 1
-
-    def symbol_index_at(self, offset: int) -> int:
-        """Head index at a 0-based offset from the wind's first point."""
-        if not 0 <= offset < self.w:
-            raise ValueError("offset outside the wind")
-        if offset < self.right_length:
-            return self.p + offset
-        return -self.jump_depth + (offset - self.right_length)
 
 
 def plan_wind(p: int, q: int, w: int) -> WindPlan:
@@ -316,28 +309,6 @@ def _chain_interior(a: Fraction, b: Fraction, eps: Fraction,
     return out
 
 
-def build_eps_chain(a, b, eps, n: int) -> list[Symbol]:
-    """An eps-chain from a to b with exactly n interior points.
-
-    Interior points are dyadics distinct from both endpoints; consecutive
-    values differ by less than eps (repeats are fine, the distance is 0).
-    Raises TooShort when n is below the minimum interior count.
-    """
-    a, b, eps = Fraction(a), Fraction(b), Fraction(eps)
-    for v in (a, b):
-        if not 0 <= v <= 1:
-            raise ValueError("chain endpoints live in [0, 1]")
-        _dyadic_level(v)
-    if n < 1:
-        raise ValueError("interior count must be positive")
-    n0 = chain_min_interior(a, b, eps)
-    if n < n0:
-        raise TooShort(f"chain from {a} to {b} at tolerance {eps} "
-                       f"needs at least {n0} interior points, got {n}")
-    values = [a] + _chain_interior(a, b, eps, n) + [b]
-    return [Symbol.dense(dense_index(v)) for v in values]
-
-
 # ---------------------------------------------------------------------------
 # dense builder
 
@@ -365,12 +336,17 @@ def default_dense_schedule(nmax: int) -> GrowthSchedule:
 
 
 def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajectory:
-    """Assemble the dense-family trajectory.
+    """Assemble the dense-family trajectory as a piece table.
 
     Block n realizes every function {slot times} -> {first n+1 enumeration
     values} in lexicographic order through equal-length pattern segments,
     glued by minimal eps_n-chains; a tail chain returns the block to the
     first enumeration value, so blocks start and end there.
+
+    No symbol list is built. A pattern segment is its lone first value,
+    then per slot the slot's chain followed by the slot's end value; a glue
+    is one chain, and the tail its chain followed by e1. Each distinct
+    piece is kept once, and each placement as its start and piece id.
     """
     if schedule is None:
         schedule = default_dense_schedule(nmax)
@@ -380,33 +356,50 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
         raise ScheduleInvalid(f"schedule covers {len(schedule.eps)} blocks, "
                               f"nmax={nmax} requested")
 
-    symbols: list[int] = []
+    # each distinct piece once, as a key whose value is its id; then each
+    # placement's start and piece id
+    piece_ids: dict[tuple[int, ...], int] = {}
+    starts = array("q")
+    ids = array("I")
     segments: list[SegmentRecord] = []
     blocks: list[BlockRecord] = []
+    pos = 0
+
+    def piece_id(piece: tuple[int, ...]) -> int:
+        return piece_ids.setdefault(piece, len(piece_ids))
+
+    def place(piece: tuple[int, ...]):
+        nonlocal pos
+        starts.append(pos)
+        ids.append(piece_id(piece))
+        pos += len(piece)
+
     for n in range(1, nmax + 1):
         eps = schedule.eps[n - 1]
         rel = [0] + list(schedule.times[n - 1])
         if len(rel) != n + 1 or any(rel[i] >= rel[i + 1] for i in range(n)):
             raise ScheduleInvalid(f"block {n} needs {n} increasing times")
-        funcs = patterns(n + 1, n)  # values 0..n here, shifted to 1..n+1
-        funcs = tuple(tuple(v + 1 for v in f) for f in funcs)
+        # values 1..n+1, the block's first n+1 enumeration indices
+        funcs = tuple(itertools.product(range(1, n + 2), repeat=n + 1))
         # the block's chains, between enumeration indices, each made once
-        least: dict[tuple[int, int], int] = {}
-        chains: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
+        @functools.cache
         def least_interior(a: int, b: int) -> int:
-            if (a, b) not in least:
-                least[a, b] = chain_min_interior(dense_value(a),
-                                                 dense_value(b), eps)
-            return least[a, b]
+            return chain_min_interior(dense_value(a), dense_value(b), eps)
 
+        @functools.cache
         def chain(a: int, b: int, count: int) -> tuple[int, ...]:
-            if (a, b, count) not in chains:
-                chains[a, b, count] = tuple(map(dense_index, _chain_interior(
-                    dense_value(a), dense_value(b), eps, count)))
-            return chains[a, b, count]
+            return tuple(map(dense_index, _chain_interior(
+                dense_value(a), dense_value(b), eps, count)))
 
-        block_start = len(symbols)
+        # each slot's piece per value pair its gap can chain: the chain and
+        # the pair's second value; a pattern segment places its first value,
+        # then its slots' pieces
+        slots = [{(a, b): piece_id(chain(a, b, need) + (b,))
+                  for a in range(1, n + 2) for b in range(1, n + 2)
+                  if need >= least_interior(a, b)}
+                 for need in (rel[i + 1] - rel[i] - 1 for i in range(n))]
+        offsets = [0] + [t + 1 for t in rel[:-1]]
+        block_start = pos
         seg_starts = []
         prev: int | None = None
         glue_count = 0
@@ -417,38 +410,38 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
                     glue_count += 1
                     segments.append(SegmentRecord(
                         path=f"B{n}/G{glue_count}", kind="glue",
-                        start=len(symbols), length=len(interior)))
-                    symbols.extend(interior)
-            seg_start = len(symbols)
-            seg_starts.append(seg_start)
-            symbols.append(f[0])
-            for slot in range(n):
-                a, b = f[slot], f[slot + 1]
-                need = rel[slot + 1] - rel[slot] - 1
-                if need < least_interior(a, b):
-                    raise ScheduleInvalid(
-                        f"block {n}: slot gap {need + 1} cannot chain "
-                        f"{dense_value(a)} to {dense_value(b)} at {eps}")
-                symbols.extend(chain(a, b, need))
-                symbols.append(b)
+                        start=pos, length=len(interior)))
+                    place(interior)
+            seg_starts.append(pos)
+            starts.extend([pos + o for o in offsets])
+            ids.append(piece_id(f[:1]))
+            try:
+                ids.extend(map(dict.__getitem__, slots, zip(f, f[1:])))
+            except KeyError:
+                i = next(i for i in range(n) if f[i:i + 2] not in slots[i])
+                raise ScheduleInvalid(
+                    f"block {n}: slot gap {rel[i + 1] - rel[i]} cannot chain "
+                    f"{dense_value(f[i])} to {dense_value(f[i + 1])} "
+                    f"at {eps}") from None
             segments.append(SegmentRecord(
-                path=f"B{n}/S{li}", kind="pattern", start=seg_start,
-                length=len(symbols) - seg_start, function=f))
+                path=f"B{n}/S{li}", kind="pattern", start=pos,
+                length=rel[-1] + 1, function=f))
+            pos += rel[-1] + 1
             prev = f[-1]
         # tail back to the first enumeration value, ending on it
-        interior = chain(prev, 1, least_interior(prev, 1))
+        tail = chain(prev, 1, least_interior(prev, 1)) + (1,)
         glue_count += 1
         segments.append(SegmentRecord(
-            path=f"B{n}/G{glue_count}", kind="glue", start=len(symbols),
-            length=len(interior) + 1))
-        symbols.extend(interior)
-        symbols.append(1)
+            path=f"B{n}/G{glue_count}", kind="glue", start=pos,
+            length=len(tail)))
+        place(tail)
         blocks.append(BlockRecord(
-            level=n, start=block_start, end=len(symbols),
+            level=n, start=block_start, end=pos,
             times=tuple(rel), functions=funcs,
             piece_starts=tuple(seg_starts), eps=eps))
 
     manifest = SegmentationManifest(FAMILY_LOG_INFTY, nmax, nmax, blocks,
                                     segments)
     return Trajectory(FAMILY_LOG_INFTY, nmax, manifest,
-                      dense_symbols=symbols, schedule=schedule)
+                      piece_table=(tuple(piece_ids), starts, ids),
+                      schedule=schedule)

@@ -25,10 +25,6 @@ class ScheduleInvalid(SeqentError):
     """A growth schedule fails structural validation for the builder."""
 
 
-class TooShort(SeqentError):
-    """A chain of the requested interior length cannot exist."""
-
-
 class CapExceeded(SeqentError):
     """A query would enumerate more assignments than the configured cap."""
 

@@ -13,7 +13,8 @@ Two families are supported:
 Orbits can be astronomically long (the growth rules force roughly a factor
 of 101 per constrained segment), so the head-indexed family stores symbols as
 maximal ascending runs with exact integer arithmetic and never materializes
-individual points. The dense family is short enough to store explicitly.
+individual points. The dense family stores a piece table: the few distinct
+chain pieces its segments are made of, and where each one is placed.
 """
 
 from __future__ import annotations
@@ -275,9 +276,14 @@ class Trajectory:
     """A built orbit plus its segmentation manifest.
 
     Use the builders in ``construct`` to create one. Symbol queries accept
-    any time below ``n_points`` regardless of how long the orbit is; the
-    head-indexed family resolves them through binary search over ascending
-    runs.
+    any time below ``n_points`` regardless of how long the orbit is, by
+    binary search over the head-indexed family's ascending runs or the
+    dense family's placements.
+
+    The dense ``piece_table`` is (pieces, starts, ids): the distinct pieces
+    (tuples of dense positions) and, per placement in time order, its first
+    time and its piece's index (``array``s). Placements cover the times
+    from 0 without gaps, and each block starts at one.
     """
 
     def __init__(
@@ -286,7 +292,8 @@ class Trajectory:
         m: int,
         manifest: SegmentationManifest,
         runs: list[tuple[int, int, int]] | None = None,
-        dense_symbols: list[int] | None = None,
+        piece_table: tuple[tuple[tuple[int, ...], ...], array, array]
+        | None = None,
         schedule=None,
     ):
         self.family = family
@@ -295,16 +302,16 @@ class Trajectory:
         self.schedule = schedule
         self._runs = runs or []
         self._run_starts = [r[0] for r in self._runs]
-        self._dense = dense_symbols
-        # dense hit lists, one per asked index, found by ``dense_hits`` in
-        # the symbols packed as array bytes (with the array's typecode)
+        self.piece_table = piece_table
+        # dense hit lists, one per asked index, and each piece's starts
         self._dense_hits: dict[int, tuple[int, ...]] = {}
-        self._dense_packed: tuple[bytes, str] | None = None
+        self._placed: list[array] | None = None
         if family == FAMILY_LOG_M:
             last = self._runs[-1]
             self.n_points = last[0] + last[2]
         else:
-            self.n_points = len(dense_symbols)
+            pieces, starts, ids = piece_table
+            self.n_points = starts[-1] + len(pieces[ids[-1]])
         self._segment_starts = [s.start for s in manifest.segments]
         self._hit_cache: dict[int, tuple[int, ...]] = {}
         self._window_cache: dict[int, tuple[int, ...]] = {}
@@ -329,8 +336,10 @@ class Trajectory:
     def symbol_index_at(self, t: int) -> int:
         """Head index (log-m) or dense position (log-infty) of x_t."""
         self.check_time(t)
-        if self._dense is not None:
-            return self._dense[t]
+        if self.piece_table is not None:
+            pieces, starts, ids = self.piece_table
+            i = bisect.bisect_right(starts, t) - 1
+            return pieces[ids[i]][t - starts[i]]
         i = bisect.bisect_right(self._run_starts, t) - 1
         start, first, _length = self._runs[i]
         return first + (t - start)
@@ -378,50 +387,25 @@ class Trajectory:
     def dense_hits(self, j: int) -> tuple[int, ...]:
         """All orbit times whose symbol is e_j, ascending.
 
-        Only index j is looked up, and its tuple is cached. The first call
-        packs the dense symbols into an ``array`` whose items fit the
-        largest index; j's hits are the item-aligned occurrences of its
-        item bytes in the packed bytes.
+        Only index j is looked up, and its tuple is cached: each start of a
+        piece's placements plus each offset of j in that piece. The first
+        call lists every piece's placement starts.
         """
-        if self._dense is None:
+        if self.piece_table is None:
             raise ValueError("dense_hits applies to the dense family")
         hits = self._dense_hits.get(j)
         if hits is None:
-            hits = self._dense_hits[j] = tuple(self._packed_times(j))
+            pieces, starts, ids = self.piece_table
+            if self._placed is None:
+                self._placed = [array("q") for _ in pieces]
+                for start, i in zip(starts, ids):
+                    self._placed[i].append(start)
+            hits = self._dense_hits[j] = tuple(sorted(
+                start + offset
+                for piece, placed in zip(pieces, self._placed) if j in piece
+                for offset, index in enumerate(piece) if index == j
+                for start in placed))
         return hits
-
-    def _packed_times(self, j: int):
-        """Times of j's item-aligned occurrences in the packed symbols."""
-        if self._dense_packed is None:
-            for code in "BHIQ":  # the narrowest items that hold every index
-                try:
-                    data = array(code, self._dense).tobytes()
-                except OverflowError:
-                    continue
-                self._dense_packed = data, code
-                break
-        data, code = self._dense_packed
-        size = array(code).itemsize
-        if not 0 <= j < 1 << 8 * size:
-            return
-        needle = array(code, [j]).tobytes()
-        find = data.find
-        i = find(needle)
-        while i >= 0:
-            if i % size:  # an aligned match may start one byte further on
-                i = find(needle, i + 1)
-            else:
-                yield i // size
-                i = find(needle, i + size)
-
-    def dense_slice(self, lo: int, hi: int) -> list[int]:
-        """Dense positions of x_lo, ..., x_(hi-1), as a new list."""
-        if self._dense is None:
-            raise ValueError("dense_slice applies to the dense family")
-        if lo < hi:
-            self.check_time(lo)
-            self.check_time(hi - 1)
-        return self._dense[lo:hi]
 
     def near_head_times(self, width: int) -> tuple[int, ...]:
         """Orbit times with |symbol index| <= width (log-m), ascending.
@@ -447,18 +431,28 @@ class Trajectory:
 
         A piece holds the symbol indices of at most PIECE_TIMES times from t0
         on that share one segment and, for the head-indexed family, one run:
-        a ``range`` there, a list slice for the dense family. Symbol files
-        render each piece into one bytes object.
+        a ``range`` there, a list read from the piece table for the dense
+        family. Symbol files render each piece into one bytes object.
         """
         if lo <= hi:
             self.check_time(lo)
             self.check_time(hi)
+        if self.piece_table is not None:
+            pieces, starts, ids = self.piece_table
+            p = bisect.bisect_right(starts, lo) - 1
         t = lo
         while t <= hi:  # cut where segment_at and symbol_index_at switch
             s = bisect.bisect_right(self._segment_starts, t)
             end = min(hi + 1, t + PIECE_TIMES, *self._segment_starts[s:s + 1])
-            if self._dense is not None:
-                indices = self._dense[t:end]
+            if self.piece_table is not None:
+                indices, u = [], t
+                while u < end:  # placement p holds time u
+                    start, piece = starts[p], pieces[ids[p]]
+                    indices += piece[u - start:end - start]
+                    if start + len(piece) > end:
+                        break
+                    u = start + len(piece)
+                    p += 1
             else:
                 r = bisect.bisect_right(self._run_starts, t)
                 end = min(end, *self._run_starts[r:r + 1])

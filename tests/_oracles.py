@@ -6,11 +6,19 @@ each assignment is checked by scanning every candidate point and comparing
 symbols. Slow on purpose, and only usable on short builds.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
-from seqent.construct import GrowthSchedule, build_log_infty, build_log_m
+from seqent.construct import (
+    GrowthSchedule,
+    _chain_interior,
+    build_log_infty,
+    build_log_m,
+    chain_min_interior,
+    default_dense_schedule,
+)
 from seqent.errors import Infeasible, ScheduleInvalid
 from seqent.model import (
     FAMILY_LOG_M,
@@ -18,6 +26,8 @@ from seqent.model import (
     KIND_HEAD,
     KIND_HEAD_INF,
     Symbol,
+    dense_index,
+    dense_value,
 )
 
 # candidate points are plain tuples so the oracle cannot lean on ModelPoint
@@ -38,12 +48,53 @@ def naive_symbol_lines(traj, lo, hi):
             for t in range(lo, hi + 1)]
 
 
-def naive_dense_hits(traj):
-    """{index: ascending times} for every dense index present, one pass
-    over the symbols with one point query per time."""
+@functools.lru_cache(maxsize=None)
+def _chain_indices(a, b, eps, count):
+    """The count interior dense positions of the builder's eps-chain from
+    e_a to e_b."""
+    return tuple(map(dense_index, _chain_interior(
+        dense_value(a), dense_value(b), eps, count)))
+
+
+def naive_dense_symbols(nmax):
+    """The default dense build as one flat list of dense positions.
+
+    Per block n, every pattern over e_1 .. e_(n+1) in lexicographic order:
+    its first value, then per slot the slot's chain and its end value; a
+    minimal chain glues consecutive patterns, and a minimal chain and e_1
+    end the block.
+    """
+    schedule = default_dense_schedule(nmax)
+    symbols = []
+    for n in range(1, nmax + 1):
+        eps = schedule.eps[n - 1]
+        rel = [0] + schedule.times[n - 1]
+
+        def glue(a, b):
+            least = chain_min_interior(dense_value(a), dense_value(b), eps)
+            return _chain_indices(a, b, eps, least)
+
+        prev = None
+        for f in itertools.product(range(1, n + 2), repeat=n + 1):
+            if prev is not None:
+                symbols.extend(glue(prev, f[0]))
+            symbols.append(f[0])
+            for slot in range(n):
+                need = rel[slot + 1] - rel[slot] - 1
+                symbols.extend(_chain_indices(f[slot], f[slot + 1], eps, need))
+                symbols.append(f[slot + 1])
+            prev = f[-1]
+        symbols.extend(glue(prev, 1))
+        symbols.append(1)
+    return symbols
+
+
+def naive_dense_hits(symbols):
+    """{index: ascending times} for every dense index in a flat symbol
+    list, in one pass."""
     table = {}
-    for t in range(traj.n_points):
-        table.setdefault(traj.symbol_index_at(t), []).append(t)
+    for t, j in enumerate(symbols):
+        table.setdefault(j, []).append(t)
     return {j: tuple(times) for j, times in table.items()}
 
 

@@ -1,4 +1,5 @@
-"""Acceptance gate: the nine headline requirements, one test each.
+"""Acceptance gate: the nine headline requirements, one test each, and
+log 6 evidence on the nmax=5 build beside criterion 5.
 
 Each test is self-contained, exact (no tolerances beyond float printing),
 and prints a single PASS line via its pytest verdict. Random criteria use
@@ -130,6 +131,18 @@ def test_criterion_5_dense_blocks_and_unbounded_evidence(dense4):
     assert all(evidence.per_level[level] >= 4 for level in (1, 2, 3, 4))
     print(f"criterion 5: PASS (blocks 1..4 shatter; bound log 5 = "
           f"{evidence.value:.6f})")
+
+
+def test_criterion_5_log_6_at_nmax_5():
+    """The stretch goal beside criterion 5: on the nmax=5 build, block 5's
+    times give six centers independence sets of length 3 at every level,
+    so the CLI prints log 6."""
+    result = run_cli("entropy", "--family", "log-infty", "--nmax", "5")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "h-star lower bound: log 6 = 1.791759 (centers e1,e2,e3,e4,e5,e6; "
+        "level1=3 level2=3 level3=3 level4=3 level5=3; cap 3)\n")
+    print("criterion 5, nmax=5: PASS (bound log 6)")
 
 
 def test_criterion_6_engine_matches_oracle():

@@ -1,7 +1,10 @@
 """Verification checks: growth, parts, distances, shiftability, exclusion."""
 
+import bisect
+import collections
 import dataclasses
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -36,14 +39,18 @@ from seqent.model import (
 
 
 def _dense_copy(traj, symbols, blocks=None, segments=None):
-    """A dense trajectory over edited symbols and manifest records."""
+    """A dense trajectory over edited symbols and manifest records, with
+    one piece per manifest segment."""
     man = traj.manifest
+    segments = list(man.segments if segments is None else segments)
     manifest = SegmentationManifest(
         FAMILY_LOG_INFTY, man.m, man.kmax,
-        list(man.blocks if blocks is None else blocks),
-        list(man.segments if segments is None else segments))
-    return Trajectory(FAMILY_LOG_INFTY, traj.m, manifest,
-                      dense_symbols=symbols, schedule=traj.schedule)
+        list(man.blocks if blocks is None else blocks), segments)
+    table = (tuple(tuple(symbols[s.start:s.end]) for s in segments),
+             array("q", [s.start for s in segments]),
+             array("I", range(len(segments))))
+    return Trajectory(FAMILY_LOG_INFTY, traj.m, manifest, piece_table=table,
+                      schedule=traj.schedule)
 
 
 class TestCheckReport:
@@ -109,6 +116,50 @@ class TestValidateGrowth:
         assert not rep.passed
         assert rep.counterexample == (
             f"step at time {t} jumps {abs(far - prev)} >= 1/4")
+
+    def test_dense_bad_step_in_a_shared_piece_caught_at_its_first_placement(
+            self, dense2):
+        pieces, starts, ids = dense2.piece_table
+        block = dense2.manifest.block(2)
+        lo = bisect.bisect_left(starts, block.start)
+        # the most placed piece of block 2 that block 1 does not use and
+        # that has an interior point
+        counts = collections.Counter(ids[lo:])
+        i = max((i for i in counts
+                 if i not in ids[:lo] and len(pieces[i]) >= 3),
+                key=counts.__getitem__)
+        assert counts[i] > 1
+        first = dense_value(pieces[i][0])
+        far = max((Fraction(0), Fraction(1)), key=lambda v: abs(v - first))
+        edited = list(pieces)
+        edited[i] = (pieces[i][0], dense_index(far)) + pieces[i][2:]
+        traj = Trajectory(FAMILY_LOG_INFTY, dense2.m, dense2.manifest,
+                          piece_table=(tuple(edited), starts, ids),
+                          schedule=dense2.schedule)
+        rep = validate_growth(traj)
+        assert not rep.passed
+        assert rep.counterexample == (
+            f"step at time {starts[ids.index(i)] + 1} jumps "
+            f"{abs(far - first)} >= 1/4")
+
+    def test_dense_bad_junction_between_pieces_caught(self, dense2):
+        pieces, starts, ids = dense2.piece_table
+        block = dense2.manifest.block(2)
+        lo = bisect.bisect_left(starts, block.start)
+        # the second lone e1 of block 2 starts pattern (e1, e1, e2) after a
+        # slot piece that ends on e1; placing a lone e2 there instead keeps
+        # every piece intact and makes the step into it 0 -> 1
+        e1, e2 = pieces.index((1,)), pieces.index((2,))
+        p = [q for q in range(lo, len(ids)) if ids[q] == e1][1]
+        assert pieces[ids[p - 1]][-1] == 1
+        edited = array("I", ids)
+        edited[p] = e2
+        traj = Trajectory(FAMILY_LOG_INFTY, dense2.m, dense2.manifest,
+                          piece_table=(pieces, starts, edited),
+                          schedule=dense2.schedule)
+        rep = validate_growth(traj)
+        assert not rep.passed
+        assert rep.counterexample == f"step at time {starts[p]} jumps 1 >= 1/4"
 
     def test_dense_padded_glue_caught(self, dense2):
         symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]

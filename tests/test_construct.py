@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hashlib
+import tracemalloc
 
 from seqent.construct import (
     GrowthSchedule,
-    build_eps_chain,
+    _chain_interior,
     build_log_infty,
     build_log_m,
     chain_min_interior,
@@ -20,7 +21,13 @@ from seqent.construct import (
 )
 from seqent.errors import Infeasible, ScheduleInvalid
 from seqent.formats import manifest_string
-from seqent.model import FAMILY_LOG_INFTY, FAMILY_LOG_M, Symbol
+from seqent.model import (
+    FAMILY_LOG_INFTY,
+    FAMILY_LOG_M,
+    Symbol,
+    dense_index,
+    dense_value,
+)
 
 # Frozen values, copied from verified runs of the oracle scripts in this
 # repository's history. Any builder change that moves them is a regression.
@@ -141,11 +148,19 @@ class TestBuildLogM:
             build_log_m(2, 1, broken)
 
 
+def _chain(a, b, eps, n):
+    """The builder's eps-chain from a to b with n interior points."""
+    chain = [a] + _chain_interior(a, b, eps, n) + [b]
+    for v in chain:  # dense symbols: dyadics in [0, 1]
+        assert dense_value(dense_index(v)) == v
+    return chain
+
+
 class TestDenseChains:
     def test_chain_endpoints_and_tolerance(self):
         eps = Fraction(1, 4)
         n = chain_min_interior(0, 1, eps)
-        chain = [s.value for s in build_eps_chain(0, 1, eps, n)]
+        chain = _chain(Fraction(0), Fraction(1), eps, n)
         assert chain[0] == 0 and chain[-1] == 1
         assert len(chain) == n + 2
         assert all(abs(b - a) < eps for a, b in zip(chain, chain[1:]))
@@ -158,16 +173,24 @@ class TestDenseChains:
             for n in (least, least + 1, least + 3):
                 if n < 1:
                     continue
-                chain = [s.value for s in build_eps_chain(a, b, eps, n)]
+                chain = _chain(a, b, eps, n)
                 assert (chain[0], chain[-1]) == (a, b)
                 assert len(chain) == n + 2
                 assert all(abs(y - x) < eps for x, y in zip(chain, chain[1:]))
 
     def test_too_few_interior_points_rejected(self):
-        from seqent.errors import TooShort
-        least = chain_min_interior(0, 1, Fraction(1, 8))
-        with pytest.raises(TooShort):
-            build_eps_chain(0, 1, Fraction(1, 8), least - 1)
+        # the minimum is tight: one point fewer leaves a step of eps or more
+        eps = Fraction(1, 8)
+        least = chain_min_interior(0, 1, eps)
+        assert Fraction(1, least) >= eps
+        # and the builder refuses a slot gap that leaves one point fewer
+        sched = GrowthSchedule(FAMILY_LOG_INFTY, 1, eps=[eps],
+                               times=[[least]])
+        with pytest.raises(ScheduleInvalid, match=f"slot gap {least} cannot "
+                                                  f"chain 0 to 1 at 1/8"):
+            build_log_infty(1, sched)
+        sched.times = [[least + 1]]
+        assert build_log_infty(1, sched).n_points > 0
 
 
 class TestBuildLogInfty:
@@ -218,3 +241,30 @@ class TestBuildLogInfty:
         with pytest.raises(ScheduleInvalid,
                            match="block 1: slot gap 1 cannot chain 0 to 1 at 1/2"):
             build_log_infty(1, sched)
+
+    def test_first_failing_slot_in_pattern_order_named(self):
+        # block 2's slot gaps are 3 and 2: e1 -> e2 (0 -> 1) needs three
+        # interior points, so pattern (e1, e1, e2) fails first, at its
+        # second slot, before (e1, e2, e1) fails at its first
+        sched = GrowthSchedule(FAMILY_LOG_INFTY, 2,
+                               eps=[Fraction(1, 2), Fraction(1, 4)],
+                               times=[[3], [3, 5]])
+        with pytest.raises(ScheduleInvalid,
+                           match="block 2: slot gap 2 cannot chain 0 to 1 at 1/4"):
+            build_log_infty(2, sched)
+
+    def test_build_keeps_no_structure_per_point(self):
+        # what the nmax=4 trajectory holds beside its manifest: the memory
+        # freed when only the manifest is kept. The piece table is about
+        # 0.3 MB; a list with one entry per point would be 1.95 MB.
+        tracemalloc.start()
+        try:
+            traj = build_log_infty(4)
+            manifest = traj.manifest
+            kept = tracemalloc.get_traced_memory()[0]
+            del traj
+            kept -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert manifest.blocks[-1].end == 243994
+        assert kept < 1_000_000

@@ -1,10 +1,12 @@
 """Model layer: symbols, points, membership, and trajectory accessors."""
 
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import naive_dense_hits
+from _oracles import naive_dense_hits, naive_dense_symbols
 from seqent.errors import HorizonExceeded, InvalidConfig, UnknownBlock
 from seqent.independence import occupancy
 from seqent.model import (
@@ -109,46 +111,45 @@ class TestTrajectoryAccessors:
             assert seg.start <= t < seg.end
 
 
-def _dense_over(traj, symbols):
-    """A dense trajectory over hand-made symbols, with traj's manifest."""
-    return Trajectory(FAMILY_LOG_INFTY, traj.m, traj.manifest,
-                      dense_symbols=symbols, schedule=traj.schedule)
-
-
 class TestDenseHits:
     @pytest.mark.parametrize("name", ["dense2", "dense4"])
     def test_every_index_matches_the_one_pass_table(self, request, name):
         traj = request.getfixturevalue(name)
-        table = naive_dense_hits(traj)
+        table = naive_dense_hits(naive_dense_symbols(traj.kmax))
         for j, times in table.items():
             assert traj.dense_hits(j) == times, j
         assert traj.dense_hits(max(table) + 1) == ()
 
-    def test_aligned_match_one_byte_after_a_misaligned_one(self, dense2):
-        # little-endian 2-byte items give bytes 00 01 01 01: a misaligned
-        # 257 at offset 1, one byte before the aligned one
-        traj = _dense_over(dense2, [256, 257])
-        assert traj.dense_hits(257) == (1,)
-        assert traj.dense_hits(256) == (0,)
-        assert traj.dense_hits(1) == ()
+    @pytest.mark.parametrize("name", ["dense2", "dense4"])
+    def test_piece_table_reads_as_the_flat_list(self, request, name):
+        traj = request.getfixturevalue(name)
+        symbols = naive_dense_symbols(traj.kmax)
+        assert traj.n_points == len(symbols)
+        assert [traj.symbol_index_at(t) for t in range(len(symbols))] \
+            == symbols
+        t = 0
+        for t0, indices, path in traj.symbol_pieces(0, traj.horizon):
+            assert t0 == t and 0 < len(indices) <= PIECE_TIMES
+            assert list(indices) == symbols[t0:t0 + len(indices)]
+            assert traj.segment_at(t0).path == path
+            t += len(indices)
+            assert traj.segment_at(t - 1).path == path
+        assert t == len(symbols)
 
     def test_indices_above_two_bytes(self, dense2):
-        traj = _dense_over(dense2, [1, 70_000, 65_537, 1, 4_464])
-        assert traj.dense_hits(70_000) == (1,)
-        assert traj.dense_hits(65_537) == (2,)
-        assert traj.dense_hits(1) == (0, 3)
-        # the low two bytes of 70,000: hit only where it is the index
-        assert traj.dense_hits(4_464) == (4,)
+        # placements (1, 65537) (4464, 2^33) (1, 65537) at times 0, 2, 4
+        table = (((1, 65_537), (4_464, 2 ** 33)),
+                 array("q", [0, 2, 4]), array("I", [0, 1, 0]))
+        traj = Trajectory(FAMILY_LOG_INFTY, dense2.m, dense2.manifest,
+                          piece_table=table, schedule=dense2.schedule)
+        assert traj.n_points == 6
+        assert traj.dense_hits(65_537) == (1, 5)
+        assert traj.dense_hits(1) == (0, 4)
+        assert traj.dense_hits(4_464) == (2,)
+        assert traj.dense_hits(2 ** 33) == (3,)
+        # no piece holds 70,000 (4,464 plus 2^16) or 2^40
+        assert traj.dense_hits(70_000) == ()
         assert traj.dense_hits(2 ** 40) == ()
-
-    def test_dense_slice_checks_its_span(self, dense2):
-        assert dense2.dense_slice(3, 7) == [
-            dense2.symbol_index_at(t) for t in range(3, 7)]
-        assert dense2.dense_slice(5, 5) == []
-        with pytest.raises(HorizonExceeded):
-            dense2.dense_slice(0, dense2.n_points + 1)
-        with pytest.raises(HorizonExceeded):
-            dense2.dense_slice(-1, 3)
 
 
 class TestMembership:
@@ -213,7 +214,7 @@ class TestPackageSurface:
         exec("from seqent import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(seqent.__all__)
-        assert len(set(seqent.__all__)) == len(seqent.__all__) == 85
+        assert len(set(seqent.__all__)) == len(seqent.__all__) == 83
         modules = {n for n, v in namespace.items()
                    if isinstance(v, types.ModuleType)}
         assert modules == {"checks", "construct", "entropy", "errors",
