@@ -15,7 +15,6 @@ import functools
 import time as _time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 
 from .construct import chain_min_interior
 from .errors import InvalidConfig
@@ -131,28 +130,32 @@ def _validate_growth_log_m(traj: Trajectory, report: CheckReport):
 
 
 def _validate_growth_dense(traj: Trajectory, report: CheckReport):
-    """Growth rules, block by block; a block's segments start inside it.
+    """Growth rules, block by block, read from the manifest's columns.
 
-    Each consecutive pair of symbols in a block is a step inside one of
-    its distinct pieces or the (last, first) junction of two consecutive
-    placements, so each distinct pair is tested once for an eps-step.
+    A block's segments start inside it, and its pattern segments start at
+    its piece starts. Each consecutive pair of symbols in a block is a step
+    inside one of its distinct pieces or the (last, first) junction of two
+    consecutive placements, so each distinct pair is tested once for an
+    eps-step.
     """
     pieces, starts, ids = traj.piece_table
     firsts = [piece[0] for piece in pieces]
     lasts = [piece[-1] for piece in pieces]
     value = functools.cache(dense_value)
     index_at = traj.symbol_index_at
-    segments = traj.manifest.segments
-    for block in traj.manifest.blocks:
+    manifest = traj.manifest
+    seg_starts, seg_lengths = manifest.starts, manifest.lengths
+    for block in manifest.blocks:
         n = block.level
         if block.eps != Fraction(1, 2 ** n):
             report.counterexample = (
                 f"block {n} tolerance {block.eps}, expected 1/{2 ** n}")
             return
-        segs = segments[
-            bisect.bisect_left(segments, block.start, key=attrgetter("start")):
-            bisect.bisect_left(segments, block.end, key=attrgetter("start"))]
-        seen = sum(seg.kind == "pattern" for seg in segs)
+        first = bisect.bisect_left(seg_starts, block.start)
+        last = bisect.bisect_left(seg_starts, block.end)
+        patterns = set(block.piece_starts).intersection(
+            seg_starts[first:last])
+        seen = len(patterns)
         want = (n + 1) ** (n + 1)
         if seen != want:
             report.counterexample = (
@@ -181,19 +184,22 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
         # glue chains are minimal for their endpoint values; the block glues
         # few distinct endpoint pairs, each pair's minimum is found once
         least: dict[tuple[int, int], int] = {}
-        for seg in segs:
-            if seg.kind != "glue":
+        for i in range(first, last):
+            start, length = seg_starts[i], seg_lengths[i]
+            if start in patterns:
                 continue
-            home = seg.end == block.end  # the tail owns the return point
-            interior = seg.length - home
-            before, after = index_at(seg.start - 1), index_at(seg.end - home)
+            # the tail owns the block's return point
+            home = start + length == block.end
+            interior = length - home
+            before, after = (index_at(start - 1),
+                             index_at(start + length - home))
             if (before, after) not in least:
                 least[before, after] = chain_min_interior(
                     value(before), value(after), block.eps)
             need = least[before, after]
             if interior != need:
                 report.counterexample = (
-                    f"{seg.path} has {interior} interior points, "
+                    f"{manifest.path(i)} has {interior} interior points, "
                     f"minimal is {need}")
                 return
         # blocks start and end at the first enumeration value

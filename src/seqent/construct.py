@@ -21,11 +21,11 @@ from .model import (
     FAMILY_LOG_INFTY,
     FAMILY_LOG_M,
     BlockRecord,
-    SegmentRecord,
     SegmentationManifest,
     Trajectory,
-    dense_index,
+    dense_dyadic,
     dense_value,
+    dyadic_index,
 )
 
 GROWTH_FACTOR = 100  # constrained lengths exceed GROWTH_FACTOR * |prefix|
@@ -167,13 +167,19 @@ def minimal_schedule(m: int, kmax: int) -> GrowthSchedule:
 
 
 class _Emitter:
+    """Runs and the head-indexed manifest's columns, one wind at a time."""
+
     def __init__(self):
         self.runs: list[tuple[int, int, int]] = []
-        self.segments: list[SegmentRecord] = []
+        self.starts: list[int] = []
+        self.lengths: list[int] = []
+        self.paths: list[str] = []
+        self.kinds: list[str] = []
+        self.plans: list[WindPlan] = []
         self.pos = 0
 
     def emit_wind(self, path: str, kind: str, p: int, q: int, w: int,
-                  shared: bool) -> SegmentRecord:
+                  shared: bool):
         try:
             plan = plan_wind(p, q, w)
         except Infeasible as exc:
@@ -185,13 +191,12 @@ class _Emitter:
             self.runs.append((start, right_first, right_len))
         self.runs.append((start + right_len, -plan.jump_depth,
                           plan.left_length))
-        rec = SegmentRecord(
-            path=path, kind=kind, start=start, length=w - (1 if shared else 0),
-            p=p, q=q, w=w, jump_from=plan.jump_from,
-            jump_depth=plan.jump_depth, shared=shared)
-        self.segments.append(rec)
-        self.pos = rec.end
-        return rec
+        self.starts.append(start)
+        self.lengths.append(w - (1 if shared else 0))
+        self.paths.append(path)
+        self.kinds.append(kind)
+        self.plans.append(plan)
+        self.pos = start + self.lengths[-1]
 
 
 def build_log_m(m: int, kmax: int, schedule: GrowthSchedule) -> Trajectory:
@@ -249,13 +254,18 @@ def build_log_m(m: int, kmax: int, schedule: GrowthSchedule) -> Trajectory:
             piece_starts=tuple(piece_starts), winds=tuple(ws),
             inner_gaps=tuple(igs), outer_gap=og, outer_gap_start=og_start))
 
-    manifest = SegmentationManifest(FAMILY_LOG_M, m, kmax, blocks, em.segments)
+    manifest = SegmentationManifest(
+        FAMILY_LOG_M, m, kmax, blocks, em.starts, em.lengths,
+        paths=em.paths, kinds=em.kinds, plans=em.plans)
     return Trajectory(FAMILY_LOG_M, m, manifest, runs=em.runs,
                       schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
 # epsilon-chains over the dyadic enumeration
+#
+# The builder computes chains on integers: e_a and e_b as numerators over a
+# common 2^L, the tolerance as its numerator and denominator.
 
 
 def chain_min_interior(a, b, eps) -> int:
@@ -263,50 +273,62 @@ def chain_min_interior(a, b, eps) -> int:
 
     A chain takes steps of size strictly below eps, so k steps suffice
     exactly when |b - a| < k * eps; dyadic interiors realizing any such k
-    always exist (the dyadics are dense).
+    always exist (the dyadics are dense). The least k is floor(|b - a| /
+    eps) + 1.
     """
-    a, b, eps = Fraction(a), Fraction(b), Fraction(eps)
+    gap, eps = abs(Fraction(b) - Fraction(a)), Fraction(eps)
     if eps <= 0:
         raise ValueError("tolerance must be positive")
-    gap = abs(b - a)
-    if gap < eps:
-        return 0
-    return int(gap / eps)  # least k with gap < k * eps, minus one
+    return gap.numerator * eps.denominator // (gap.denominator * eps.numerator)
 
 
-def _dyadic_level(x: Fraction) -> int:
-    den = x.denominator
-    if den & (den - 1):
-        raise ValueError(f"{x} is not dyadic")
-    return den.bit_length() - 1
+def _over_common_level(a: int, b: int) -> tuple[int, int, int]:
+    """e_a and e_b as numerators over 2^L, and L: the least level, at least
+    1, that holds both."""
+    (ua, la), (ub, lb) = dense_dyadic(a), dense_dyadic(b)
+    level = max(la, lb, 1)
+    return ua << (level - la), ub << (level - lb), level
 
 
-def _chain_interior(a: Fraction, b: Fraction, eps: Fraction,
-                    n: int) -> list[Fraction]:
-    """n interior dyadics making (a, ..., b) an eps-chain; n >= minimum."""
+def _least_interior(a: int, b: int, eps: Fraction) -> int:
+    """``chain_min_interior`` between e_a and e_b."""
+    ua, ub, level = _over_common_level(a, b)
+    return abs(ub - ua) * eps.denominator // (eps.numerator << level)
+
+
+def _chain_interior(a: int, b: int, eps: Fraction,
+                    n: int) -> tuple[int, ...]:
+    """Positions of n interior dyadics making (e_a, ..., e_b) an eps-chain;
+    n is at least ``_least_interior(a, b, eps)``.
+
+    Equal ends repeat the neighbour one grid step above them (below, at 1)
+    on the grid 2^-L of their level, halved until it is finer than eps.
+    Otherwise the n + 1 equal steps' inner points are rounded, half to
+    even, to the coarsest grid, from the ends' level down, at most half a
+    step and half the step's margin below eps.
+    """
     if n == 0:
-        return []
-    if a == b:
-        level = max(_dyadic_level(a), 1)
-        delta = Fraction(1, 2 ** level)
-        while delta >= eps:
-            delta /= 2
-        c = a + delta if a + delta <= 1 else a - delta
-        return [c] * n
+        return ()
+    ua, ub, level = _over_common_level(a, b)
+    num, den = eps.numerator, eps.denominator
+    if ua == ub:
+        while den >= num << level:  # 2^-level >= eps
+            ua, level = ua << 1, level + 1
+        c = ua + 1 if ua < 1 << level else ua - 1
+        return (dyadic_index(c, level),) * n
     steps = n + 1
-    exact = abs(b - a) / steps
-    margin = eps - exact
-    level = max(_dyadic_level(a), _dyadic_level(b), 1)
-    grid = Fraction(1, 2 ** level)
-    while grid > margin / 2 or grid > exact / 2:
-        grid /= 2
-    sign = 1 if b > a else -1
+    gap = abs(ub - ua)
+    # over 2^level, a step is gap / steps and its margin eps * 2^level -
+    # gap / steps; the grid is one unit
+    while 2 * steps > gap or (2 * steps + gap) * den > num * steps << level:
+        ua, ub, gap, level = ua << 1, ub << 1, gap << 1, level + 1
     out = []
     for i in range(1, steps):
-        target = a + sign * exact * i
-        snapped = Fraction(round(target / grid)) * grid
-        out.append(snapped)
-    return out
+        q, r = divmod(ua * steps + (ub - ua) * i, steps)
+        if 2 * r > steps or 2 * r == steps and q & 1:
+            q += 1
+        out.append(dyadic_index(q, level))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +348,8 @@ def default_dense_schedule(nmax: int) -> GrowthSchedule:
     times_list = []
     for n in range(1, nmax + 1):
         eps = Fraction(1, 2 ** n)
-        values = [dense_value(j) for j in range(1, n + 2)]
-        g = 1 + max(chain_min_interior(va, vb, eps)
-                    for va in values for vb in values)
+        g = 1 + max(_least_interior(a, b, eps)
+                    for a in range(1, n + 2) for b in range(1, n + 2))
         eps_list.append(eps)
         times_list.append([i * g for i in range(1, n + 1)])
     return GrowthSchedule(FAMILY_LOG_INFTY, nmax, eps=eps_list,
@@ -346,7 +367,8 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
     No symbol list is built. A pattern segment is its lone first value,
     then per slot the slot's chain followed by the slot's end value; a glue
     is one chain, and the tail its chain followed by e1. Each distinct
-    piece is kept once, and each placement as its start and piece id.
+    piece is kept once, and each placement as its start and piece id. The
+    manifest keeps each segment's start and length.
     """
     if schedule is None:
         schedule = default_dense_schedule(nmax)
@@ -357,62 +379,57 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
                               f"nmax={nmax} requested")
 
     # each distinct piece once, as a key whose value is its id; then each
-    # placement's start and piece id
+    # placement's start and piece id, and each segment's start and length
     piece_ids: dict[tuple[int, ...], int] = {}
     starts = array("q")
     ids = array("I")
-    segments: list[SegmentRecord] = []
+    seg_starts = array("q")
+    seg_lengths = array("q")
     blocks: list[BlockRecord] = []
     pos = 0
 
     def piece_id(piece: tuple[int, ...]) -> int:
         return piece_ids.setdefault(piece, len(piece_ids))
 
-    def place(piece: tuple[int, ...]):
-        nonlocal pos
-        starts.append(pos)
-        ids.append(piece_id(piece))
-        pos += len(piece)
-
     for n in range(1, nmax + 1):
         eps = schedule.eps[n - 1]
         rel = [0] + list(schedule.times[n - 1])
         if len(rel) != n + 1 or any(rel[i] >= rel[i + 1] for i in range(n)):
             raise ScheduleInvalid(f"block {n} needs {n} increasing times")
-        # values 1..n+1, the block's first n+1 enumeration indices
-        funcs = tuple(itertools.product(range(1, n + 2), repeat=n + 1))
+        if eps <= 0:
+            raise ValueError("tolerance must be positive")
+        values = range(1, n + 2)  # the block's first n+1 enumeration indices
+        funcs = tuple(itertools.product(values, repeat=n + 1))
+        least = {(a, b): _least_interior(a, b, eps)
+                 for a in values for b in values}
         # the block's chains, between enumeration indices, each made once
-        @functools.cache
-        def least_interior(a: int, b: int) -> int:
-            return chain_min_interior(dense_value(a), dense_value(b), eps)
-
-        @functools.cache
-        def chain(a: int, b: int, count: int) -> tuple[int, ...]:
-            return tuple(map(dense_index, _chain_interior(
-                dense_value(a), dense_value(b), eps, count)))
-
+        chain = functools.cache(
+            lambda a, b, count: _chain_interior(a, b, eps, count))
         # each slot's piece per value pair its gap can chain: the chain and
         # the pair's second value; a pattern segment places its first value,
         # then its slots' pieces
         slots = [{(a, b): piece_id(chain(a, b, need) + (b,))
-                  for a in range(1, n + 2) for b in range(1, n + 2)
-                  if need >= least_interior(a, b)}
+                  for (a, b), low in least.items() if need >= low}
                  for need in (rel[i + 1] - rel[i] - 1 for i in range(n))]
+        # each pair's glue piece and length, for the pairs that need one
+        glues = {pair: (piece_id(chain(*pair, low)), low)
+                 for pair, low in least.items() if low}
         offsets = [0] + [t + 1 for t in rel[:-1]]
+        length = rel[-1] + 1
         block_start = pos
-        seg_starts = []
+        piece_starts = []
         prev: int | None = None
-        glue_count = 0
-        for li, f in enumerate(funcs, 1):
-            if prev is not None:
-                interior = chain(prev, f[0], least_interior(prev, f[0]))
-                if interior:
-                    glue_count += 1
-                    segments.append(SegmentRecord(
-                        path=f"B{n}/G{glue_count}", kind="glue",
-                        start=pos, length=len(interior)))
-                    place(interior)
+        for f in funcs:
+            if (prev, f[0]) in glues:
+                glue, count = glues[prev, f[0]]
+                seg_starts.append(pos)
+                seg_lengths.append(count)
+                starts.append(pos)
+                ids.append(glue)
+                pos += count
+            piece_starts.append(pos)
             seg_starts.append(pos)
+            seg_lengths.append(length)
             starts.extend([pos + o for o in offsets])
             ids.append(piece_id(f[:1]))
             try:
@@ -423,25 +440,22 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
                     f"block {n}: slot gap {rel[i + 1] - rel[i]} cannot chain "
                     f"{dense_value(f[i])} to {dense_value(f[i + 1])} "
                     f"at {eps}") from None
-            segments.append(SegmentRecord(
-                path=f"B{n}/S{li}", kind="pattern", start=pos,
-                length=rel[-1] + 1, function=f))
-            pos += rel[-1] + 1
+            pos += length
             prev = f[-1]
         # tail back to the first enumeration value, ending on it
-        tail = chain(prev, 1, least_interior(prev, 1)) + (1,)
-        glue_count += 1
-        segments.append(SegmentRecord(
-            path=f"B{n}/G{glue_count}", kind="glue", start=pos,
-            length=len(tail)))
-        place(tail)
+        tail = chain(prev, 1, least[prev, 1]) + (1,)
+        seg_starts.append(pos)
+        seg_lengths.append(len(tail))
+        starts.append(pos)
+        ids.append(piece_id(tail))
+        pos += len(tail)
         blocks.append(BlockRecord(
             level=n, start=block_start, end=pos,
             times=tuple(rel), functions=funcs,
-            piece_starts=tuple(seg_starts), eps=eps))
+            piece_starts=tuple(piece_starts), eps=eps))
 
     manifest = SegmentationManifest(FAMILY_LOG_INFTY, nmax, nmax, blocks,
-                                    segments)
+                                    seg_starts, seg_lengths)
     return Trajectory(FAMILY_LOG_INFTY, nmax, manifest,
                       piece_table=(tuple(piece_ids), starts, ids),
                       schedule=schedule)

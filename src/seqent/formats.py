@@ -320,9 +320,10 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     Returns (ok, message); on mismatch the message names the first
     offending line, which is the counterexample. Header lines must be the
     ones ``write_symbols`` writes, not merely parse to the same values.
-    The file's bytes are streamed against the rendered pieces; a file that
-    differs is decoded and read once more, counting its lines and comparing
-    them from its first differing piece on.
+    The file's bytes are streamed against the rendered pieces, with every
+    line ending as CRLF if the header's are; a file that differs is decoded
+    and read once more, counting its lines and comparing them from its
+    first differing piece on.
     """
     head = list(islice(_file_lines(path), 4))
     if len(head) < 4 or head[1] != "kind: symbols":
@@ -344,8 +345,15 @@ def replay_symbols(path, traj: Trajectory) -> tuple[bool, str]:
     if renderable:
         with input_file(path, "symbol file", binary=True) as fh:
             encoded = header.encode()
-            if fh.read(len(encoded)) == encoded:
+            got = fh.read(len(encoded))
+            crlf = got != encoded
+            if crlf:  # try the header, and then each piece, with CRLF
+                encoded = encoded.replace(b"\n", b"\r\n")
+                got += fh.read(len(encoded) - len(got))
+            if got == encoded:
                 for t0, piece in _symbol_chunks(traj, lo, hi):
+                    if crlf:
+                        piece = piece.replace(b"\n", b"\r\n")
                     if fh.read(len(piece)) != piece:
                         same = t0 - lo
                         break

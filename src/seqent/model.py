@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import HorizonExceeded, UnknownBlock
 
@@ -106,19 +108,28 @@ def parse_symbol(token: str) -> Symbol:
 # Positions are 1-based.
 
 
+def dense_dyadic(j: int) -> tuple[int, int]:
+    """(u, L) with e_j = u / 2^L in lowest terms (L = 0 for 0 and 1)."""
+    if j <= 2:
+        return j - 1, 0
+    # level L >= 1 holds the positions 2^(L-1) + 2 .. 2^L + 1
+    level = (j - 2).bit_length()
+    return 2 * j - (1 << level) - 3, level
+
+
+def dyadic_index(u: int, level: int) -> int:
+    """Position of u / 2^level, a dyadic rational from [0, 1], in the
+    enumeration; u need not be odd."""
+    if u == 0:
+        return 1
+    zeros = (u & -u).bit_length() - 1
+    u, level = u >> zeros, level - zeros
+    return 2 if level == 0 else (1 << (level - 1)) + 1 + (u + 1) // 2
+
+
 def dense_value(j: int) -> Fraction:
-    if j == 1:
-        return Fraction(0)
-    if j == 2:
-        return Fraction(1)
-    if j == 3:
-        return Fraction(1, 2)
-    # positions after level L-1 end at 2^(L-1) + 1; find the level of j
-    level = 2
-    while (1 << (level - 1)) + 1 + (1 << (level - 1)) < j:
-        level += 1
-    offset = j - ((1 << (level - 1)) + 1)  # 1-based among level's values
-    return Fraction(2 * offset - 1, 1 << level)
+    u, level = dense_dyadic(j)
+    return Fraction(u, 1 << level)
 
 
 def dense_index(value: Fraction) -> int:
@@ -126,15 +137,10 @@ def dense_index(value: Fraction) -> int:
     value = Fraction(value)
     if value < 0 or value > 1:
         raise ValueError("dense symbols live in [0, 1]")
-    if value == 0:
-        return 1
-    if value == 1:
-        return 2
     den = value.denominator
     if den & (den - 1):
         raise ValueError(f"{value} is not dyadic")
-    level = den.bit_length() - 1
-    return (1 << (level - 1)) + 1 + (value.numerator + 1) // 2
+    return dyadic_index(value.numerator, den.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +184,7 @@ class ModelPoint:
 
 @dataclass(frozen=True)
 class SegmentRecord:
-    """One emitted segment of the orbit.
+    """One emitted segment of the orbit, as its manifest describes it.
 
     For the head-indexed family a segment is a single wind (of a piece, an
     inner gap, or an outer gap): it ascends from index p up to jump_from, then
@@ -189,6 +195,9 @@ class SegmentRecord:
 
     For the dense family a segment is a framed pattern segment or a glue
     chain; wind fields are zero and ``function`` holds the realized pattern.
+
+    Manifests hold columns, not records: a record is made each time
+    ``SegmentationManifest.record`` or ``segments`` is read.
     """
 
     path: str
@@ -228,18 +237,120 @@ class BlockRecord:
     eps: Fraction | None = None
 
 
+class _Records(Sequence):
+    """A manifest's segments as records, each made when it is read."""
+
+    def __init__(self, manifest: "SegmentationManifest"):
+        self._manifest = manifest
+
+    def __len__(self) -> int:
+        return len(self._manifest.starts)
+
+    def __getitem__(self, i):
+        got = range(len(self))[i]
+        if isinstance(got, range):
+            return list(map(self._manifest.record, got))
+        return self._manifest.record(got)
+
+    def __iter__(self):
+        return self._manifest._records(0)
+
+
 @dataclass
 class SegmentationManifest:
+    """The orbit's segments, held as columns in time order.
+
+    ``starts`` and ``lengths`` give each segment's first owned time and its
+    number of owned points; the segments tile the times from 0. The
+    head-indexed family also keeps each segment's ``paths`` and ``kinds``
+    entry and its wind plan in ``plans`` (anything with p, q, w, jump_from
+    and jump_depth); a wind that owns one point less than w shares its first
+    point. Its times pass 2^63, so its columns are lists. The dense family
+    keeps ``array``s of starts and lengths and nothing more: a segment that
+    starts at one of its block's ``piece_starts`` is the pattern segment
+    ``B{n}/S{l}`` realizing the block's l-th function, and any other is the
+    block's next glue ``B{n}/G{g}``.
+    """
+
     family: str
     m: int  # alphabet size (log-m) or deepest block (log-infty)
     kmax: int
     blocks: list[BlockRecord]
-    segments: list[SegmentRecord]
+    starts: Sequence[int]
+    lengths: Sequence[int]
+    paths: list[str] | None = None
+    kinds: list[str] | None = None
+    plans: list | None = None
 
     def block(self, k: int) -> BlockRecord:
         if not 1 <= k <= len(self.blocks):
             raise UnknownBlock(f"block {k} not built (have 1..{len(self.blocks)})")
         return self.blocks[k - 1]
+
+    @property
+    def segments(self) -> Sequence[SegmentRecord]:
+        """Every segment as a record, made when indexed or iterated."""
+        return _Records(self)
+
+    def index_at(self, t: int) -> int:
+        """Index of the segment that owns time t."""
+        return bisect.bisect_right(self.starts, t) - 1
+
+    def path(self, i: int) -> str:
+        """Segment i's path."""
+        if self.paths is not None:
+            return self.paths[i]
+        block, l, g = self._before(i)
+        if l < len(block.piece_starts) and \
+                block.piece_starts[l] == self.starts[i]:
+            return f"B{block.level}/S{l + 1}"
+        return f"B{block.level}/G{g + 1}"
+
+    def record(self, i: int) -> SegmentRecord:
+        """Segment i as a record."""
+        return next(self._records(i))
+
+    def _records(self, i: int):
+        """The records of segment i and every later one, in order."""
+        starts, lengths = self.starts, self.lengths
+        if self.plans is None:
+            for i, (path, function) in enumerate(self._dense(i), i):
+                yield SegmentRecord(
+                    path, "glue" if function is None else "pattern",
+                    starts[i], lengths[i], function=function)
+            return
+        for i in range(i, len(starts)):
+            plan, length = self.plans[i], lengths[i]
+            yield SegmentRecord(
+                self.paths[i], self.kinds[i], starts[i], length, plan.p,
+                plan.q, plan.w, plan.jump_from, plan.jump_depth,
+                shared=length < plan.w)
+
+    def _before(self, i: int) -> tuple[BlockRecord, int, int]:
+        """Dense segment i's block and the numbers of the block's pattern
+        and glue segments before it."""
+        start = self.starts[i]
+        block = self.blocks[bisect.bisect_right(
+            self.blocks, start, key=attrgetter("start")) - 1]
+        l = bisect.bisect_left(block.piece_starts, start)
+        return block, l, i - bisect.bisect_left(self.starts, block.start) - l
+
+    def _dense(self, i: int):
+        """(path, function) of dense segment i and every later one, in
+        order; a glue's function is None."""
+        starts = self.starts
+        block, l, g = self._before(i)
+        for block in self.blocks[block.level - 1:]:
+            n, piece_starts = block.level, block.piece_starts
+            end = bisect.bisect_left(starts, block.end)
+            for i in range(i, end):
+                if l < len(piece_starts) and piece_starts[l] == starts[i]:
+                    l += 1
+                    yield f"B{n}/S{l}", block.functions[l - 1]
+                else:
+                    g += 1
+                    yield f"B{n}/G{g}", None
+            i, l, g = end, 0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +395,10 @@ class Trajectory:
     (tuples of dense positions) and, per placement in time order, its first
     time and its piece's index (``array``s). Placements cover the times
     from 0 without gaps, and each block starts at one.
+
+    ``_segment_starts`` is the manifest's starts column; ``segment_at``
+    makes the one record it returns, and ``symbol_pieces`` asks the
+    manifest for paths only.
     """
 
     def __init__(
@@ -312,7 +427,7 @@ class Trajectory:
         else:
             pieces, starts, ids = piece_table
             self.n_points = starts[-1] + len(pieces[ids[-1]])
-        self._segment_starts = [s.start for s in manifest.segments]
+        self._segment_starts = manifest.starts
         self._hit_cache: dict[int, tuple[int, ...]] = {}
         self._window_cache: dict[int, tuple[int, ...]] = {}
         # search caches filled by ``independence``, keyed by neighborhood
@@ -352,8 +467,7 @@ class Trajectory:
 
     def segment_at(self, t: int) -> SegmentRecord:
         self.check_time(t)
-        i = bisect.bisect_right(self._segment_starts, t) - 1
-        return self.manifest.segments[i]
+        return self.manifest.record(self.manifest.index_at(t))
 
     def block_range(self, k: int) -> tuple[int, int]:
         """Inclusive time range of block k proper (no trailing outer gap)."""
@@ -458,7 +572,7 @@ class Trajectory:
                 end = min(end, *self._run_starts[r:r + 1])
                 start, first, _length = self._runs[r - 1]
                 indices = range(first + t - start, first + end - start)
-            yield t, indices, self.manifest.segments[s - 1].path
+            yield t, indices, self.manifest.path(s - 1)
             t = end
 
 

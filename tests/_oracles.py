@@ -13,10 +13,8 @@ from fractions import Fraction
 
 from seqent.construct import (
     GrowthSchedule,
-    _chain_interior,
     build_log_infty,
     build_log_m,
-    chain_min_interior,
     default_dense_schedule,
 )
 from seqent.errors import Infeasible, ScheduleInvalid
@@ -48,11 +46,49 @@ def naive_symbol_lines(traj, lo, hi):
             for t in range(lo, hi + 1)]
 
 
+def chain_min_interior(a, b, eps):
+    """Least interior count of an eps-chain between the values a and b, in
+    Fraction arithmetic: k steps below eps cover |b - a| exactly when
+    |b - a| < k * eps."""
+    gap = abs(Fraction(b) - Fraction(a))
+    return 0 if gap < Fraction(eps) else int(gap / Fraction(eps))
+
+
+def _dyadic_level(x):
+    return x.denominator.bit_length() - 1
+
+
+def chain_interior(a, b, eps, n):
+    """The builder's n interior dyadics of an eps-chain from the value a to
+    the value b, in Fraction arithmetic: equal ends repeat their neighbour
+    one grid step up (down at 1) on their level's grid, halved until below
+    eps; other ends split into n + 1 equal steps whose inner points are
+    rounded, half to even, to the grid halved from the ends' level until it
+    is at most half a step and half the step's margin below eps."""
+    a, b, eps = Fraction(a), Fraction(b), Fraction(eps)
+    if n == 0:
+        return []
+    if a == b:
+        delta = Fraction(1, 2 ** max(_dyadic_level(a), 1))
+        while delta >= eps:
+            delta /= 2
+        return [a + delta if a + delta <= 1 else a - delta] * n
+    steps = n + 1
+    exact = abs(b - a) / steps
+    margin = eps - exact
+    grid = Fraction(1, 2 ** max(_dyadic_level(a), _dyadic_level(b), 1))
+    while grid > margin / 2 or grid > exact / 2:
+        grid /= 2
+    sign = 1 if b > a else -1
+    return [round((a + sign * exact * i) / grid) * grid
+            for i in range(1, steps)]
+
+
 @functools.lru_cache(maxsize=None)
 def _chain_indices(a, b, eps, count):
-    """The count interior dense positions of the builder's eps-chain from
+    """The count interior dense positions of the reference eps-chain from
     e_a to e_b."""
-    return tuple(map(dense_index, _chain_interior(
+    return tuple(map(dense_index, chain_interior(
         dense_value(a), dense_value(b), eps, count)))
 
 

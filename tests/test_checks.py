@@ -40,15 +40,17 @@ from seqent.model import (
 
 def _dense_copy(traj, symbols, blocks=None, segments=None):
     """A dense trajectory over edited symbols and manifest records, with
-    one piece per manifest segment."""
+    one piece per manifest segment; the manifest's columns are the
+    records' starts and lengths."""
     man = traj.manifest
     segments = list(man.segments if segments is None else segments)
+    seg_starts = array("q", [s.start for s in segments])
     manifest = SegmentationManifest(
         FAMILY_LOG_INFTY, man.m, man.kmax,
-        list(man.blocks if blocks is None else blocks), segments)
+        list(man.blocks if blocks is None else blocks), seg_starts,
+        array("q", [s.length for s in segments]))
     table = (tuple(tuple(symbols[s.start:s.end]) for s in segments),
-             array("q", [s.start for s in segments]),
-             array("I", range(len(segments))))
+             seg_starts, array("I", range(len(segments))))
     return Trajectory(FAMILY_LOG_INFTY, traj.m, manifest, piece_table=table,
                       schedule=traj.schedule)
 

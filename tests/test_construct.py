@@ -6,11 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hashlib
+import random
 import tracemalloc
 
+import _oracles
 from seqent.construct import (
     GrowthSchedule,
     _chain_interior,
+    _least_interior,
     build_log_infty,
     build_log_m,
     chain_min_interior,
@@ -25,6 +28,7 @@ from seqent.model import (
     FAMILY_LOG_INFTY,
     FAMILY_LOG_M,
     Symbol,
+    dense_dyadic,
     dense_index,
     dense_value,
 )
@@ -149,11 +153,10 @@ class TestBuildLogM:
 
 
 def _chain(a, b, eps, n):
-    """The builder's eps-chain from a to b with n interior points."""
-    chain = [a] + _chain_interior(a, b, eps, n) + [b]
-    for v in chain:  # dense symbols: dyadics in [0, 1]
-        assert dense_value(dense_index(v)) == v
-    return chain
+    """The builder's eps-chain from the value a to the value b with n
+    interior points, as values."""
+    interior = _chain_interior(dense_index(a), dense_index(b), eps, n)
+    return [a] + [dense_value(j) for j in interior] + [b]
 
 
 class TestDenseChains:
@@ -191,6 +194,84 @@ class TestDenseChains:
             build_log_infty(1, sched)
         sched.times = [[least + 1]]
         assert build_log_infty(1, sched).n_points > 0
+
+
+def _reference_chain(a, b, eps, n):
+    """The oracle's Fraction chain between e_a and e_b, as positions."""
+    return tuple(map(dense_index, _oracles.chain_interior(
+        dense_value(a), dense_value(b), eps, n)))
+
+
+def _default_chain_requests(nmax):
+    """Every (a, b, eps, count) the default schedule's builds up to nmax
+    ask a chain for: each value pair of a block at its least count (glues
+    and tails) and at each slot's count that can chain it."""
+    schedule = default_dense_schedule(nmax)
+    requests = set()
+    for n in range(1, nmax + 1):
+        eps = schedule.eps[n - 1]
+        rel = [0] + schedule.times[n - 1]
+        needs = {rel[i + 1] - rel[i] - 1 for i in range(n)}
+        for a in range(1, n + 2):
+            for b in range(1, n + 2):
+                least = _oracles.chain_min_interior(
+                    dense_value(a), dense_value(b), eps)
+                requests |= {(a, b, eps, count) for count
+                             in {least} | {c for c in needs if c >= least}}
+    return sorted(requests)
+
+
+class TestIntegerChains:
+    """The builder's integer chains against the oracle's Fraction ones."""
+
+    def test_default_schedule_chains_match_the_reference(self):
+        requests = _default_chain_requests(5)
+        assert len(requests) > 100
+        for a, b, eps, count in requests:
+            least = _oracles.chain_min_interior(
+                dense_value(a), dense_value(b), eps)
+            assert _least_interior(a, b, eps) == least
+            assert chain_min_interior(dense_value(a), dense_value(b),
+                                      eps) == least
+            assert _chain_interior(a, b, eps, count) == _reference_chain(
+                a, b, eps, count), (a, b, eps, count)
+
+    def test_random_dyadic_endpoints_match_the_reference(self):
+        rng = random.Random(2201)
+        tolerances = ([Fraction(1, 2 ** k) for k in range(7)]
+                      + [Fraction(3, 10), Fraction(5, 7), Fraction(2, 3)])
+        for _ in range(1500):
+            a, b = (dense_index(Fraction(rng.randint(0, 2 ** level),
+                                         2 ** level))
+                    for level in (rng.randint(0, 7), rng.randint(0, 7)))
+            eps = rng.choice(tolerances)
+            least = _oracles.chain_min_interior(
+                dense_value(a), dense_value(b), eps)
+            assert _least_interior(a, b, eps) == least
+            for count in {least, least + 1, least + rng.randint(2, 9)}:
+                assert _chain_interior(a, b, eps, count) == \
+                    _reference_chain(a, b, eps, count), (a, b, eps, count)
+
+    def test_half_way_points_round_to_even(self):
+        # one step of an odd gap over 2^level, on that level's grid, puts
+        # the middle point half way between two grid points
+        assert _chain_interior(1, dense_index(Fraction(5, 8)), Fraction(1),
+                               1) == (dense_index(Fraction(1, 4)),)
+        assert _chain_interior(1, dense_index(Fraction(7, 8)), Fraction(1),
+                               1) == (dense_index(Fraction(1, 2)),)
+        rng = random.Random(2202)
+        for _ in range(300):
+            level = rng.randint(3, 9)
+            v = rng.randint(0, 2 ** level - 5)
+            w = rng.randrange(v + 5, 2 ** level + 1, 2)
+            a, b = (dense_index(Fraction(x, 2 ** level)) for x in (v, w))
+            for ends in ((a, b), (b, a)):
+                got = _chain_interior(*ends, Fraction(1), 1)
+                assert got == _reference_chain(*ends, Fraction(1), 1)
+                middle = Fraction(v + w, 2 ** (level + 1))
+                assert abs(dense_value(got[0]) - middle) \
+                    == Fraction(1, 2 ** (level + 1))
+                assert dense_dyadic(got[0])[1] < level  # the even neighbour
 
 
 class TestBuildLogInfty:
@@ -252,6 +333,19 @@ class TestBuildLogInfty:
         with pytest.raises(ScheduleInvalid,
                            match="block 2: slot gap 2 cannot chain 0 to 1 at 1/4"):
             build_log_infty(2, sched)
+
+    def test_whole_build_stays_under_a_megabyte(self):
+        # the nmax=4 trajectory, manifest included: the piece table is about
+        # 0.3 MB, the manifest's columns 0.1 MB and the blocks' functions
+        # most of the rest; one record per segment was 2.0 MB more
+        tracemalloc.start()
+        try:
+            traj = build_log_infty(4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert traj.n_points == 243994
+        assert held < 1_000_000
 
     def test_build_keeps_no_structure_per_point(self):
         # what the nmax=4 trajectory holds beside its manifest: the memory

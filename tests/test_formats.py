@@ -205,6 +205,15 @@ class TestSymbolReplayEdges:
         # header is read as lines
         path = tmp_path / "s.txt"
         write_symbols(dense2, path, 3, 340)
+        entered = self._spy_on_the_reread(monkeypatch)
+        assert replay_symbols(path, dense2) == (
+            True, "338 symbol lines reproduced")
+        assert entered == [path]
+
+    @staticmethod
+    def _spy_on_the_reread(monkeypatch):
+        """The paths ``_file_lines`` is called with: the header read, then
+        the decoding reread."""
         file_lines = seqent.formats._file_lines
         entered = []
 
@@ -213,9 +222,48 @@ class TestSymbolReplayEdges:
             return file_lines(p)
 
         monkeypatch.setattr(seqent.formats, "_file_lines", counted)
+        return entered
+
+    @pytest.mark.parametrize("family, lo, hi", [
+        ("dense2", 3, 340), ("m3k3", 0, 5000)])
+    def test_crlf_copy_replays_without_the_line_reread(
+            self, tmp_path, monkeypatch, request, family, lo, hi):
+        # m3k3's span has pieces rendered from 100-line templates
+        traj = request.getfixturevalue(family)
+        path = tmp_path / "s.txt"
+        write_symbols(traj, path, lo, hi)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        entered = self._spy_on_the_reread(monkeypatch)
+        assert replay_symbols(path, traj) == (
+            True, f"{hi - lo + 1} symbol lines reproduced")
+        assert entered == [path]
+
+    def test_edited_crlf_line_named_by_its_number(self, tmp_path, dense2):
+        path = tmp_path / "s.txt"
+        write_symbols(dense2, path, 3, 340)
+        rows = path.read_bytes().replace(b"\n", b"\r\n").split(b"\r\n")
+        want = rows[299].decode()
+        rows[299] = rows[299].replace(b"\te", b"\te9")
+        path.write_bytes(b"\r\n".join(rows))
+        assert replay_symbols(path, dense2) == (
+            False, f"line 300: file has {rows[299].decode()!r}, "
+                   f"rebuild gives {want!r}")
+
+    @pytest.mark.parametrize("ending, other", [(b"\r\n", b"\n"),
+                                               (b"\n", b"\r\n")],
+                             ids=["crlf", "lf"])
+    def test_one_other_ending_takes_the_reread(
+            self, tmp_path, monkeypatch, dense2, ending, other):
+        # line 200 alone ends otherwise; the reread passes the file
+        path = tmp_path / "s.txt"
+        write_symbols(dense2, path, 3, 340)
+        rows = path.read_bytes().split(b"\n")
+        path.write_bytes(ending.join(rows[:200]) + other
+                         + ending.join(rows[200:]))
+        entered = self._spy_on_the_reread(monkeypatch)
         assert replay_symbols(path, dense2) == (
             True, "338 symbol lines reproduced")
-        assert entered == [path]
+        assert entered == [path, path]
 
     def test_non_utf8_byte_deep_in_the_file_is_invalid(
             self, tmp_path, capsys, dense4):
@@ -329,12 +377,16 @@ class TestSymbolEmitterDifferential:
         # indices, so its path goes through both renderers
         traj = request.getfixturevalue(family)
         odd = "B1/%d%%{0}%s}/S2é"
-        segments = list(traj.manifest.segments)
-        segments[1] = dataclasses.replace(segments[1], path=odd)
-        monkeypatch.setattr(traj.manifest, "segments", segments)
+        manifest = traj.manifest
+        path, record = manifest.path, manifest.record
+        monkeypatch.setattr(manifest, "path",
+                            lambda i: odd if i == 1 else path(i))
+        monkeypatch.setattr(manifest, "record", lambda i: dataclasses.replace(
+            record(i), path=manifest.path(i)))
+        assert traj.segment_at(manifest.starts[1]).path == odd
         self._check(tmp_path, traj, [(0, min(traj.horizon, 1000))])
         text = (tmp_path / "s.txt").read_text(encoding="utf-8")
-        assert text.count(f"\t{odd}\n") == segments[1].length > 0
+        assert text.count(f"\t{odd}\n") == traj.manifest.lengths[1] > 0
 
     @staticmethod
     def _check(tmp_path, traj, spans):

@@ -1,6 +1,7 @@
 """Model layer: symbols, points, membership, and trajectory accessors."""
 
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -16,8 +17,10 @@ from seqent.model import (
     NeighborhoodSpec,
     Symbol,
     Trajectory,
+    dense_dyadic,
     dense_index,
     dense_value,
+    dyadic_index,
     head_member,
     infinity_window,
     iterate,
@@ -47,6 +50,16 @@ class TestSymbol:
     @given(st.integers(min_value=1, max_value=4000))
     def test_dense_value_index_round_trip(self, j):
         assert dense_index(dense_value(j)) == j
+
+    def test_dense_dyadic_matches_the_listed_enumeration(self):
+        # 0, 1, then each level's odd numerators ascending
+        listed = [(0, 0), (1, 0)] + [(u, level) for level in range(1, 12)
+                                     for u in range(1, 2 ** level, 2)]
+        for j, (u, level) in enumerate(listed, 1):
+            assert dense_dyadic(j) == (u, level)
+            assert dense_value(j) == Fraction(u, 2 ** level)
+            assert dyadic_index(u, level) == j
+            assert dyadic_index(u << 3, level + 3) == j  # unreduced input
 
 
 class TestStepAndIterate:
@@ -109,6 +122,48 @@ class TestTrajectoryAccessors:
         for t in (0, 7, 8, 808, 809, 8335134, 8335135, 841848636):
             seg = m2k3.segment_at(t)
             assert seg.start <= t < seg.end
+
+
+class TestManifestColumns:
+    @pytest.mark.parametrize("name", ["dense2", "dense4", "m2k3"])
+    def test_segment_at_first_and_last_time_is_the_record(self, request,
+                                                          name):
+        traj = request.getfixturevalue(name)
+        manifest = traj.manifest
+        records = list(manifest.segments)
+        assert len(records) == len(manifest.starts) == len(manifest.lengths)
+        assert records[0].start == 0 and records[-1].end == traj.n_points
+        for i, record in enumerate(records):
+            assert (record.path, record.start, record.length) == (
+                manifest.path(i), manifest.starts[i], manifest.lengths[i])
+            assert manifest.segments[i] == record
+            for t in (record.start, record.end - 1):
+                assert manifest.index_at(t) == i
+                assert traj.segment_at(t) == record  # field for field
+        assert all(a.end == b.start for a, b in zip(records, records[1:]))
+
+    @pytest.mark.parametrize("name", ["dense2", "dense4"])
+    def test_dense_records_follow_the_blocks(self, request, name):
+        traj = request.getfixturevalue(name)
+        records = traj.manifest.segments
+        assert records[-1:] == [records[len(records) - 1]]  # slices a list
+        for block in traj.manifest.blocks:
+            n = block.level
+            own = [r for r in records if block.start <= r.start < block.end]
+            patterns = [r for r in own if r.kind == "pattern"]
+            glues = [r for r in own if r.kind == "glue"]
+            assert len(patterns) + len(glues) == len(own)
+            assert [r.path for r in patterns] == [
+                f"B{n}/S{l}" for l in range(1, len(block.functions) + 1)]
+            assert [r.start for r in patterns] == list(block.piece_starts)
+            assert [r.function for r in patterns] == list(block.functions)
+            assert [r.path for r in glues] == [
+                f"B{n}/G{g}" for g in range(1, len(glues) + 1)]
+            assert own[-1] == glues[-1] and own[-1].end == block.end
+            for r in patterns:
+                assert r.length == block.times[-1] + 1
+                assert tuple(traj.symbol_index_at(r.start + t)
+                             for t in block.times) == r.function
 
 
 class TestDenseHits:
