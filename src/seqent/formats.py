@@ -124,8 +124,20 @@ def manifest_string(traj: Trajectory) -> str:
             f"block[{b.level}]: start={b.start} end={b.end} "
             f"times={','.join(str(t) for t in b.times)} "
             f"pieces={','.join(str(p) for p in b.piece_starts)}" + extra)
-    for seg in traj.manifest.segments:
-        lines.append(_segment_line(seg))
+    manifest = traj.manifest
+    if manifest.plans is None:
+        # dense lines straight from the columns, with no record each
+        for (path, function), start, length in zip(
+                manifest.dense_walk(), manifest.starts, manifest.lengths):
+            if function is None:
+                lines.append(f"segment: path={path} kind=glue "
+                             f"start={start} length={length}")
+            else:
+                lines.append(f"segment: path={path} kind=pattern "
+                             f"start={start} length={length} function="
+                             + ";".join(map(str, function)))
+    else:
+        lines.extend(map(_segment_line, manifest.segments))
     body = "\n".join(lines) + "\n"
     return body + f"hash: {config_hash(body)}\n"
 

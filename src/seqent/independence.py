@@ -135,7 +135,6 @@ class OccupancyVector:
         self.n_points = n_points
         self.times = times
         self.miss_times = miss_times
-        self._times_set = set(times) if times is not None else None
         self._miss_set = set(miss_times) if miss_times is not None else None
         self._mask = None
 
@@ -271,7 +270,44 @@ def _root_table(occs, horizon, lo=0):
                  for occ in occs)
 
 
-def _extend_table(shape, table, d, occs, horizon, budget):
+def _center_index(occs, centers, lo, hi):
+    """The time-to-center index of one query, over the times [lo, hi] it
+    reads, as (at, m, plan).
+
+    The hits of distinct centers are disjoint, since a time carries one
+    symbol, and a center's lists at several levels are suffixes of its
+    longest one. So ``at`` maps each time in [lo, hi] of a center's
+    longest list to the center's slot, 0 .. m - 1 over the m distinct
+    finite ``centers``. With one center only membership is asked, and
+    ``at`` is the set of that whole list: a set's sparser table answers
+    the many misses faster than a dict or a set cut to the window.
+    ``plan`` holds per neighborhood (miss set, slot, first): the miss set
+    of an infinity neighborhood, else None, its center's slot and, when
+    its list is not the indexed one, its first hit (past hi if empty).
+    """
+    order = list(dict.fromkeys(c for c in centers if c is not None))
+    slots = [None if c is None else order.index(c) for c in centers]
+    longest = {}
+    for occ, slot in zip(occs, slots):
+        if slot is not None and len(occ.times) > len(longest.get(slot, ())):
+            longest[slot] = occ.times
+    if len(order) == 1:
+        at = set(longest.get(0, ()))
+    else:
+        at = {}
+        for slot, times in longest.items():
+            at.update(dict.fromkeys(times[bisect.bisect_left(times, lo):
+                                          bisect.bisect_right(times, hi)],
+                                    slot))
+    plan = tuple(
+        (occ._miss_set, None, None) if slot is None
+        else (None, slot, None) if occ.times is longest.get(slot)
+        else (None, slot, occ.times[0] if occ.times else hi + 1)
+        for occ, slot in zip(occs, slots))
+    return at, len(order), plan
+
+
+def _extend_table(shape, table, d, occs, index, horizon, budget):
     """Realizer table of shape + (d,), one group per list of ``table``.
 
     A table lists, per assignment in ``itertools.product`` order, the
@@ -283,41 +319,61 @@ def _extend_table(shape, table, d, occs, horizon, budget):
     i * k + c of the new table. Each keeps the starts whose u + d lands
     in A_c, and is kept even when empty, since a closed-form head may
     still realize its assignment. Groups come shortest list first (None
-    last), so a reader that stops early builds the least. Each list
-    element examined spends one node.
+    last), so a reader that stops early builds the least.
+
+    ``index`` is the query's ``_center_index``, covering every u + d
+    read. One pass sorts a list's starts into the parts of the centers
+    that u + d carries (with one finite center, a membership filter), and
+    A_c's list is its center's part from its first hit - d on; a_inf
+    lists filter the starts by A_c's miss set. Each start spends one node
+    per neighborhood.
     """
+    at, m, plan = index
+    k = len(occs)
     cut = horizon - d
-    sigmas = list(itertools.product(range(len(occs)), repeat=len(shape)))
+    sigmas = list(itertools.product(range(k), repeat=len(shape)))
     order = sorted(range(len(table)),
                    key=lambda i: (table[i] is None, len(table[i] or ())))
     for i in order:
         sigma, starts = sigmas[i], table[i]
+        lists = []
         if starts is None:
             misses = [(t, occs[c]._miss_set) for t, c in zip(shape, sigma)]
-        else:
-            starts = starts[:bisect.bisect_right(starts, cut)]
-        lists = []
-        for occ in occs:
-            if starts is not None:
-                budget.spend(len(starts))
+            for occ in occs:
                 if occ.complement:
-                    miss = occ._miss_set
-                    kept = tuple([u for u in starts if u + d not in miss])
-                else:
-                    hit = occ._times_set
-                    kept = tuple([u for u in starts if u + d in hit])
-            elif occ.complement:
-                kept = None
-            else:
+                    lists.append(None)
+                    continue
                 # anchor on the new neighborhood's hits b = u + d
                 times = occ.times
                 anchors = times[bisect.bisect_left(times, d):
                                 bisect.bisect_right(times, horizon)]
                 budget.spend(len(anchors))
-                kept = tuple([b - d for b in anchors
-                              if all(b - d + t not in miss
-                                     for t, miss in misses)])
-            lists.append(kept)
+                lists.append(tuple([b - d for b in anchors
+                                    if all(b - d + t not in miss
+                                           for t, miss in misses)]))
+            yield i, sigma, lists
+            continue
+        starts = starts[:bisect.bisect_right(starts, cut)]
+        budget.spend(k * len(starts))
+        if m == 1:
+            parts = (tuple([u for u in starts if u + d in at]),)
+        else:
+            parts = [[] for _ in range(m)]
+            adds = [part.append for part in parts]
+            get = at.get
+            for u in starts:
+                slot = get(u + d)
+                if slot is not None:
+                    adds[slot](u)
+            parts = [tuple(part) for part in parts]
+        for miss, slot, first in plan:
+            if miss is not None:
+                lists.append(tuple([u for u in starts if u + d not in miss]))
+            elif first is None:
+                lists.append(parts[slot])
+            else:
+                part = parts[slot]
+                lists.append(part[bisect.bisect_left(part, first - d):])
         yield i, sigma, lists
 
 
@@ -514,21 +570,24 @@ def is_independence_set(J, specs, traj: Trajectory,
         budget = SearchBudget()
 
     occs = [occupancy(s, traj) for s in specs]
+    heads = _head_keys(specs, traj)
     lo, hi = (0, horizon) if start_range is None else start_range
     lo, hi = max(lo, 0), min(hi, horizon - J[-1])
-    # the starts of J, shifted by t0, are the starts of its shape
+    # the starts of J, shifted by t0, are the starts of its shape; lists
+    # anchored after an all-infinity prefix (lo is 0 then) start below t0
     t0 = J[0]
     shape = (0,)
     table = _root_table(occs, hi + t0, lo + t0)
+    if len(J) > 1:
+        index = _center_index(occs, heads[0], lo + J[1] - t0, hi + J[-1])
     for t in J[1:]:
         child = [None] * (len(table) * k)
-        for i, _, lists in _extend_table(shape, table, t - t0, occs, horizon,
-                                         budget):
+        for i, _, lists in _extend_table(shape, table, t - t0, occs, index,
+                                         horizon, budget):
             child[i * k:i * k + k] = lists
         table = child
         shape += (t - t0,)
 
-    heads = _head_keys(specs, traj)
     realizers: dict[tuple[int, ...], ModelPoint] = {}
     sigmas = itertools.product(range(k), repeat=len(J))
     for sigma, starts in zip(sigmas, table):
@@ -616,9 +675,12 @@ def max_independence(specs, cap: int, traj: Trajectory,
     visited = [0] * (longest + 1)
     visited[1] = 1
     best_shape = (0,)
+    # the center index is built at the first descent: every u + d that
+    # a child table reads lies in [1, horizon]
+    index = None
 
     def extend(shape: tuple[int, ...], groups):
-        nonlocal best_shape
+        nonlocal best_shape, index
         ds, table = _extensions(shape, groups, occs, heads, horizon, budget)
         for d in ds:
             cand = shape + (d,)
@@ -627,8 +689,10 @@ def max_independence(specs, cap: int, traj: Trajectory,
                 best_shape = cand
             if len(cand) == cap:
                 return cand
-            got = extend(cand, _extend_table(shape, table, d, occs, horizon,
-                                             budget))
+            if index is None:
+                index = _center_index(occs, heads[0], 1, horizon)
+            got = extend(cand, _extend_table(shape, table, d, occs, index,
+                                             horizon, budget))
             if got is not None:
                 return got
         return None

@@ -314,7 +314,7 @@ class SegmentationManifest:
         """The records of segment i and every later one, in order."""
         starts, lengths = self.starts, self.lengths
         if self.plans is None:
-            for i, (path, function) in enumerate(self._dense(i), i):
+            for i, (path, function) in enumerate(self.dense_walk(i), i):
                 yield SegmentRecord(
                     path, "glue" if function is None else "pattern",
                     starts[i], lengths[i], function=function)
@@ -335,7 +335,7 @@ class SegmentationManifest:
         l = bisect.bisect_left(block.piece_starts, start)
         return block, l, i - bisect.bisect_left(self.starts, block.start) - l
 
-    def _dense(self, i: int):
+    def dense_walk(self, i: int = 0):
         """(path, function) of dense segment i and every later one, in
         order; a glue's function is None."""
         starts = self.starts

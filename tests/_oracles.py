@@ -358,7 +358,8 @@ def random_schedule(rng: random.Random, m: int) -> GrowthSchedule:
 
 
 def random_small_build(rng: random.Random):
-    """A short trajectory: random one-block log-m build or tiny dense build."""
+    """A short trajectory: a random one-block log-m build, or a tiny dense
+    build of one or two blocks (block 2 starts at time 21)."""
     while True:
         roll = rng.random()
         try:
@@ -366,26 +367,32 @@ def random_small_build(rng: random.Random):
                 return build_log_m(2, 1, random_schedule(rng, 2))
             if roll < 0.85:
                 return build_log_m(3, 1, random_schedule(rng, 3))
-            return build_log_infty(1)
+            return build_log_infty(1 if roll < 0.925 else 2)
         except (ScheduleInvalid, Infeasible):
             continue
 
 
 def random_tuple(rng: random.Random, traj, max_k: int = 3):
-    """Random neighborhood tuple with level 1 centers, inf included."""
+    """Random neighborhood tuple, inf and repeated specs included.
+
+    Levels are 1 and, on a build with a second block, 2, so one center
+    can sit at two levels, with nested hit lists.
+    """
     from seqent.model import NeighborhoodSpec
 
     k = rng.randrange(1, max_k + 1)
     specs = []
     for _ in range(k):
+        level = 1 if traj.kmax < 2 else rng.randrange(1, 3)
         if traj.family == FAMILY_LOG_M:
             if rng.random() < 0.2:
-                specs.append(NeighborhoodSpec(Symbol.head_inf(), 1))
+                specs.append(NeighborhoodSpec(Symbol.head_inf(), level))
             else:
                 c = rng.randrange(-2, traj.m + 2)
-                specs.append(NeighborhoodSpec(Symbol.head(c), 1))
+                specs.append(NeighborhoodSpec(Symbol.head(c), level))
         else:
-            specs.append(NeighborhoodSpec(Symbol.dense(rng.randrange(1, 4)), 1))
+            specs.append(NeighborhoodSpec(Symbol.dense(rng.randrange(1, 4)),
+                                          level))
     return tuple(specs)
 
 

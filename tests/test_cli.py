@@ -817,6 +817,17 @@ class TestArtifactDigests:
             got[path.name] = hashlib.sha256(b"".join(kept)).hexdigest()
         assert got == ARTIFACT_SHA256[argv]
 
+    def test_infinity_certificate_spends_pinned_nodes(self, tmp_path, capsys):
+        # the a_inf certificate's work counter, as one filter per
+        # neighborhood spent it; a search change that moves it says why
+        argv = ("verify", "--suite", "all", "--m", "2", "--kmax", "2",
+                "--nmax", "2")
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == EXIT_PASS
+        text = (tmp_path / "cert-11.txt").read_text(encoding="utf-8")
+        assert "tuple: U1(a0),U1(a_inf)\n" in text
+        assert "nodes: 44689\n" in text
+
 
 class TestBadOptions:
     """Bad option values are invalid input (exit 2) whose message names the

@@ -318,6 +318,9 @@ class TestMaxIndependence:
         res = max_independence(five, cap=4, traj=dense4, horizon=horizon)
         assert res.certificate.frontier_sizes == (1, 933, 0)
         assert res.certificate.died_level == 3
+        # the search's work counter: one node per start per neighborhood
+        # in every child table, as one filter per neighborhood spends
+        assert res.certificate.nodes_used == 335_592
         four = max_independence(five[:4], cap=4, traj=dense4,
                                 horizon=horizon)
         assert four.certificate is None
@@ -398,12 +401,19 @@ def _root_extensions(specs, traj, horizon, budget):
         independence._head_keys(specs, traj), horizon, budget)[0]
 
 
-def _child_table(shape, table, d, occs, horizon, budget):
+def _center_index(specs, traj, horizon):
+    """The center index a search at this horizon reads."""
+    return independence._center_index(
+        [occupancy(s, traj) for s in specs],
+        independence._head_keys(specs, traj)[0], 1, horizon)
+
+
+def _child_table(shape, table, d, occs, index, horizon, budget):
     """The full table of shape + (d,), in product order."""
     k = len(occs)
     child = [None] * (len(table) * k)
     for i, _, lists in independence._extend_table(shape, table, d, occs,
-                                                  horizon, budget):
+                                                  index, horizon, budget):
         child[i * k:i * k + k] = lists
     return child
 
@@ -532,6 +542,7 @@ class TestRealizerTables:
             syms = materialize(traj, horizon)
             budget = SearchBudget()
             viable = set(_root_extensions(specs, traj, horizon, budget))
+            index = _center_index(specs, traj, horizon)
             for _walk in range(3):
                 # extend along random shapes whose pairs all survive
                 shape = (0,)
@@ -544,10 +555,151 @@ class TestRealizerTables:
                     if not ds or len(shape) == 4:
                         break
                     d = rng.choice(ds)
-                    table = _child_table(shape, table, d, occs, horizon,
-                                         budget)
+                    table = _child_table(shape, table, d, occs, index,
+                                         horizon, budget)
                     shape += (d,)
         assert checked >= 200
+
+
+def _filtered_groups(shape, table, d, occs, horizon):
+    """Reference for ``_extend_table``: per list of ``table``, the k lists
+    of shape + (d,) made by one membership filter per neighborhood, and
+    the nodes the group spends."""
+    k = len(occs)
+    hits = [set(occ.times or ()) for occ in occs]
+    misses = [set(occ.miss_times or ()) for occ in occs]
+    sigmas = itertools.product(range(k), repeat=len(shape))
+    groups = {}
+    for i, (sigma, starts) in enumerate(zip(sigmas, table)):
+        lists, spent = [], 0
+        for c, occ in enumerate(occs):
+            if starts is not None:
+                kept = [u for u in starts if u + d <= horizon]
+                spent += len(kept)
+                lists.append(tuple(u for u in kept if (
+                    u + d not in misses[c] if occ.complement
+                    else u + d in hits[c])))
+            elif occ.complement:
+                lists.append(None)
+            else:
+                # anchored on A_c's hits, each earlier time inside its
+                # infinity neighborhood
+                anchored = [b - d for b in occ.times if d <= b <= horizon]
+                spent += len(anchored)
+                lists.append(tuple(
+                    u for u in anchored
+                    if all(u + t not in misses[s] for t, s in zip(shape,
+                                                                   sigma))))
+        groups[i] = (sigma, lists, spent)
+    return groups
+
+
+class TestCenterPartition:
+    """``_extend_table``'s one pass over the starts against one filter per
+    neighborhood, nodes included."""
+
+    def test_groups_match_per_neighborhood_filters(self, dense2, m2k2):
+        rng = random.Random(4649)
+        e, a = Symbol.dense, Symbol.head
+        cases = list(_dense_or_random_builds(rng, dense2, 60))
+        cases += [
+            # distinct finite centers, one of them at two levels
+            (dense2, (U(e(1), 1), U(e(2), 2), U(e(3), 1))),
+            (dense2, (U(e(2), 1), U(e(2), 2), U(e(3), 1))),
+            (dense2, (U(e(1), 2), U(e(4), 1), U(e(1), 1), U(e(5), 2))),
+            # a threshold past the build leaves one of e2's lists empty
+            (dense2, (U(e(2), 1), U(e(2), 1, 400), U(e(3), 1))),
+            # one finite center, with a_inf or at two levels
+            (m2k2, (U(a(0), 1), U(Symbol.head_inf(), 1))),
+            (m2k2, (U(a(1), 1), U(a(1), 1), U(Symbol.head_inf(), 2))),
+            (m2k2, (U(a(0), 2), U(a(0), 1))),
+            (dense2, (U(e(2), 2), U(e(2), 1)))]
+        seen = {"distinct": 0, "one-with-inf": 0, "repeated": 0}
+        for traj, specs in cases:
+            if all(s.center.kind == KIND_HEAD_INF for s in specs):
+                continue
+            occs = [occupancy(s, traj) for s in specs]
+            horizon = min(traj.horizon, rng.randrange(40, 367))
+            if traj is m2k2:
+                horizon = traj.horizon
+            index = _center_index(specs, traj, horizon)
+            finite = [s.center for s in specs
+                      if s.center.kind != KIND_HEAD_INF]
+            kinds = []
+            if len(set(finite)) >= 2:
+                kinds.append("distinct")
+            if len(set(finite)) == 1 and len(finite) < len(specs):
+                kinds.append("one-with-inf")
+            if len(finite) > len(set(finite)):
+                kinds.append("repeated")
+            label = (traj.family, horizon, [s.render() for s in specs])
+            shape, table = (0,), independence._root_table(occs, horizon)
+            while len(shape) < 4:
+                # a step of some hit past some start keeps lists nonempty
+                pairs = [(u, b) for starts in table if starts
+                         for u in starts[:4] for occ in occs
+                         if not occ.complement for b in occ.times[:8]
+                         if shape[-1] < b - u <= horizon]
+                if not pairs:
+                    break
+                u, b = rng.choice(pairs)
+                d = b - u
+                want = _filtered_groups(shape, table, d, occs, horizon)
+                budget = SearchBudget()
+                got = {}
+                before = 0
+                for i, sigma, lists in independence._extend_table(
+                        shape, table, d, occs, index, horizon, budget):
+                    got[i] = (sigma, lists, budget.nodes - before)
+                    before = budget.nodes
+                assert got == want, (label, shape, d)
+                # shortest parent list first, None lists last
+                sizes = [(table[i] is None, len(table[i] or ())) for i in got]
+                assert sizes == sorted(sizes), label
+                for kind in kinds:
+                    seen[kind] += sum(bool(x) for _, lists, _ in got.values()
+                                      for x in lists)
+                child = [None] * (len(table) * len(occs))
+                for i, (_, lists, _) in got.items():
+                    child[i * len(occs):(i + 1) * len(occs)] = lists
+                shape, table = shape + (d,), tuple(child)
+        assert min(seen.values()) >= 20, seen
+
+    def test_fold_spends_the_reference_nodes(self, dense2, m2k2):
+        # is_independence_set's index covers the lists anchored after an
+        # all-infinity prefix too, which start below J[0]
+        rng = random.Random(1729)
+        cases = list(_dense_or_random_builds(rng, dense2, 80))
+        cases += [(m2k2, (U(Symbol.head_inf(), 1), U(Symbol.head(0), 1),
+                          U(Symbol.head(1), 1)))] * 10
+        anchored = 0
+        for traj, specs in cases:
+            if all(s.center.kind == KIND_HEAD_INF for s in specs):
+                continue
+            occs = [occupancy(s, traj) for s in specs]
+            horizon = min(traj.horizon, rng.randrange(40, 121))
+            # short steps after a late first time: a list anchored at the
+            # second time is read at the third below J[1]
+            span = min(20, horizon // 2)
+            t0 = rng.randrange(1, horizon - span + 1)
+            J = (t0,) + tuple(sorted(rng.sample(range(t0 + 1,
+                                                      t0 + span + 1), 3)))
+            shape = tuple(t - t0 for t in J)
+            table = independence._root_table(occs, horizon - shape[-1], t0)
+            spent = 0
+            for n in range(1, len(shape)):
+                groups = _filtered_groups(shape[:n], table, shape[n], occs,
+                                          horizon)
+                spent += sum(g[2] for g in groups.values())
+                anchored += any(table[i] is None and any(g[1])
+                                for i, g in groups.items())
+                table = [x for i in range(len(table)) for x in groups[i][1]]
+            budget = SearchBudget()
+            is_independence_set(J, specs, traj, horizon=horizon,
+                                budget=budget)
+            assert budget.nodes == spent, (traj.family, J, horizon,
+                                           [s.render() for s in specs])
+        assert anchored >= 10, anchored
 
 
 class TestExtensions:
@@ -574,6 +726,7 @@ class TestExtensions:
             heads = independence._head_keys(specs, traj)
             horizon = min(traj.horizon, rng.randrange(40, 121))
             label = (traj.family, horizon, [s.render() for s in specs])
+            index = _center_index(specs, traj, horizon)
 
             shape = (0,)
             ds, table = independence._extensions(
@@ -592,10 +745,11 @@ class TestExtensions:
                 d = rng.choice(want)
                 ds, table_d = independence._extensions(
                     shape + (d,), independence._extend_table(
-                        shape, table, d, occs, horizon, SearchBudget()),
+                        shape, table, d, occs, index, horizon,
+                        SearchBudget()),
                     occs, heads, horizon, SearchBudget())
                 # a surviving shape comes with its full table
-                full = _child_table(shape, table, d, occs, horizon,
+                full = _child_table(shape, table, d, occs, index, horizon,
                                     SearchBudget())
                 if ds:
                     assert table_d == tuple(full), label
