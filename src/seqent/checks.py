@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import functools
 import time as _time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .construct import chain_min_interior
@@ -32,21 +31,27 @@ from .model import (
     NeighborhoodSpec,
     Symbol,
     Trajectory,
+    _Record,
     dense_value,
 )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one verification procedure."""
 
-    name: str
-    params: dict[str, str] = field(default_factory=dict)
-    passed: bool = False
-    counterexample: str | None = None
-    details: list[str] = field(default_factory=list)
-    certificates: list[ExhaustionCertificate] = field(default_factory=list)
-    elapsed: float = 0.0
+    _fields = ("name", "params", "passed", "counterexample", "details",
+               "certificates", "elapsed")
+
+    def __init__(self, name: str, params: dict[str, str] | None = None,
+                 passed: bool = False, counterexample: str | None = None,
+                 details: list[str] | None = None,
+                 certificates: list[ExhaustionCertificate] | None = None,
+                 elapsed: float = 0.0):
+        self.name, self.passed, self.counterexample, self.elapsed = (
+            name, passed, counterexample, elapsed)
+        self.params = {} if params is None else params
+        self.details = [] if details is None else details
+        self.certificates = [] if certificates is None else certificates
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

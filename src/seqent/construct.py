@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Infeasible, ScheduleInvalid
@@ -23,6 +22,9 @@ from .model import (
     BlockRecord,
     SegmentationManifest,
     Trajectory,
+    _Frozen,
+    _Record,
+    _set,
     dense_dyadic,
     dense_value,
     dyadic_index,
@@ -35,19 +37,22 @@ GROWTH_FACTOR = 100  # constrained lengths exceed GROWTH_FACTOR * |prefix|
 # wind planning
 
 
-@dataclass(frozen=True)
-class WindPlan:
+class WindPlan(_Frozen):
     """A single wind: ascend a_p .. a_J, jump, ascend a_-P .. a_q.
 
     jump_from is J, jump_depth is P; the two sides have J - p + 1 and
     q + P + 1 points, totalling w.
     """
 
-    p: int
-    q: int
-    w: int
-    jump_from: int
-    jump_depth: int
+    __slots__ = _fields = ("p", "q", "w", "jump_from", "jump_depth")
+
+    def __init__(self, p: int, q: int, w: int, jump_from: int,
+                 jump_depth: int):
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "w", w)
+        _set(self, "jump_from", jump_from)
+        _set(self, "jump_depth", jump_depth)
 
     @property
     def right_length(self) -> int:
@@ -94,8 +99,7 @@ def plan_wind(p: int, q: int, w: int) -> WindPlan:
 # growth schedules
 
 
-@dataclass
-class GrowthSchedule:
+class GrowthSchedule(_Record):
     """Segment lengths for a build.
 
     Head-indexed family: per block k a list of k wind lengths, the inner gap
@@ -103,13 +107,9 @@ class GrowthSchedule:
     per block n the chain tolerance eps_n and the designated times t_{n,i}.
     """
 
-    family: str
-    m: int
-    winds: list[list[int]] = field(default_factory=list)
-    inner_gaps: list[list[int]] = field(default_factory=list)
-    outer_gaps: list[int] = field(default_factory=list)
-    eps: list[Fraction] = field(default_factory=list)
-    times: list[list[int]] = field(default_factory=list)
+    _fields = ("family", "m", "winds", "inner_gaps", "outer_gaps", "eps",
+               "times")
+    _defaults = (list, list, list, list, list)
 
 
 def patterns(m: int, k: int) -> tuple[tuple[int, ...], ...]:

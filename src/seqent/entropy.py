@@ -10,22 +10,21 @@ keeps independence sets of the requested length alive at every tested level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .independence import (
     DEFAULT_ASSIGNMENT_CAP, SearchBudget, is_independence_set,
     max_independence,
 )
-from .model import NeighborhoodSpec, Symbol, Trajectory
+from .model import NeighborhoodSpec, Trajectory, _Record
 
 
-@dataclass
-class HStarEvidence:
-    p: int
-    value: float
-    centers: tuple[Symbol, ...] = ()
-    per_level: dict[int, int] = field(default_factory=dict)
+class HStarEvidence(_Record):
+    """``value`` is log p for the p ``centers`` (Symbols) found;
+    ``per_level`` maps each tested level to the length reached there."""
+
+    _fields = ("p", "value", "centers", "per_level")
+    _defaults = ((), dict)
 
 
 def h_star_lower_bound(traj: Trajectory, centers, cap: int,

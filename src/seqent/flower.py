@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 
 from .checks import CheckReport
 from .errors import InvalidConfig
 from .independence import (
     ExhaustionCertificate, SearchBudget, is_independence_set, occupancy,
 )
-from .model import FAMILY_LOG_M, NeighborhoodSpec, Symbol, Trajectory
+from .model import (
+    FAMILY_LOG_M, NeighborhoodSpec, Symbol, Trajectory, _Frozen, _Record,
+)
 
 MODE_ACTIVE = "active"
 MODE_FROZEN = "frozen"
@@ -35,12 +36,11 @@ _MODES = (MODE_ACTIVE, MODE_FROZEN, MODE_COLLAPSED)
 # values
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(_Frozen):
     """Supremum sequence entropy as a symbolic quantity: 0, log b, or inf."""
 
-    kind: str  # "zero" | "log" | "infinity"
-    base: int = 0
+    __slots__ = _fields = ("kind", "base")  # "zero" | "log" | "infinity", b
+    _defaults = (0,)
 
     @staticmethod
     def zero() -> "Value":
@@ -87,35 +87,32 @@ def parse_value(token: str) -> Value:
 # petals and composites
 
 
-@dataclass
-class PetalSystem:
+class PetalSystem(_Record):
     """One petal: an id, a declared value, and optionally a built trajectory."""
 
-    petal_id: str
-    declared: Value
-    trajectory: Trajectory | None = None
+    _fields = ("petal_id", "declared", "trajectory")
 
-    def __post_init__(self):
-        if not self.petal_id or "/" in self.petal_id or "," in self.petal_id:
+    def __init__(self, petal_id: str, declared: Value,
+                 trajectory: Trajectory | None = None):
+        if not petal_id or "/" in petal_id or "," in petal_id:
             raise InvalidConfig("petal ids are nonempty and contain no '/' or ','")
-        t = self.trajectory
-        if t is not None:
-            if t.family == FAMILY_LOG_M:
-                want = Value.log(t.m)
+        if trajectory is not None:
+            if trajectory.family == FAMILY_LOG_M:
+                want = Value.log(trajectory.m)
             else:
                 want = Value.infinity()
-            if self.declared != want:
+            if declared != want:
                 raise InvalidConfig(
-                    f"petal {self.petal_id} declares {self.declared.render()} "
+                    f"petal {petal_id} declares {declared.render()} "
                     f"but its trajectory carries {want.render()}")
+        self.petal_id = petal_id
+        self.declared = declared
+        self.trajectory = trajectory
 
 
-@dataclass
-class CompositeSystem:
-    petals: list[PetalSystem]
-    modes: dict[str, str]
-    collapse_targets: dict[str, str] = field(default_factory=dict)
-    unbounded_family: bool = False
+class CompositeSystem(_Record):
+    _fields = ("petals", "modes", "collapse_targets", "unbounded_family")
+    _defaults = (dict, False)
 
     def active_petals(self) -> list[PetalSystem]:
         return [p for p in self.petals

@@ -10,7 +10,6 @@ Infinity renders as the token ``inf``.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
@@ -30,6 +29,8 @@ SYMBOL_LINE_CAP = 1_000_000
 
 
 def config_hash(text: str) -> str:
+    import hashlib  # loads OpenSSL: only the runs that hash pay for it
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

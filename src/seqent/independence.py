@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import time as _time
-from dataclasses import dataclass
 
 from .errors import CapExceeded, InvalidConfig, ResourceBudgetExceeded
 from .model import (
@@ -34,6 +33,8 @@ from .model import (
     NeighborhoodSpec,
     Symbol,
     Trajectory,
+    _Frozen,
+    _Record,
     infinity_window,
 )
 
@@ -44,23 +45,25 @@ DEFAULT_ASSIGNMENT_CAP = 200_000
 # public result types
 
 
-@dataclass
-class IndependenceWitness:
+class IndependenceWitness(_Record):
     """Realizers, one model point per assignment."""
 
-    times: tuple[int, ...]
-    realizers: dict[tuple[int, ...], ModelPoint]
+    _fields = ("times", "realizers")
+
+    def __init__(self, times: tuple[int, ...],
+                 realizers: dict[tuple[int, ...], ModelPoint]):
+        self.times, self.realizers = times, realizers
 
 
-@dataclass
-class IndependenceResult:
-    ok: bool
-    witness: IndependenceWitness | None = None
-    failing: tuple[int, ...] | None = None
+class IndependenceResult(_Record):
+    _fields = ("ok", "witness", "failing")
+
+    def __init__(self, ok: bool, witness: IndependenceWitness | None = None,
+                 failing: tuple[int, ...] | None = None):
+        self.ok, self.witness, self.failing = ok, witness, failing
 
 
-@dataclass(frozen=True)
-class ExhaustionCertificate:
+class ExhaustionCertificate(_Frozen):
     """Replayable record of a completed negative search.
 
     frontier_sizes[i] is the number of surviving normalized shapes of size
@@ -68,20 +71,18 @@ class ExhaustionCertificate:
     same search on the same build reproduces the sizes exactly.
     """
 
-    tuple_rendered: str
-    target_length: int
-    horizon: int
-    search: str
-    frontier_sizes: tuple[int, ...]
-    died_level: int
-    nodes_used: int
+    __slots__ = _fields = ("tuple_rendered", "target_length", "horizon",
+                           "search", "frontier_sizes", "died_level",
+                           "nodes_used")
 
 
-@dataclass
-class MaxIndependenceResult:
-    length: int
-    witness: IndependenceWitness | None
-    certificate: ExhaustionCertificate | None
+class MaxIndependenceResult(_Record):
+    _fields = ("length", "witness", "certificate")
+
+    def __init__(self, length: int, witness: IndependenceWitness | None,
+                 certificate: ExhaustionCertificate | None):
+        self.length, self.witness, self.certificate = (
+            length, witness, certificate)
 
 
 class SearchBudget:

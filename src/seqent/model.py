@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
@@ -40,13 +39,83 @@ FAMILY_LOG_INFTY = "log-infty"
 # list, its tuple, the line template, the blocks) this keeps small
 PIECE_TIMES = 16_384
 
+_set = object.__setattr__  # sets a field past _Frozen's refusal
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class _Record:
+    """A record of the fields named in ``_fields``, compared (same class
+    only), shown and copied with changes (``_replace``) field by field.
+
+    A record class without its own ``__init__`` takes its fields in order,
+    by position or by name; the last ones default to ``_defaults``, where a
+    type (``list``, ``dict``) is called to give each record its own.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields, defaults = self._fields, self._defaults
+        first = len(fields) - len(defaults)
+        for i, name in enumerate(fields):
+            if i < len(args):
+                value = args[i]
+            elif name in kwargs:
+                value = kwargs.pop(name)
+            elif i < first:
+                raise TypeError(f"{type(self).__name__} needs {name}")
+            else:
+                value = defaults[i - first]
+                if isinstance(value, type):
+                    value = value()
+            _set(self, name, value)
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} has the fields {fields}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _replace(self, **changes):
+        """A new record of this class, with ``changes`` to its fields."""
+        values = {f: getattr(self, f) for f in self._fields}
+        return type(self)(**{**values, **changes})
+
+
+class _Frozen(_Record):
+    """A record whose fields cannot be assigned; it hashes by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
 
 # ---------------------------------------------------------------------------
 # symbols
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(_Frozen):
     """A symbol names a head of the space.
 
     kind "head" carries an integer index (a_i), kind "head-inf" is the limit
@@ -54,8 +123,11 @@ class Symbol:
     enumeration (e_j).
     """
 
-    kind: str
-    index: int = 0
+    __slots__ = _fields = ("kind", "index")
+
+    def __init__(self, kind: str, index: int = 0):
+        _set(self, "kind", kind)
+        _set(self, "index", index)
 
     @staticmethod
     def head(i: int) -> "Symbol":
@@ -147,13 +219,15 @@ def dense_index(value: Fraction) -> int:
 # model points
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(_Frozen):
     """Either an orbit point x_t or a head (fixed reference point)."""
 
-    kind: str  # "orbit" | "head"
-    time: int = 0
-    symbol: Symbol | None = None
+    __slots__ = _fields = ("kind", "time", "symbol")
+
+    def __init__(self, kind: str, time: int = 0, symbol: Symbol | None = None):
+        _set(self, "kind", kind)  # "orbit" | "head"
+        _set(self, "time", time)
+        _set(self, "symbol", symbol)
 
     @staticmethod
     def orbit(t: int) -> "ModelPoint":
@@ -182,8 +256,7 @@ class ModelPoint:
 # segmentation manifest
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
+class SegmentRecord(_Frozen):
     """One emitted segment of the orbit, as its manifest describes it.
 
     For the head-indexed family a segment is a single wind (of a piece, an
@@ -200,17 +273,24 @@ class SegmentRecord:
     ``SegmentationManifest.record`` or ``segments`` is read.
     """
 
-    path: str
-    kind: str  # "wind" | "inner-gap" | "outer-gap" | "pattern" | "glue"
-    start: int
-    length: int
-    p: int = 0
-    q: int = 0
-    w: int = 0
-    jump_from: int = 0
-    jump_depth: int = 0
-    shared: bool = False
-    function: tuple[int, ...] | None = None
+    __slots__ = _fields = ("path", "kind", "start", "length", "p", "q", "w",
+                           "jump_from", "jump_depth", "shared", "function")
+
+    def __init__(self, path: str, kind: str, start: int, length: int,
+                 p: int = 0, q: int = 0, w: int = 0, jump_from: int = 0,
+                 jump_depth: int = 0, shared: bool = False,
+                 function: tuple[int, ...] | None = None):
+        _set(self, "path", path)
+        _set(self, "kind", kind)  # wind|inner-gap|outer-gap|pattern|glue
+        _set(self, "start", start)
+        _set(self, "length", length)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "w", w)
+        _set(self, "jump_from", jump_from)
+        _set(self, "jump_depth", jump_depth)
+        _set(self, "shared", shared)
+        _set(self, "function", function)
 
     @property
     def end(self) -> int:
@@ -222,19 +302,16 @@ class SegmentRecord:
         return self.start - 1 if self.shared else self.start
 
 
-@dataclass(frozen=True)
-class BlockRecord:
-    level: int
-    start: int
-    end: int  # exclusive, block proper (last piece / tail glue end)
-    times: tuple[int, ...]  # designated times relative to a piece start
-    functions: tuple[tuple[int, ...], ...]
-    piece_starts: tuple[int, ...]
-    winds: tuple[int, ...] = ()
-    inner_gaps: tuple[int, ...] = ()
-    outer_gap: int = 0
-    outer_gap_start: int = 0
-    eps: Fraction | None = None
+class BlockRecord(_Frozen):
+    """One block: ``end`` is exclusive, the block proper (last piece or
+    tail glue end); ``times`` are the designated times relative to a piece
+    start. ``winds`` to ``outer_gap_start`` are the head-indexed family's,
+    ``eps`` (a Fraction) the dense family's."""
+
+    __slots__ = _fields = (
+        "level", "start", "end", "times", "functions", "piece_starts",
+        "winds", "inner_gaps", "outer_gap", "outer_gap_start", "eps")
+    _defaults = ((), (), 0, 0, None)
 
 
 class _Records(Sequence):
@@ -256,8 +333,7 @@ class _Records(Sequence):
         return self._manifest._records(0)
 
 
-@dataclass
-class SegmentationManifest:
+class SegmentationManifest(_Record):
     """The orbit's segments, held as columns in time order.
 
     ``starts`` and ``lengths`` give each segment's first owned time and its
@@ -269,18 +345,13 @@ class SegmentationManifest:
     keeps ``array``s of starts and lengths and nothing more: a segment that
     starts at one of its block's ``piece_starts`` is the pattern segment
     ``B{n}/S{l}`` realizing the block's l-th function, and any other is the
-    block's next glue ``B{n}/G{g}``.
+    block's next glue ``B{n}/G{g}``. ``m`` is the alphabet size (log-m) or
+    the deepest block (log-infty).
     """
 
-    family: str
-    m: int  # alphabet size (log-m) or deepest block (log-infty)
-    kmax: int
-    blocks: list[BlockRecord]
-    starts: Sequence[int]
-    lengths: Sequence[int]
-    paths: list[str] | None = None
-    kinds: list[str] | None = None
-    plans: list | None = None
+    _fields = ("family", "m", "kmax", "blocks", "starts", "lengths", "paths",
+               "kinds", "plans")
+    _defaults = (None, None, None)
 
     def block(self, k: int) -> BlockRecord:
         if not 1 <= k <= len(self.blocks):
@@ -357,17 +428,19 @@ class SegmentationManifest:
 # neighborhoods
 
 
-@dataclass(frozen=True)
-class NeighborhoodSpec:
+class NeighborhoodSpec(_Frozen):
     """U^level(center), the level-th basic neighborhood of a head.
 
     threshold_offset shifts the orbit membership threshold and exists for
     one-step preimage reasoning; regular callers leave it at 0.
     """
 
-    center: Symbol
-    level: int
-    threshold_offset: int = 0
+    __slots__ = _fields = ("center", "level", "threshold_offset")
+
+    def __init__(self, center: Symbol, level: int, threshold_offset: int = 0):
+        _set(self, "center", center)
+        _set(self, "level", level)
+        _set(self, "threshold_offset", threshold_offset)
 
     def render(self) -> str:
         return f"U{self.level}({self.center.render()})"

@@ -2,7 +2,6 @@
 
 import bisect
 import collections
-import dataclasses
 import time
 from array import array
 from fractions import Fraction
@@ -170,10 +169,9 @@ class TestValidateGrowth:
         # repeat the tail glue's first interior point: every step stays short
         symbols.insert(tail.start, symbols[tail.start])
         segments = dense2.manifest.segments[:-1] + [
-            dataclasses.replace(tail, length=tail.length + 1)]
+            tail._replace(length=tail.length + 1)]
         blocks = dense2.manifest.blocks[:-1] + [
-            dataclasses.replace(dense2.manifest.blocks[-1],
-                                end=len(symbols))]
+            dense2.manifest.blocks[-1]._replace(end=len(symbols))]
         rep = validate_growth(_dense_copy(dense2, symbols, blocks, segments))
         assert not rep.passed
         assert rep.counterexample == (
@@ -195,12 +193,12 @@ class TestValidateGrowth:
         segments = []
         for s in dense2.manifest.segments:
             if s == seg:
-                s = dataclasses.replace(s, length=s.length + 1)
+                s = s._replace(length=s.length + 1)
             elif s.start > seg.start:
-                s = dataclasses.replace(s, start=s.start + 1)
+                s = s._replace(start=s.start + 1)
             segments.append(s)
-        blocks = dense2.manifest.blocks[:-1] + [dataclasses.replace(
-            block, end=block.end + 1,
+        blocks = dense2.manifest.blocks[:-1] + [block._replace(
+            end=block.end + 1,
             piece_starts=tuple(p + (p > seg.start)
                                for p in block.piece_starts))]
         rep = validate_growth(_dense_copy(dense2, symbols, blocks, segments))
@@ -212,7 +210,7 @@ class TestValidateGrowth:
     def test_dense_wrong_tolerance_caught(self, dense2):
         symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
         blocks = list(dense2.manifest.blocks)
-        blocks[1] = dataclasses.replace(blocks[1], eps=Fraction(1, 8))
+        blocks[1] = blocks[1]._replace(eps=Fraction(1, 8))
         rep = validate_growth(_dense_copy(dense2, symbols, blocks))
         assert not rep.passed
         assert rep.counterexample == "block 2 tolerance 1/8, expected 1/4"

@@ -1,6 +1,5 @@
 """Serialization: manifests, symbol files, certificates, reports, replay."""
 
-import dataclasses
 import hashlib
 import random
 
@@ -381,8 +380,8 @@ class TestSymbolEmitterDifferential:
         path, record = manifest.path, manifest.record
         monkeypatch.setattr(manifest, "path",
                             lambda i: odd if i == 1 else path(i))
-        monkeypatch.setattr(manifest, "record", lambda i: dataclasses.replace(
-            record(i), path=manifest.path(i)))
+        monkeypatch.setattr(manifest, "record", lambda i: record(i)._replace(
+            path=manifest.path(i)))
         assert traj.segment_at(manifest.starts[1]).path == odd
         self._check(tmp_path, traj, [(0, min(traj.horizon, 1000))])
         text = (tmp_path / "s.txt").read_text(encoding="utf-8")
@@ -421,14 +420,12 @@ class TestCertificates:
         assert ok, message
 
     def test_replay_flags_wrong_horizon(self, cert, m2k2):
-        import dataclasses
-        lying = dataclasses.replace(cert, died_level=cert.died_level + 1)
+        lying = cert._replace(died_level=cert.died_level + 1)
         ok, message = replay_certificate(lying, m2k2)
         assert not ok
 
     def test_composite_certificates_not_replayable(self, cert, m2k2):
-        import dataclasses
-        tagged = dataclasses.replace(cert, tuple_rendered="a:U1(a0),b:U1(a0)")
+        tagged = cert._replace(tuple_rendered="a:U1(a0),b:U1(a0)")
         with pytest.raises(InvalidConfig):
             replay_certificate(tagged, m2k2)
 

@@ -1,6 +1,5 @@
 """Search engine: realizers, independence, maxima, certificates."""
 
-import dataclasses
 import itertools
 import random
 import time
@@ -456,7 +455,7 @@ class TestPairStage:
         specs = (U(Symbol.dense(1), 1), U(Symbol.dense(2), 1))
         want = max_independence(specs, cap=6, traj=dense2)
         assert replay_certificate(
-            dataclasses.replace(want.certificate, search=label),
+            want.certificate._replace(search=label),
             dense2) == (True, "certificate reproduced")
         assert want.certificate.frontier_sizes[1] == 166
 

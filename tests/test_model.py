@@ -1,5 +1,8 @@
 """Model layer: symbols, points, membership, and trajectory accessors."""
 
+import os
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
 
@@ -8,13 +11,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import naive_dense_hits, naive_dense_symbols
+from seqent.checks import CheckReport
+from seqent.construct import GrowthSchedule, WindPlan
+from seqent.entropy import HStarEvidence
 from seqent.errors import HorizonExceeded, InvalidConfig, UnknownBlock
-from seqent.independence import occupancy
+from seqent.flower import CompositeSystem, PetalSystem, Value
+from seqent.independence import (
+    ExhaustionCertificate, IndependenceResult, occupancy,
+)
 from seqent.model import (
     FAMILY_LOG_INFTY,
+    FAMILY_LOG_M,
     PIECE_TIMES,
+    BlockRecord,
     ModelPoint,
     NeighborhoodSpec,
+    SegmentRecord,
     Symbol,
     Trajectory,
     dense_dyadic,
@@ -274,3 +286,103 @@ class TestPackageSurface:
                    if isinstance(v, types.ModuleType)}
         assert modules == {"checks", "construct", "entropy", "errors",
                            "flower", "formats", "independence", "model"}
+
+    def test_cli_import_loads_no_dataclasses_or_hashlib(self):
+        # every CLI call pays for what importing seqent loads; hashlib
+        # (OpenSSL) is loaded by the first config hash instead
+        import seqent
+
+        code = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "import seqent.cli\n"
+                "print(' '.join(sorted(set(sys.modules) - before)))\n"
+                "print(seqent.cli.config_hash('abc'))\n"
+                "print('hashlib' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(seqent.__file__))
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        loaded, digest, hashed = proc.stdout.splitlines()
+        loaded = set(loaded.split())
+        assert {"seqent.cli", "seqent.model", "seqent.formats"} <= loaded
+        assert not loaded & {"dataclasses", "inspect", "hashlib"}
+        assert digest == ("ba7816bf8f01cfea414140de5dae2223"
+                          "b00361a396177a9cb410ff61f20015ad")  # sha256 "abc"
+        assert hashed == "True"
+
+
+FROZEN_RECORDS = [
+    Symbol.head(3),
+    ModelPoint.orbit(5),
+    NeighborhoodSpec(Symbol.dense(2), 1),
+    SegmentRecord("B1/W1", "wind", 10, 20, 1, 2, 22, 9, 6),
+    BlockRecord(1, 0, 10, (1, 2), ((0, 1),), (0,), eps=Fraction(1, 2)),
+    WindPlan(0, 1, 8, 3, 2),
+    ExhaustionCertificate("U1(a0)", 3, 10, "level-shapes", (1, 0), 2, 7),
+    Value.log(2),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", FROZEN_RECORDS,
+                             ids=lambda r: type(r).__name__)
+    def test_frozen_record_semantics(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            # every field takes part in equality
+            assert record._replace(**{name: object()}) != record
+        copy = record._replace()
+        assert copy is not record
+        assert copy == record and hash(copy) == hash(record)
+        assert len({record, copy}) == 1
+        values = tuple(getattr(record, name) for name in record._fields)
+        assert record != values and values != record
+
+    def test_other_record_class_with_the_same_values_differs(self):
+        assert Symbol("log", 2) != Value("log", 2)
+        assert Value("log", 2) != Symbol("log", 2)
+
+    def test_repr_names_every_field(self):
+        assert repr(WindPlan(0, 1, 8, 3, 2)) == (
+            "WindPlan(p=0, q=1, w=8, jump_from=3, jump_depth=2)")
+        assert repr(IndependenceResult(False, failing=(1,))) == (
+            "IndependenceResult(ok=False, witness=None, failing=(1,))")
+
+    def test_mutable_records_get_fresh_containers(self):
+        made = [(lambda: CheckReport("a"),
+                 ("params", "details", "certificates")),
+                (lambda: GrowthSchedule(FAMILY_LOG_M, 2),
+                 ("winds", "inner_gaps", "outer_gaps", "eps", "times")),
+                (lambda: HStarEvidence(0, 0.0), ("per_level",)),
+                (lambda: CompositeSystem([], {}), ("collapse_targets",))]
+        for make, names in made:
+            a, b = make(), make()
+            assert a == b
+            with pytest.raises(TypeError):
+                hash(a)
+            for name in names:
+                assert not getattr(a, name)
+                assert getattr(a, name) is not getattr(b, name)
+        report = CheckReport("a")
+        report.details.append("x")
+        assert CheckReport("a").details == [] and report != CheckReport("a")
+
+    def test_fields_by_position_or_name(self):
+        by_name = GrowthSchedule(m=2, family=FAMILY_LOG_M, eps=[1])
+        assert by_name == GrowthSchedule(FAMILY_LOG_M, 2, [], [], [], [1])
+        with pytest.raises(TypeError):
+            GrowthSchedule(FAMILY_LOG_M)
+        with pytest.raises(TypeError):
+            GrowthSchedule(FAMILY_LOG_M, 2, colour=1)
+        with pytest.raises(TypeError):
+            Value("log", 2, 3)
+
+    def test_bad_petal_id_is_invalid(self):
+        for bad in ("", "a/b", "a,b"):
+            with pytest.raises(InvalidConfig):
+                PetalSystem(bad, Value.log(2))
+        with pytest.raises(InvalidConfig):
+            PetalSystem("p", Value.log(2))._replace(petal_id="p/q")
