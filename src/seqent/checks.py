@@ -18,7 +18,6 @@ from fractions import Fraction
 from .construct import chain_min_interior
 from .errors import InvalidConfig
 from .independence import (
-    ExhaustionCertificate,
     SearchBudget,
     is_independence_set,
     max_independence,
@@ -41,17 +40,7 @@ class CheckReport(_Record):
 
     _fields = ("name", "params", "passed", "counterexample", "details",
                "certificates", "elapsed")
-
-    def __init__(self, name: str, params: dict[str, str] | None = None,
-                 passed: bool = False, counterexample: str | None = None,
-                 details: list[str] | None = None,
-                 certificates: list[ExhaustionCertificate] | None = None,
-                 elapsed: float = 0.0):
-        self.name, self.passed, self.counterexample, self.elapsed = (
-            name, passed, counterexample, elapsed)
-        self.params = {} if params is None else params
-        self.details = [] if details is None else details
-        self.certificates = [] if certificates is None else certificates
+    _defaults = (dict, False, None, list, list, 0.0)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -24,7 +24,6 @@ from .model import (
     Trajectory,
     _Frozen,
     _Record,
-    _set,
     dense_dyadic,
     dense_value,
     dyadic_index,
@@ -45,14 +44,6 @@ class WindPlan(_Frozen):
     """
 
     __slots__ = _fields = ("p", "q", "w", "jump_from", "jump_depth")
-
-    def __init__(self, p: int, q: int, w: int, jump_from: int,
-                 jump_depth: int):
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "w", w)
-        _set(self, "jump_from", jump_from)
-        _set(self, "jump_depth", jump_depth)
 
     @property
     def right_length(self) -> int:

@@ -50,17 +50,10 @@ class IndependenceWitness(_Record):
 
     _fields = ("times", "realizers")
 
-    def __init__(self, times: tuple[int, ...],
-                 realizers: dict[tuple[int, ...], ModelPoint]):
-        self.times, self.realizers = times, realizers
-
 
 class IndependenceResult(_Record):
     _fields = ("ok", "witness", "failing")
-
-    def __init__(self, ok: bool, witness: IndependenceWitness | None = None,
-                 failing: tuple[int, ...] | None = None):
-        self.ok, self.witness, self.failing = ok, witness, failing
+    _defaults = (None, None)
 
 
 class ExhaustionCertificate(_Frozen):
@@ -78,11 +71,6 @@ class ExhaustionCertificate(_Frozen):
 
 class MaxIndependenceResult(_Record):
     _fields = ("length", "witness", "certificate")
-
-    def __init__(self, length: int, witness: IndependenceWitness | None,
-                 certificate: ExhaustionCertificate | None):
-        self.length, self.witness, self.certificate = (
-            length, witness, certificate)
 
 
 class SearchBudget:

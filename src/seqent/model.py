@@ -110,6 +110,10 @@ class _Frozen(_Record):
     def __hash__(self) -> int:
         return hash(self._values(self))
 
+    def __reduce__(self):
+        # copy and pickle rebuild the record rather than assign its slots
+        return type(self), self._values(self)
+
 
 # ---------------------------------------------------------------------------
 # symbols
@@ -124,10 +128,7 @@ class Symbol(_Frozen):
     """
 
     __slots__ = _fields = ("kind", "index")
-
-    def __init__(self, kind: str, index: int = 0):
-        _set(self, "kind", kind)
-        _set(self, "index", index)
+    _defaults = (0,)
 
     @staticmethod
     def head(i: int) -> "Symbol":
@@ -273,24 +274,10 @@ class SegmentRecord(_Frozen):
     ``SegmentationManifest.record`` or ``segments`` is read.
     """
 
+    # kind is wind|inner-gap|outer-gap|pattern|glue
     __slots__ = _fields = ("path", "kind", "start", "length", "p", "q", "w",
                            "jump_from", "jump_depth", "shared", "function")
-
-    def __init__(self, path: str, kind: str, start: int, length: int,
-                 p: int = 0, q: int = 0, w: int = 0, jump_from: int = 0,
-                 jump_depth: int = 0, shared: bool = False,
-                 function: tuple[int, ...] | None = None):
-        _set(self, "path", path)
-        _set(self, "kind", kind)  # wind|inner-gap|outer-gap|pattern|glue
-        _set(self, "start", start)
-        _set(self, "length", length)
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "w", w)
-        _set(self, "jump_from", jump_from)
-        _set(self, "jump_depth", jump_depth)
-        _set(self, "shared", shared)
-        _set(self, "function", function)
+    _defaults = (0, 0, 0, 0, 0, False, None)
 
     @property
     def end(self) -> int:
@@ -436,11 +423,7 @@ class NeighborhoodSpec(_Frozen):
     """
 
     __slots__ = _fields = ("center", "level", "threshold_offset")
-
-    def __init__(self, center: Symbol, level: int, threshold_offset: int = 0):
-        _set(self, "center", center)
-        _set(self, "level", level)
-        _set(self, "threshold_offset", threshold_offset)
+    _defaults = (0,)
 
     def render(self) -> str:
         return f"U{self.level}({self.center.render()})"

@@ -1,6 +1,8 @@
 """Model layer: symbols, points, membership, and trajectory accessors."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from array import array
@@ -334,12 +336,15 @@ class TestRecords:
                 delattr(record, name)
             # every field takes part in equality
             assert record._replace(**{name: object()}) != record
-        copy = record._replace()
-        assert copy is not record
-        assert copy == record and hash(copy) == hash(record)
-        assert len({record, copy}) == 1
+        same = record._replace()
+        assert same is not record
+        assert same == record and hash(same) == hash(record)
+        assert len({record, same}) == 1
         values = tuple(getattr(record, name) for name in record._fields)
         assert record != values and values != record
+        for made in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(made) is type(record) and made == record
 
     def test_other_record_class_with_the_same_values_differs(self):
         assert Symbol("log", 2) != Value("log", 2)
@@ -369,6 +374,8 @@ class TestRecords:
         report = CheckReport("a")
         report.details.append("x")
         assert CheckReport("a").details == [] and report != CheckReport("a")
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert copy.deepcopy(report) == report
 
     def test_fields_by_position_or_name(self):
         by_name = GrowthSchedule(m=2, family=FAMILY_LOG_M, eps=[1])
