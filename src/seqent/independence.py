@@ -14,6 +14,15 @@ and complete for existence questions: shifting an independence set down by
 any amount up to its minimum keeps it an independence set (orbit witnesses
 shift forward along the orbit, head witnesses shift their index), so a size
 without a normalized shape is a size without any set at all.
+
+On the head-indexed family one exact pruning rule skips shapes with no
+children. When the tuple's neighborhoods are pairwise disjoint within the
+horizon (distinct finite centers, at most one a_inf, and every finite hit
+in that one's miss set), a time carries one neighborhood, so k
+assignments extending one list need k distinct starts. A shape with a
+list of fewer than k starts and no closed-form head for it has no
+children; the parent's difference sets count each such list, so the
+shape is counted in the frontier but never expanded.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import time as _time
+from collections import Counter
 
 from .errors import CapExceeded, InvalidConfig, ResourceBudgetExceeded
 from .model import (
@@ -366,10 +376,10 @@ def _extend_table(shape, table, d, occs, index, horizon, budget):
         yield i, sigma, lists
 
 
-def _extensions(shape, groups, occs, heads, horizon, budget):
+def _extensions(shape, groups, occs, heads, horizon, budget, disjoint):
     """The d in (shape[-1], horizon] for which shape + (d,) is an
-    independence set, ascending, with the realizer table of shape; or
-    ((), None) once no d is left.
+    independence set, ascending, the childless ones among them, and the
+    realizer table of shape; or ((), frozenset(), None) once no d is left.
 
     ``groups`` yields the table of shape as ``_extend_table`` does (the
     root table is one group, of the empty assignment), and ``heads`` are
@@ -392,6 +402,15 @@ def _extensions(shape, groups, occs, heads, horizon, budget):
     head difference, and an assignment with an infinity neighborhood,
     whose set is co-finite, is tested per live d (``_cofinite_kept``).
     Every shifted mask, list element and hit read spends one node.
+
+    With ``disjoint`` (``_disjoint``: the tuple's neighborhoods are
+    pairwise disjoint within [0, horizon]) the sparse backend also names
+    the survivors d whose shape + (d,) has no children (``_childless``):
+    the differences b - u of a finite assignment (sigma, c) that equal d
+    number exactly the starts of its list on shape + (d,), and a list of
+    fewer than k starts that no head helps leaves no extension. The count
+    runs after the intersection, for the survivors only, so a shape that
+    dies pays nothing for it. Otherwise no survivor is named childless.
     """
     centers, windows = heads
     if all(c is None for c in centers):
@@ -456,10 +475,61 @@ def _extensions(shape, groups, occs, heads, horizon, budget):
                 live = _cofinite_kept(live, shape, sigma_j, c, starts, idx,
                                       occs, heads, horizon, budget)
             if not live:
-                return (), None
+                return (), frozenset(), None
     if dense:
-        return _int_to_bits(live), tuple(table)
-    return tuple(sorted(live)), tuple(table)
+        return _int_to_bits(live), frozenset(), tuple(table)
+    childless = (_childless(live, shape, table, occs, heads, horizon, budget)
+                 if disjoint else frozenset())
+    return tuple(sorted(live)), childless, tuple(table)
+
+
+def _childless(live, shape, table, occs, heads, horizon, budget):
+    """The d in ``live`` for which shape + (d,) has no children, by a
+    pigeonhole count over the difference sets of shape's table.
+
+    Valid when the tuple's neighborhoods are pairwise disjoint within
+    [0, horizon] (``_disjoint``). A time then lies in one neighborhood,
+    so at any later time one start of a child's list realizes at most one
+    of the k assignments that extend the list's own, and a list of fewer
+    than k starts whose assignment no closed-form head realizes leaves
+    the child no extension. The list of (sigma, c) on shape + (d,) holds
+    the starts u of sigma's list with u + d in A_c, one per difference
+    b - u = d, and no head realizes it except at the head difference
+    centers[c] - idx when sigma's index idx exists (``_head_index``).
+    Lists are taken shortest first, each finite assignment's differences
+    re-read at one node per hit, until every d is decided; a list of
+    fewer than k starts decides without a read.
+    """
+    centers, _ = heads
+    k = len(occs)
+    lo = shape[-1] + 1
+    pending = set(live)
+    childless = set()
+    sigmas = itertools.product(range(k), repeat=len(shape))
+    lists = sorted(((starts, sigma) for sigma, starts in zip(sigmas, table)
+                    if starts is not None), key=lambda p: len(p[0]))
+    for starts, sigma in lists:
+        idx = _head_index(shape, sigma, heads)
+        for c, occ in enumerate(occs):
+            if occ.complement:
+                continue
+            head = None if idx is None else centers[c] - idx
+            if len(starts) < k:
+                dead = pending
+            else:
+                hits = occ.times
+                top = bisect.bisect_right(hits, horizon)
+                counts = Counter()
+                for u in starts:
+                    window = hits[bisect.bisect_left(hits, u + lo):top]
+                    budget.spend(len(window))
+                    counts.update([b - u for b in window])
+                dead = [d for d in pending if counts[d] < k]
+            childless.update(d for d in dead if d != head)
+            pending.difference_update(childless)
+            if not pending:
+                return frozenset(childless)
+    return frozenset(childless)
 
 
 def _cofinite_kept(live, shape, sigma, c, starts, idx, occs, heads, horizon,
@@ -612,6 +682,23 @@ def _fixed_head_everywhere(specs, traj) -> ModelPoint | None:
     return None  # a head-indexed head moves
 
 
+def _disjoint(occs, heads, horizon) -> bool:
+    """Whether a head-indexed tuple's neighborhoods are pairwise disjoint
+    on the orbit within [0, horizon]: its finite centers are distinct (a
+    time carries one symbol), at most one is a_inf, and every finite hit
+    up to the horizon lies in that one's miss set. The dense family's
+    masks carry no counts, so there the answer is False."""
+    centers, windows = heads
+    finite = [c for c in centers if c is not None]
+    if (windows is None or len(set(finite)) < len(finite)
+            or len(centers) - len(finite) > 1):
+        return False
+    miss = next((occ._miss_set for occ in occs if occ.complement), None)
+    return miss is None or all(
+        miss.issuperset(occ.times[:bisect.bisect_right(occ.times, horizon)])
+        for occ in occs if not occ.complement)
+
+
 def _cap_result(specs, traj, horizon, shape, budget,
                 cert: ExhaustionCertificate | None = None
                 ) -> MaxIndependenceResult:
@@ -630,11 +717,15 @@ def max_independence(specs, cap: int, traj: Trajectory,
     shape of the largest size found is the least one. Every node, the
     root (0,) included, takes its children from the exact candidate
     generator ``_extensions``, which builds the node's table only as far
-    as it needs to. When the search dies below the cap it has visited every
-    surviving shape, and its exhaustion certificate records their number
-    per size. A fixed point in every neighborhood answers at once, with
-    the first min(cap, horizon + 1) times, no certificate and one node
-    per time, within ``is_independence_set``'s assignment cap.
+    as it needs to. A child that the generator names childless (the
+    pigeonhole count on a tuple whose neighborhoods are pairwise
+    disjoint, decided once per query by ``_disjoint``) is counted, and
+    may reach the cap, but its table is never built. When the search
+    dies below the cap it has visited every surviving shape, and its
+    exhaustion certificate records their number per size. A fixed point
+    in every neighborhood answers at once, with the first
+    min(cap, horizon + 1) times, no certificate and one node per time,
+    within ``is_independence_set``'s assignment cap.
     """
     if not specs:
         raise ValueError("a tuple needs at least one neighborhood")
@@ -661,6 +752,7 @@ def max_independence(specs, cap: int, traj: Trajectory,
             longest, IndependenceWitness(shape, realizers), None)
 
     heads = _head_keys(specs, traj)
+    disjoint = _disjoint(occs, heads, horizon)
     visited = [0] * (longest + 1)
     visited[1] = 1
     best_shape = (0,)
@@ -670,7 +762,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
 
     def extend(shape: tuple[int, ...], groups):
         nonlocal best_shape, index
-        ds, table = _extensions(shape, groups, occs, heads, horizon, budget)
+        ds, childless, table = _extensions(shape, groups, occs, heads,
+                                           horizon, budget, disjoint)
         for d in ds:
             cand = shape + (d,)
             visited[len(cand)] += 1
@@ -678,6 +771,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
                 best_shape = cand
             if len(cand) == cap:
                 return cand
+            if d in childless:
+                continue
             if index is None:
                 index = _center_index(occs, heads[0], 1, horizon)
             got = extend(cand, _extend_table(shape, table, d, occs, index,

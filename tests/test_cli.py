@@ -819,14 +819,17 @@ class TestArtifactDigests:
 
     def test_infinity_certificate_spends_pinned_nodes(self, tmp_path, capsys):
         # the a_inf certificate's work counter, as one filter per
-        # neighborhood spent it; a search change that moves it says why
+        # neighborhood spent it; a search change that moves it says why.
+        # The pigeonhole count skips the pair nodes whose difference sets
+        # leave a child list fewer than k starts (44,689 before it), and
+        # its re-read of the root's differences spends one node per hit.
         argv = ("verify", "--suite", "all", "--m", "2", "--kmax", "2",
                 "--nmax", "2")
         code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
         assert code == EXIT_PASS
         text = (tmp_path / "cert-11.txt").read_text(encoding="utf-8")
         assert "tuple: U1(a0),U1(a_inf)\n" in text
-        assert "nodes: 44689\n" in text
+        assert "nodes: 13781\n" in text
 
 
 class TestBadOptions:

@@ -395,9 +395,10 @@ def _root_extensions(specs, traj, horizon, budget):
     """The candidate generator at the root (0,): the ascending d making
     (0, d) an independence set."""
     occs = [occupancy(s, traj) for s in specs]
+    heads = independence._head_keys(specs, traj)
     return independence._extensions(
-        (0,), _root_groups(occs, horizon), occs,
-        independence._head_keys(specs, traj), horizon, budget)[0]
+        (0,), _root_groups(occs, horizon), occs, heads, horizon, budget,
+        independence._disjoint(occs, heads, horizon))[0]
 
 
 def _center_index(specs, traj, horizon):
@@ -509,6 +510,110 @@ class TestFrontiers:
             with_inf += len(want) >= 3 and any(
                 s.center.kind == KIND_HEAD_INF for s in specs)
         assert deep >= 2 and with_inf >= 3, (deep, with_inf)
+
+
+class TestPigeonholeRule:
+    """The childless-survivor rule of the head-indexed search against the
+    brute-force frontier. On pairwise disjoint neighborhoods a shape whose
+    difference sets leave some child list fewer than k starts, with no
+    head to help, is counted but never expanded; where neighborhoods
+    overlap, the rule is off and every surviving shape below the cap is
+    expanded: one ``_extensions`` call per shape, sum(frontier) in all."""
+
+    @staticmethod
+    def _search(traj, specs, horizon, monkeypatch):
+        """(frontier, generator calls) of one cap-4 search, the frontier
+        pinned to the brute-force one."""
+        calls = []
+        generate = independence._extensions
+        monkeypatch.setattr(independence, "_extensions",
+                            lambda *args: calls.append(1) or generate(*args))
+        res = max_independence(specs, cap=4, traj=traj, horizon=horizon)
+        monkeypatch.setattr(independence, "_extensions", generate)
+        label = (horizon, [s.render() for s in specs])
+        want = naive_frontier_sizes(specs, 4, traj, horizon=horizon)
+        assert res.certificate is not None, label
+        assert res.certificate.frontier_sizes == want, label
+        assert res.certificate.died_level == len(want), label
+        return want, len(calls)
+
+    @staticmethod
+    def _log_m_builds(seed, count):
+        rng = random.Random(seed)
+        while count:
+            traj = random_small_build(rng)
+            if traj.family == FAMILY_LOG_M:
+                count -= 1
+                yield rng, traj, min(traj.horizon, rng.randrange(40, 151))
+
+    def test_rule_fires_on_disjoint_tuples(self, m2k2, monkeypatch):
+        a0, inf = Symbol.head(0), Symbol.head_inf()
+        for horizon in (40, 150):
+            want, calls = self._search(m2k2, (U(a0, 1), U(inf, 1)), horizon,
+                                       monkeypatch)
+            assert want == (1, 1, 0) and calls < want[1] + 1, calls
+        for rng, traj, horizon in self._log_m_builds(27182, 6):
+            # adjacent centers with a_inf, as the log-m family's far pairs
+            a = rng.randrange(-1, traj.m)
+            specs = [U(Symbol.head(a + i), 1)
+                     for i in range(rng.randrange(1, 3))] + [U(inf, 1)]
+            rng.shuffle(specs)
+            want, calls = self._search(traj, specs, horizon, monkeypatch)
+            assert calls < want[1] + 1, (want, calls)
+
+    def test_head_difference_is_exempt(self, monkeypatch):
+        # a synthetic orbit of 7-time blocks x y _ _ _ z _, one per triple
+        # over centers a0, a1, a5 but (a0, a1, a5), which head a0 realizes:
+        # (0, 1)'s list for (a0, a1) holds 2 < k starts, yet the head
+        # fills the third extension at 5, so (0, 1) has a child
+        centers = (0, 1, 5)
+        specs = tuple(U(Symbol.head(c), 1) for c in centers)
+        hits = {c: [] for c in centers}
+        triples = [t for t in itertools.product(centers, repeat=3)
+                   if t != centers]
+        for b, (x, y, z) in enumerate(triples):
+            for off, c in ((0, x), (1, y), (5, z)):
+                hits[c].append(7 * b + off)
+
+        n_points = 7 * len(triples)
+        occs = {s: independence.OccupancyVector(
+            n_points, times=tuple(hits[s.center.index])) for s in specs}
+
+        class Orbit:
+            family = FAMILY_LOG_M
+            horizon = n_points - 1
+            _occ_cache = occs
+
+        got, calls = [], []
+        generate = independence._extensions
+        monkeypatch.setattr(independence, "_extensions",
+                            lambda *args: calls.append(1) or generate(*args))
+        for disjoint in (True, False):
+            calls.clear()
+            monkeypatch.setattr(independence, "_disjoint",
+                                lambda *args, on=disjoint: on)
+            res = max_independence(specs, cap=4, traj=Orbit)
+            got.append((res.certificate.frontier_sizes, len(calls)))
+        (rule, pruned), (exact, full) = got
+        assert rule == exact and rule[2] > 0 and pruned < full, got
+
+    def test_rule_is_off_where_neighborhoods_overlap(self, m2k2,
+                                                     monkeypatch):
+        a0, inf = Symbol.head(0), Symbol.head_inf()
+        # infinity_window(1) = 4 puts a4's hits inside U1(a_inf); a0 at
+        # two levels, or at two thresholds, shares its hits
+        cases = [(m2k2, (U(a0, 1), U(Symbol.head(4), 1), U(inf, 1)), 150),
+                 (m2k2, (U(a0, 1), U(a0, 2)), 150)]
+        for _, traj, horizon in self._log_m_builds(1, 3):
+            cases += [(traj, (U(a0, 1), U(Symbol.head(4), 1), U(inf, 1)),
+                       horizon),
+                      (traj, (U(a0, 1), U(a0, 1, 1), U(inf, 1)), horizon)]
+        grown = 0
+        for traj, specs, horizon in cases:
+            want, calls = self._search(traj, specs, horizon, monkeypatch)
+            assert calls == sum(want), (want, calls)
+            grown += want[1] > 0
+        assert grown >= 4, grown
 
 
 def _assert_table_is_exact(shape, table, specs, traj, horizon, syms):
@@ -717,7 +822,7 @@ class TestExtensions:
                   (m2k2, (U(Symbol.head_inf(), 1), U(Symbol.head(1), 1),
                           U(Symbol.head(0), 2)))]
         sizes = [0] * 4
-        deep_inf = 0
+        deep_inf = childless_seen = 0
         for traj, specs in cases:
             if all(s.center.kind == KIND_HEAD_INF for s in specs):
                 continue  # the limit head answers these before any search
@@ -727,26 +832,33 @@ class TestExtensions:
             label = (traj.family, horizon, [s.render() for s in specs])
             index = _center_index(specs, traj, horizon)
 
+            disjoint = independence._disjoint(occs, heads, horizon)
+
             shape = (0,)
-            ds, table = independence._extensions(
+            ds, childless, table = independence._extensions(
                 shape, _root_groups(occs, horizon), occs, heads, horizon,
-                SearchBudget())
+                SearchBudget(), disjoint)
             while True:
                 want = tuple(d for d in range(shape[-1] + 1, horizon + 1)
                              if is_independence_set(shape + (d,), specs, traj,
                                                     horizon=horizon).ok)
                 assert ds == want, (label, shape)
+                assert childless <= set(ds), (label, shape)
                 sizes[len(shape)] += 1
                 deep_inf += len(shape) > 1 and any(
                     s.center.kind == KIND_HEAD_INF for s in specs)
                 if not want or len(shape) == 3:
                     break
                 d = rng.choice(want)
-                ds, table_d = independence._extensions(
+                pruned = d in childless
+                ds, childless, table_d = independence._extensions(
                     shape + (d,), independence._extend_table(
                         shape, table, d, occs, index, horizon,
                         SearchBudget()),
-                    occs, heads, horizon, SearchBudget())
+                    occs, heads, horizon, SearchBudget(), disjoint)
+                # a shape the pigeonhole count called childless has none
+                assert not (pruned and ds), (label, shape, d)
+                childless_seen += pruned
                 # a surviving shape comes with its full table
                 full = _child_table(shape, table, d, occs, index, horizon,
                                     SearchBudget())
@@ -754,6 +866,7 @@ class TestExtensions:
                     assert table_d == tuple(full), label
                 shape, table = shape + (d,), table_d
         assert min(sizes[1:]) >= 10 and deep_inf >= 4, (sizes, deep_inf)
+        assert childless_seen >= 5, childless_seen
 
     def test_cofinite_heads_match_head_index(self, m2k2):
         # with no orbit start and no hit to anchor on, only a closed-form
@@ -792,7 +905,8 @@ class TestExtensions:
         with pytest.raises(RuntimeError, match="anchor") as info:
             independence._extensions(
                 (0,), _root_groups(occs, 50), occs,
-                independence._head_keys(specs, m2k2), 50, SearchBudget())
+                independence._head_keys(specs, m2k2), 50, SearchBudget(),
+                False)
         assert not isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("case", ["bitmask", "head-indexed"])
@@ -810,7 +924,7 @@ class TestExtensions:
         entries = []
         generate = independence._extensions
 
-        def spy(shape, groups, occs, heads, horizon, budget):
+        def spy(shape, groups, occs, heads, horizon, budget, disjoint):
             before = budget.nodes
             marks = []
 
@@ -820,7 +934,8 @@ class TestExtensions:
                     yield group
                     marks.append(budget.nodes)
 
-            out = generate(shape, watched(), occs, heads, horizon, budget)
+            out = generate(shape, watched(), occs, heads, horizon, budget,
+                           disjoint)
             read = marks[1] if len(marks) > 1 else budget.nodes
             if len(shape) > 1 and before < marks[0] < read:
                 entries.append((before, marks[0]))
