@@ -15,14 +15,16 @@ any amount up to its minimum keeps it an independence set (orbit witnesses
 shift forward along the orbit, head witnesses shift their index), so a size
 without a normalized shape is a size without any set at all.
 
-On the head-indexed family one exact pruning rule skips shapes with no
-children. When the tuple's neighborhoods are pairwise disjoint within the
-horizon (distinct finite centers, at most one a_inf, and every finite hit
-in that one's miss set), a time carries one neighborhood, so k
-assignments extending one list need k distinct starts. A shape with a
+One exact pruning rule skips shapes with no children. When the tuple's
+neighborhoods are pairwise disjoint within the horizon (distinct finite
+centers; on the head-indexed family also at most one a_inf, and every
+finite hit in that one's miss set), a time carries one neighborhood, so
+k assignments extending one list need k distinct starts. A shape with a
 list of fewer than k starts and no closed-form head for it has no
-children; the parent's difference sets count each such list, so the
-shape is counted in the frontier but never expanded.
+children, so it is counted in the frontier but never expanded. The
+head-indexed family counts such lists from the parent's difference sets;
+the dense family counts, per survivor about to be expanded, the
+extensions of the parent's shortest list by mask popcounts.
 """
 
 from __future__ import annotations
@@ -378,8 +380,9 @@ def _extend_table(shape, table, d, occs, index, horizon, budget):
 
 def _extensions(shape, groups, occs, heads, horizon, budget, disjoint):
     """The d in (shape[-1], horizon] for which shape + (d,) is an
-    independence set, ascending, the childless ones among them, and the
-    realizer table of shape; or ((), frozenset(), None) once no d is left.
+    independence set, ascending, a test naming the childless ones among
+    them, and the realizer table of shape; or ((), test, None) once no d
+    is left.
 
     ``groups`` yields the table of shape as ``_extend_table`` does (the
     root table is one group, of the empty assignment), and ``heads`` are
@@ -403,14 +406,17 @@ def _extensions(shape, groups, occs, heads, horizon, budget, disjoint):
     whose set is co-finite, is tested per live d (``_cofinite_kept``).
     Every shifted mask, list element and hit read spends one node.
 
-    With ``disjoint`` (``_disjoint``: the tuple's neighborhoods are
-    pairwise disjoint within [0, horizon]) the sparse backend also names
-    the survivors d whose shape + (d,) has no children (``_childless``):
-    the differences b - u of a finite assignment (sigma, c) that equal d
-    number exactly the starts of its list on shape + (d,), and a list of
-    fewer than k starts that no head helps leaves no extension. The count
-    runs after the intersection, for the survivors only, so a shape that
-    dies pays nothing for it. Otherwise no survivor is named childless.
+    The middle item is a test ``childless(d)`` of a survivor d: True
+    when shape + (d,) has no children. It can be True only with
+    ``disjoint`` (``_disjoint``: the tuple's neighborhoods are pairwise
+    disjoint within [0, horizon]), where a list of fewer than k starts
+    that no head helps leaves no extension. The sparse backend counts
+    every list for every survivor after the intersection, from the
+    difference sets (``_childless``), and tests membership in the result.
+    The dense backend counts one list per d when asked
+    (``_dense_childless``), so a search that stops at its cap pays
+    nothing for the survivors it never reaches. Either way a shape that
+    dies pays nothing for the count.
     """
     centers, windows = heads
     if all(c is None for c in centers):
@@ -475,12 +481,52 @@ def _extensions(shape, groups, occs, heads, horizon, budget, disjoint):
                 live = _cofinite_kept(live, shape, sigma_j, c, starts, idx,
                                       occs, heads, horizon, budget)
             if not live:
-                return (), frozenset(), None
+                return (), frozenset().__contains__, None
     if dense:
-        return _int_to_bits(live), frozenset(), tuple(table)
-    childless = (_childless(live, shape, table, occs, heads, horizon, budget)
-                 if disjoint else frozenset())
-    return tuple(sorted(live)), childless, tuple(table)
+        ds = _int_to_bits(live)
+        childless = (_dense_childless(shape, table, masks, heads, horizon,
+                                      budget)
+                     if disjoint else frozenset().__contains__)
+    else:
+        ds = tuple(sorted(live))
+        childless = (_childless(live, shape, table, occs, heads, horizon,
+                                budget)
+                     if disjoint else frozenset()).__contains__
+    return ds, childless, tuple(table)
+
+
+def _dense_childless(shape, table, masks, heads, horizon, budget):
+    """The test ``childless(d)`` of the dense family: whether shape + (d,)
+    has no children, by a pigeonhole count over the shortest list of
+    shape's ``table`` (dense tables hold no None).
+
+    Valid when the tuple's dense centers are distinct (``_disjoint``): a
+    time then lies in one neighborhood, so the k extensions of one list
+    need k distinct starts, and a dense head realizes only constant
+    assignments. For that list L_sigma and each c with (sigma, c) not
+    constant, the list of (sigma, c) on shape + (d,) holds the starts u
+    in L_sigma with u + d in A_c, the popcount of (A_c's mask >> d) &
+    L_sigma's mask, as ``masks`` are cut to the horizon. A count below k
+    leaves the child no extension. Each popcount spends one node, at
+    most k per test, each no dearer than one of the shift-ORs that
+    expanding shape + (d,) would do.
+    """
+    centers, _ = heads
+    k = len(masks)
+    sigmas = itertools.product(range(k), repeat=len(shape))
+    sigma, starts = min(zip(sigmas, table), key=lambda p: len(p[1]))
+    idx = _head_index(shape, sigma, heads)
+    shortest = _bits_to_int(starts, horizon + 1)
+    counted = [mask for c, mask in enumerate(masks) if centers[c] != idx]
+
+    def childless(d: int) -> bool:
+        for mask in counted:
+            budget.spend()
+            if ((mask >> d) & shortest).bit_count() < k:
+                return True
+        return False
+
+    return childless
 
 
 def _childless(live, shape, table, occs, heads, horizon, budget):
@@ -683,15 +729,19 @@ def _fixed_head_everywhere(specs, traj) -> ModelPoint | None:
 
 
 def _disjoint(occs, heads, horizon) -> bool:
-    """Whether a head-indexed tuple's neighborhoods are pairwise disjoint
-    on the orbit within [0, horizon]: its finite centers are distinct (a
-    time carries one symbol), at most one is a_inf, and every finite hit
-    up to the horizon lies in that one's miss set. The dense family's
-    masks carry no counts, so there the answer is False."""
+    """Whether a tuple's neighborhoods are pairwise disjoint on the orbit
+    within [0, horizon]: its finite centers are distinct (a time carries
+    one symbol, whatever the levels). That is all on the dense family,
+    whose centers are all finite; on the head-indexed family at most one
+    center is a_inf, and every finite hit up to the horizon lies in that
+    one's miss set."""
     centers, windows = heads
     finite = [c for c in centers if c is not None]
-    if (windows is None or len(set(finite)) < len(finite)
-            or len(centers) - len(finite) > 1):
+    if len(set(finite)) < len(finite):
+        return False
+    if windows is None:
+        return True
+    if len(centers) - len(finite) > 1:
         return False
     miss = next((occ._miss_set for occ in occs if occ.complement), None)
     return miss is None or all(
@@ -717,13 +767,14 @@ def max_independence(specs, cap: int, traj: Trajectory,
     shape of the largest size found is the least one. Every node, the
     root (0,) included, takes its children from the exact candidate
     generator ``_extensions``, which builds the node's table only as far
-    as it needs to. A child that the generator names childless (the
-    pigeonhole count on a tuple whose neighborhoods are pairwise
+    as it needs to. A child that the generator's test names childless
+    (the pigeonhole count on a tuple whose neighborhoods are pairwise
     disjoint, decided once per query by ``_disjoint``) is counted, and
-    may reach the cap, but its table is never built. When the search
-    dies below the cap it has visited every surviving shape, and its
-    exhaustion certificate records their number per size. A fixed point
-    in every neighborhood answers at once, with the first
+    may reach the cap, but its table is never built. The test is asked
+    of a child only when it is about to be expanded, below the cap. When
+    the search dies below the cap it has visited every surviving shape,
+    and its exhaustion certificate records their number per size. A
+    fixed point in every neighborhood answers at once, with the first
     min(cap, horizon + 1) times, no certificate and one node per time,
     within ``is_independence_set``'s assignment cap.
     """
@@ -771,7 +822,7 @@ def max_independence(specs, cap: int, traj: Trajectory,
                 best_shape = cand
             if len(cand) == cap:
                 return cand
-            if d in childless:
+            if childless(d):
                 continue
             if index is None:
                 index = _center_index(occs, heads[0], 1, horizon)

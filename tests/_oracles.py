@@ -245,6 +245,17 @@ def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None):
     return True
 
 
+def naive_has_child(shape, specs, traj, horizon=None):
+    """Whether some d in (shape[-1], horizon] makes shape + (d,) an
+    independence set, checked one d at a time."""
+    if horizon is None:
+        horizon = traj.horizon
+    horizon = min(horizon, traj.horizon)
+    return any(naive_is_independence_set(tuple(shape) + (d,), specs, traj,
+                                         horizon=horizon)
+               for d in range(shape[-1] + 1, horizon + 1))
+
+
 def naive_max_independence(specs, cap, traj, horizon=None):
     """Largest independence-set size up to cap, over every normalized shape.
 

@@ -641,6 +641,17 @@ class TestEntropy:
                        "e1,e2,e3,e4,e5; level1=4 level2=4 level3=4 "
                        "level4=4; cap 4)\n")
 
+    def test_sixth_dense_center_is_refuted(self, capsys):
+        # the six-center search dies at the root; the five other centers
+        # pass every level on the construction's own witnesses
+        code, out, _ = run_cli(capsys, "entropy", "--family", "log-infty",
+                               "--nmax", "4", "--centers",
+                               "e1,e2,e3,e4,e5,e6", "--cap", "4")
+        assert code == EXIT_PASS
+        assert out == ("h-star lower bound: log 5 = 1.609438 (centers "
+                       "e1,e2,e3,e4,e5; level1=4 level2=4 level3=4 "
+                       "level4=4; cap 4)\n")
+
     def test_node_budget_stops_the_witness_check(self, capsys, monkeypatch):
         # block 2's designated times are checked before any search runs
         def refuse(*_args, **_kwargs):

@@ -9,6 +9,7 @@ import pytest
 from _oracles import (
     materialize,
     naive_frontier_sizes,
+    naive_has_child,
     naive_is_independence_set,
     naive_max_independence,
     naive_orbit_starts,
@@ -318,8 +319,9 @@ class TestMaxIndependence:
         assert res.certificate.frontier_sizes == (1, 933, 0)
         assert res.certificate.died_level == 3
         # the search's work counter: one node per start per neighborhood
-        # in every child table, as one filter per neighborhood spends
-        assert res.certificate.nodes_used == 335_592
+        # in every child table, as one filter per neighborhood spends,
+        # and one per popcount of the dense pigeonhole count
+        assert res.certificate.nodes_used == 11_609
         four = max_independence(five[:4], cap=4, traj=dense4,
                                 horizon=horizon)
         assert four.certificate is None
@@ -327,9 +329,11 @@ class TestMaxIndependence:
 
     def test_dead_pairs_build_one_group_of_their_tables(self, dense4,
                                                          monkeypatch):
-        # each of the 933 pair tables of the five-center refutation stops
-        # at its first group, the shortest parent list's; only the final
-        # witness check of (0,) and its pair builds a full table
+        # the pigeonhole count skips 922 of the five-center refutation's
+        # 933 pairs, which build no group; each of the 11 other pair
+        # tables stops at its first group, the shortest parent list's;
+        # only the final witness check of (0,) and its pair builds a full
+        # table
         horizon = dense4.block_range(3)[1]
         five = [U(Symbol.dense(j), 1) for j in range(1, 6)]
         pulled = []
@@ -349,9 +353,9 @@ class TestMaxIndependence:
         res = max_independence(five, cap=4, traj=dense4, horizon=horizon)
         assert res.certificate.frontier_sizes == (1, 933, 0)
         assert res.certificate.died_level == 3
-        assert pulled[:-1] == [[5, 1]] * 933
+        assert pulled[:-1] == [[5, 1]] * 11
         assert pulled[-1] == [5, 5]
-        assert all(shortest_first) and len(shortest_first) == 934
+        assert all(shortest_first) and len(shortest_first) == 12
 
 
 class TestSearchBudget:
@@ -513,10 +517,11 @@ class TestFrontiers:
 
 
 class TestPigeonholeRule:
-    """The childless-survivor rule of the head-indexed search against the
-    brute-force frontier. On pairwise disjoint neighborhoods a shape whose
-    difference sets leave some child list fewer than k starts, with no
-    head to help, is counted but never expanded; where neighborhoods
+    """The childless-survivor rule against the brute-force frontier. On
+    pairwise disjoint neighborhoods a shape with a child list of fewer
+    than k starts, with no head to help, is counted but never expanded:
+    the head-indexed family counts its difference sets, the dense family
+    its parent's shortest list by mask popcounts. Where neighborhoods
     overlap, the rule is off and every surviving shape below the cap is
     expanded: one ``_extensions`` call per shape, sum(frontier) in all."""
 
@@ -614,6 +619,89 @@ class TestPigeonholeRule:
             assert calls == sum(want), (want, calls)
             grown += want[1] > 0
         assert grown >= 4, grown
+
+
+    def test_dense_rule_fires_on_distinct_centers(self, dense2,
+                                                 monkeypatch):
+        # distinct dense centers are disjoint at any levels; each shape
+        # the count skips is one _extensions call fewer, and has no child
+        skipped = []
+        count = independence._dense_childless
+
+        def spy(shape, *args):
+            test = count(shape, *args)
+
+            def childless(d):
+                got = test(d)
+                if got:
+                    skipped.append(shape + (d,))
+                return got
+            return childless
+
+        monkeypatch.setattr(independence, "_dense_childless", spy)
+        cases = [((1, 2), (1, 1), 60), ((1, 2), (1, 2), 100),
+                 ((2, 3), (1, 1), 150), ((1, 2, 3), (1, 1, 1), 150)]
+        for centers, levels, horizon in cases:
+            specs = tuple(U(Symbol.dense(c), level)
+                          for c, level in zip(centers, levels))
+            skipped.clear()
+            want, calls = self._search(dense2, specs, horizon, monkeypatch)
+            assert skipped and calls + len(skipped) == sum(want), (
+                want, calls, skipped)
+            for shape in skipped:
+                assert not naive_has_child(shape, specs, dense2,
+                                           horizon), (centers, shape)
+
+    def test_dense_rule_is_off_for_a_repeated_center(self, dense2,
+                                                     monkeypatch):
+        # a center at two levels shares its hits
+        grown = 0
+        for centers, levels, horizon in [((1, 2, 2), (1, 1, 1), 60),
+                                         ((1, 2, 2), (2, 2, 2), 150),
+                                         ((2, 2, 3), (1, 2, 1), 150)]:
+            specs = tuple(U(Symbol.dense(c), level)
+                          for c, level in zip(centers, levels))
+            want, calls = self._search(dense2, specs, horizon, monkeypatch)
+            assert calls == sum(want), (want, calls)
+            grown += want[1] > 0
+        assert grown == 3, grown
+
+    def test_dense_constant_list_is_exempt(self, monkeypatch):
+        # a synthetic orbit of 7-time blocks x y _ _ _ z _, one per
+        # non-constant triple over centers e1, e2, as dense heads realize
+        # the constant ones: the root lists tie, so e1's is the counted
+        # one, and (0, 1)'s list for the constant (e1, e1) holds 1 < k
+        # starts, yet head e1 fills (e1, e1, e1), so (0, 1) has a child
+        specs = (U(Symbol.dense(1), 1), U(Symbol.dense(2), 1))
+        hits = {1: [], 2: []}
+        triples = [t for t in itertools.product((1, 2), repeat=3)
+                   if len(set(t)) > 1]
+        for b, (x, y, z) in enumerate(triples):
+            for off, c in ((0, x), (1, y), (5, z)):
+                hits[c].append(7 * b + off)
+
+        n_points = 7 * len(triples)
+        occs = {s: independence.OccupancyVector(
+            n_points, times=tuple(hits[s.center.index])) for s in specs}
+
+        class Orbit:
+            family = FAMILY_LOG_INFTY
+            horizon = n_points - 1
+            _occ_cache = occs
+
+        got, calls = [], []
+        generate = independence._extensions
+        monkeypatch.setattr(independence, "_extensions",
+                            lambda *args: calls.append(1) or generate(*args))
+        for disjoint in (True, False):
+            calls.clear()
+            monkeypatch.setattr(independence, "_disjoint",
+                                lambda *args, on=disjoint: on)
+            res = max_independence(specs, cap=4, traj=Orbit)
+            got.append((res.certificate.frontier_sizes, len(calls)))
+            assert res.witness.times == (0, 1, 5), got
+        (rule, pruned), (exact, full) = got
+        assert rule == exact and rule[2] > 0 and pruned < full, got
 
 
 def _assert_table_is_exact(shape, table, specs, traj, horizon, syms):
@@ -843,14 +931,13 @@ class TestExtensions:
                              if is_independence_set(shape + (d,), specs, traj,
                                                     horizon=horizon).ok)
                 assert ds == want, (label, shape)
-                assert childless <= set(ds), (label, shape)
                 sizes[len(shape)] += 1
                 deep_inf += len(shape) > 1 and any(
                     s.center.kind == KIND_HEAD_INF for s in specs)
                 if not want or len(shape) == 3:
                     break
                 d = rng.choice(want)
-                pruned = d in childless
+                pruned = childless(d)
                 ds, childless, table_d = independence._extensions(
                     shape + (d,), independence._extend_table(
                         shape, table, d, occs, index, horizon,
