@@ -260,47 +260,69 @@ def _formatted_lines(line: bytes, t0: int, indices) -> bytes:
     return line * n % tuple(fields)
 
 
-def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
-    """The data lines for times [lo, hi]: a (first time, UTF-8 bytes) pair
-    per emitter piece.
+def _width_end(x: int) -> int:
+    """The least integer above x whose decimal form has another width."""
+    width = len(b"%d" % x)
+    return 10 ** width if x >= 0 else 1 - 10 ** (width - 2)
 
-    Lines are rendered by a bytes ``%`` call: a line template, with a
-    ``%`` in the segment path escaped, repeated once per time and applied
-    to the interleaved (time, index) ints. A head-indexed piece is a run,
-    index t + c with c fixed, so within an aligned block of times 100q to
-    100q + 99 only the digits before the last two of each field change.
-    Its blocks whose first time and index are at least 100 are rendered
-    from one 100-line template per piece instead, whose placeholder bytes
-    0xF8-0xFA (never in UTF-8) are replaced by q, the index's hundreds
-    q + floor(c / 100), and those plus one for the lines past the index's
-    carry.
+
+def _digit_column(x: int, n: int, place: int) -> bytes:
+    """The digits at place, a power of ten, of x, x + 1, ..., x + n - 1 for
+    x >= 0: at most ten runs of one repeated digit, repeated to n bytes
+    when the column spans more than the period 10 * place."""
+    lo = x // place
+    column = b"".join(
+        b"%d" % (q % 10) * (min(x + n, q * place + place) - max(x, q * place))
+        for q in range(lo, min((x + n - 1) // place, lo + 9) + 1))
+    if len(column) < n:  # close the period that starts at x and repeat it
+        column += b"%d" % (lo % 10) * (x - lo * place)
+        column = (column * (n // len(column) + 1))[:n]
+    return column
+
+
+def _symbol_chunks(traj: Trajectory, lo: int, hi: int):
+    """The data lines for times [lo, hi]: (first time, UTF-8 bytes) pairs,
+    one per dense piece and one per span of a head-indexed piece in which
+    the time and the index keep their decimal widths.
+
+    Lines are rendered by a bytes ``%`` call (``_formatted_lines``) of a
+    line template whose segment path has its ``%`` escaped. A head-indexed
+    piece is a run, index t + c with c fixed, cut into spans where the
+    width of the time or of the index changes: at powers of ten and where
+    the index turns from -1 to 0. A span of more than 100 lines repeats its
+    first 100, rendered by that call, in a ``bytearray`` to its length,
+    which sets the last two digits of both fields, since they repeat every
+    100 lines. Each higher digit place that changes within the span is then
+    one strided slice assignment of its digit column, reversed for a
+    negative index, whose magnitude falls as t rises.
     """
     prefix = "a" if traj.family == FAMILY_LOG_M else "e"
     for t0, indices, path in traj.symbol_pieces(lo, hi):
         line = f"%d\t{prefix}%d\t{path.replace('%', '%%')}\n".encode()
-        first = last = 0  # q of the first block and one past the last
-        if isinstance(indices, range):
-            c = indices.start - t0
-            first = -(-max(t0, 100, 100 - c) // 100)
-            last = (t0 + len(indices)) // 100
-        if first >= last:
+        if not isinstance(indices, range):
             yield t0, _formatted_lines(line, t0, indices)
             continue
-        mid, end = f"\t{prefix}".encode(), f"\t{path}\n".encode()
-        template = b"".join(
-            b"\xf8%02d%s%s%02d%s" % (
-                r, mid, b"\xf9" if r + c % 100 < 100 else b"\xfa",
-                (r + c) % 100, end)
-            for r in range(100))
-        k = c // 100
-        head, tail = 100 * first - t0, 100 * last - t0
-        yield t0, b"".join([
-            _formatted_lines(line, t0, indices[:head]),
-            *[template.replace(b"\xf8", b"%d" % q)
-              .replace(b"\xf9", b"%d" % (q + k))
-              .replace(b"\xfa", b"%d" % (q + k + 1))
-              for q in range(first, last)],
-            _formatted_lines(line, t0 + tail, indices[tail:])])
+        c, t, end = indices.start - t0, t0, t0 + len(indices)
+        tail = len(f"\t{path}\n".encode())
+        while t < end:
+            n = min(end, _width_end(t), _width_end(t + c) - c) - t
+            out = _formatted_lines(line, t, range(t + c, t + c + min(n, 100)))
+            if n > 100:
+                width, i = len(out) // 100, t + c
+                out = bytearray(out) * -(-n // 100)
+                del out[n * width:]
+                least = i if i >= 0 else -(i + n - 1)  # least |index|
+                # (offset of the field's last digit, its least value, falls)
+                for last, x, falls in ((len(b"%d" % t) - 1, t, False),
+                                       (width - tail - 1, least, i < 0)):
+                    p = 2
+                    while x // 10 ** p != (x + n - 1) // 10 ** p:
+                        column = _digit_column(x, n, 10 ** p)
+                        out[last - p::width] = (column[::-1] if falls
+                                                else column)
+                        p += 1
+            yield t, out
+            t += n
 
 
 def write_symbols(traj: Trajectory, path, lo: int = 0,

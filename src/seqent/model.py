@@ -35,8 +35,9 @@ FAMILY_LOG_M = "log-m"
 FAMILY_LOG_INFTY = "log-infty"
 
 # longest piece Trajectory.symbol_pieces yields, in times; formats renders
-# a piece into one bytes object, and its whole-piece temporaries (an int
-# list, its tuple, the line template, the blocks) this keeps small
+# a piece at a time, and its whole-piece temporaries (a dense piece's int
+# list and its tuple, a head-indexed span's lines and one digit column)
+# this keeps small
 PIECE_TIMES = 16_384
 
 _set = object.__setattr__  # sets a field past _Frozen's refusal

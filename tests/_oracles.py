@@ -229,14 +229,16 @@ def naive_orbit_starts(J, sigma, specs, traj, horizon=None, syms=None):
                  if _realizes((ORBIT, u), J, tuple(sigma), specs, syms, traj))
 
 
-def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None):
+def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None,
+                              syms=None):
     """Scan all assignments over J against all candidate points."""
     specs = tuple(specs)
     J = tuple(sorted(J))
     if horizon is None:
         horizon = traj.horizon
     horizon = min(horizon, traj.horizon)
-    syms = materialize(traj, horizon)
+    if syms is None:
+        syms = materialize(traj, horizon)
     candidates = candidate_points(specs, J, traj, horizon, start_range)
     for sigma in itertools.product(range(len(specs)), repeat=len(J)):
         if not any(_realizes(p, J, sigma, specs, syms, traj)
@@ -245,14 +247,16 @@ def naive_is_independence_set(J, specs, traj, horizon=None, start_range=None):
     return True
 
 
-def naive_has_child(shape, specs, traj, horizon=None):
+def naive_has_child(shape, specs, traj, horizon=None, syms=None):
     """Whether some d in (shape[-1], horizon] makes shape + (d,) an
     independence set, checked one d at a time."""
     if horizon is None:
         horizon = traj.horizon
     horizon = min(horizon, traj.horizon)
+    if syms is None:
+        syms = materialize(traj, horizon)
     return any(naive_is_independence_set(tuple(shape) + (d,), specs, traj,
-                                         horizon=horizon)
+                                         horizon=horizon, syms=syms)
                for d in range(shape[-1] + 1, horizon + 1))
 
 

@@ -227,7 +227,7 @@ class TestSymbolReplayEdges:
         ("dense2", 3, 340), ("m3k3", 0, 5000)])
     def test_crlf_copy_replays_without_the_line_reread(
             self, tmp_path, monkeypatch, request, family, lo, hi):
-        # m3k3's span has pieces rendered from 100-line templates
+        # m3k3's span has runs rendered by digit columns, as bytearrays
         traj = request.getfixturevalue(family)
         path = tmp_path / "s.txt"
         write_symbols(traj, path, lo, hi)
@@ -329,11 +329,26 @@ def boundary_spans(rng, horizon, boundaries, count, longest):
 
 def width_spans(runs, reach=250):
     """Spans of 2 * reach times centred where a time, or an index of one of
-    the (start, first, length) runs, first has 3, 4 or 5 digits."""
-    widths = (100, 1000, 10_000)
-    centres = set(widths) | {start + w - first for start, first, length in runs
-                             for w in widths if 0 <= w - first < length}
+    the (start, first, length) runs, first has 3 to 7 digits, where a
+    falling index last has 2 to 5 (at -10 to -10,000), and where an index
+    turns from -1 to 0."""
+    widths = (100, 1000, 10_000, 100_000, 1_000_000)
+    values = widths + (-10, -100, -1000, -10_000, 0)
+    centres = set(widths) | {start + v - first for start, first, length in runs
+                             for v in values if 0 <= v - first < length}
     return [(max(0, t - reach), t + reach - 1) for t in sorted(centres)]
+
+
+class _Runs:
+    """A head-indexed stand-in whose symbol_pieces yields given pieces."""
+
+    family = seqent.model.FAMILY_LOG_M
+
+    def __init__(self, pieces):
+        self.pieces = pieces
+
+    def symbol_pieces(self, lo, hi):
+        return iter(self.pieces)
 
 
 class TestSymbolEmitterDifferential:
@@ -356,6 +371,32 @@ class TestSymbolEmitterDifferential:
                     + width_spans(runs))
         # one run, index t - 10, goes from a-5 through a0 and a99 to a550
         self._check(tmp_path, m3k3, [(5, 560)])
+
+    def test_synthetic_runs_match_a_line_format(self):
+        # (t0, range(i0, i0 + n), path) pieces crossing a power of ten or
+        # zero of the time or the index, against one f-string per line
+        rng = random.Random(7300)
+        edges = [0] + [s * 10 ** k for k in range(1, 8) for s in (1, -1)]
+        cuts = 0
+        for _ in range(150):
+            n = rng.randrange(1, 3000)
+            t0 = max(0, abs(rng.choice(edges)) - rng.randrange(n))
+            i0 = rng.choice(edges) - rng.randrange(n)
+            path = rng.choice(["B2/S7", "B1/%d%%{0}%s}/S2é"])
+            chunks = list(seqent.formats._symbol_chunks(
+                _Runs([(t0, range(i0, i0 + n), path)]), 0, 0))
+            got = b"".join(piece for _, piece in chunks).decode().splitlines(
+                keepends=True)
+            want = [f"{t0 + r}\ta{i0 + r}\t{path}\n" for r in range(n)]
+            # the first differing line, not a diff of thousands
+            bad = next((r for r, pair in enumerate(zip(got, want))
+                        if pair[0] != pair[1]), None)
+            assert (len(got), bad) == (n, None), (
+                t0, i0, n, bad is not None and (got[bad], want[bad]))
+            # each chunk is named by the time of its first line
+            assert all(piece.startswith(b"%d\t" % t) for t, piece in chunks)
+            cuts += len(chunks) - 1
+        assert cuts >= 150
 
     @pytest.mark.parametrize("piece_times", [seqent.model.PIECE_TIMES, 5])
     def test_dense_family(self, tmp_path, monkeypatch, dense2, dense4,

@@ -436,9 +436,11 @@ class TestPairStage:
             if all(s.center.kind == KIND_HEAD_INF for s in specs):
                 continue  # the limit head covers these before the pair stage
             got = _root_extensions(specs, traj, horizon, SearchBudget())
+            syms = materialize(traj, horizon)
             want = tuple(d for d in range(1, horizon + 1)
                          if naive_is_independence_set((0, d), specs, traj,
-                                                      horizon=horizon))
+                                                      horizon=horizon,
+                                                      syms=syms))
             assert got == want, (traj.family, horizon,
                                  [s.render() for s in specs])
             checked += 1
@@ -648,9 +650,10 @@ class TestPigeonholeRule:
             want, calls = self._search(dense2, specs, horizon, monkeypatch)
             assert skipped and calls + len(skipped) == sum(want), (
                 want, calls, skipped)
+            syms = materialize(dense2, horizon)
             for shape in skipped:
-                assert not naive_has_child(shape, specs, dense2,
-                                           horizon), (centers, shape)
+                assert not naive_has_child(shape, specs, dense2, horizon,
+                                           syms), (centers, shape)
 
     def test_dense_rule_is_off_for_a_repeated_center(self, dense2,
                                                      monkeypatch):
