@@ -26,7 +26,7 @@ from .errors import (
 )
 from .flower import (
     CompositeSystem, PetalSystem, Value, compose, cross_petal_check,
-    parse_value, value_calculus,
+    value_calculus,
 )
 from .formats import (
     config_hash, manifest_string, read_certificate, read_manifest,
@@ -65,7 +65,7 @@ __all__ = [
     "ResourceBudgetExceeded", "ScheduleInvalid", "SeqentError", "UnknownBlock",
     # flower
     "CompositeSystem", "PetalSystem", "Value", "compose", "cross_petal_check",
-    "parse_value", "value_calculus",
+    "value_calculus",
     # formats
     "config_hash", "manifest_string", "read_certificate", "read_manifest",
     "rebuild_from_manifest", "replay_certificate", "replay_manifest",

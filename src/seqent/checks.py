@@ -93,26 +93,30 @@ def validate_growth(traj: Trajectory) -> CheckReport:
 def _validate_growth_log_m(traj: Trajectory, report: CheckReport):
     m = traj.m
     checked = 0
-    for seg in traj.manifest.segments:
-        if seg.kind == "wind" and not seg.path.split("/")[1] == "P1":
+    manifest = traj.manifest
+    for (path, kind, plan, _), start, length in zip(
+            manifest.walk(), manifest.starts, manifest.lengths):
+        if kind == "wind" and not path.split("/")[1] == "P1":
             continue  # only first-piece winds carry their own length rule
         checked += 1
-        if seg.path == "B1/P1/W1":
-            if seg.w != 3 * m + 2:
+        w = plan.w
+        if path == "B1/P1/W1":
+            if w != 3 * m + 2:
                 report.counterexample = (
-                    f"first wind has length {seg.w}, expected {3 * m + 2}")
+                    f"first wind has length {w}, expected {3 * m + 2}")
                 return
             continue
         # a shared wind owns one point less than its planned length, so the
         # prefix is everything before its true first point
-        if seg.w <= 100 * seg.wind_start:
+        wind_start = start - (length < w)
+        if w <= 100 * wind_start:
             report.counterexample = (
-                f"{seg.path} has length {seg.w} <= 100 * {seg.wind_start}")
+                f"{path} has length {w} <= 100 * {wind_start}")
             return
     # designated times must mirror the wind lengths
-    for block in traj.manifest.blocks:
+    for block in manifest.blocks:
         acc = [0]
-        for w in block.winds:
+        for w in traj.schedule.winds[block.level - 1]:
             acc.append(acc[-1] + w - 1)
         if tuple(acc) != block.times:
             report.counterexample = (

@@ -361,14 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
     # subcommands set allow_abbrev=False: options match exactly, so an
     # option a subcommand lacks is refused, not read as a longer one
 
-    def add_common(p, kmax_default, m=True, out=True, budgets=True):
+    def add_common(p, kmax_default, m=True, nmax=True, out=True,
+                   budgets=True):
         if m:
             p.add_argument("--m", type=int, default=None,
                            help="alphabet size for the head-indexed family")
         p.add_argument("--kmax", type=int, default=None,
                        help=f"blocks to build (default {kmax_default})")
-        p.add_argument("--nmax", type=int, default=4,
-                       help="blocks for the dense family (default 4)")
+        if nmax:
+            p.add_argument("--nmax", type=int, default=4,
+                           help="blocks for the dense family (default 4)")
         if out:
             p.add_argument("--out", default=None,
                            help="directory for manifests, reports, "
@@ -426,8 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list collapsedName=targetName")
     f.add_argument("--unbounded", action="store_true",
                    help="declare an unbounded family of alphabet sizes")
-    # --nmax is unread here, but its default is part of the config hash
-    add_common(f, "2", m=False)
+    add_common(f, "2", m=False, nmax=False)
     # cross-petal checks are pair searches; the config hash names that cap
     f.set_defaults(kmax=2, cap=2)
     f.set_defaults(func=_cmd_flower)

@@ -237,13 +237,11 @@ def build_log_m(m: int, kmax: int, schedule: GrowthSchedule) -> Trajectory:
                 em.emit_wind(f"B{k}/P{l}/W{i}", "wind",
                              f[i - 1], f[i], ws[i - 1], shared=(i > 1))
         block_end = em.pos
-        og_start = em.pos
         em.emit_wind(f"OG{k}", "outer-gap", m, -1, og, shared=False)
         blocks.append(BlockRecord(
             level=k, start=block_start, end=block_end,
             times=tuple(times), functions=funcs,
-            piece_starts=tuple(piece_starts), winds=tuple(ws),
-            inner_gaps=tuple(igs), outer_gap=og, outer_gap_start=og_start))
+            piece_starts=tuple(piece_starts), outer_gap_start=block_end))
 
     manifest = SegmentationManifest(
         FAMILY_LOG_M, m, kmax, blocks, em.starts, em.lengths,

@@ -72,17 +72,6 @@ class Value(_Frozen):
         return "inf"
 
 
-def parse_value(token: str) -> Value:
-    token = token.strip()
-    if token == "0":
-        return Value.zero()
-    if token == "inf":
-        return Value.infinity()
-    if token.startswith("log "):
-        return Value.log(int(token[4:]))
-    raise ValueError(f"unrecognized value token: {token!r}")
-
-
 # ---------------------------------------------------------------------------
 # petals and composites
 

@@ -82,19 +82,6 @@ def parse_tuple(token: str) -> tuple[NeighborhoodSpec, ...]:
 # manifests
 
 
-def _segment_line(seg) -> str:
-    fields = [f"path={seg.path}", f"kind={seg.kind}", f"start={seg.start}",
-              f"length={seg.length}"]
-    if seg.kind in ("wind", "inner-gap", "outer-gap"):
-        fields += [f"p={seg.p}", f"q={seg.q}", f"w={seg.w}",
-                   f"jump_from={seg.jump_from}",
-                   f"jump_depth={seg.jump_depth}",
-                   f"shared={1 if seg.shared else 0}"]
-    if seg.function is not None:
-        fields.append("function=" + ";".join(str(v) for v in seg.function))
-    return "segment: " + " ".join(fields)
-
-
 def manifest_string(traj: Trajectory) -> str:
     """Canonical manifest text for a built trajectory, hash line included."""
     sched = traj.schedule
@@ -126,19 +113,17 @@ def manifest_string(traj: Trajectory) -> str:
             f"times={','.join(str(t) for t in b.times)} "
             f"pieces={','.join(str(p) for p in b.piece_starts)}" + extra)
     manifest = traj.manifest
-    if manifest.plans is None:
-        # dense lines straight from the columns, with no record each
-        for (path, function), start, length in zip(
-                manifest.dense_walk(), manifest.starts, manifest.lengths):
-            if function is None:
-                lines.append(f"segment: path={path} kind=glue "
-                             f"start={start} length={length}")
-            else:
-                lines.append(f"segment: path={path} kind=pattern "
-                             f"start={start} length={length} function="
-                             + ";".join(map(str, function)))
-    else:
-        lines.extend(map(_segment_line, manifest.segments))
+    for (path, kind, plan, function), start, length in zip(
+            manifest.walk(), manifest.starts, manifest.lengths):
+        line = (f"segment: path={path} kind={kind} start={start} "
+                f"length={length}")
+        if plan is not None:
+            line += (f" p={plan.p} q={plan.q} w={plan.w} jump_from="
+                     f"{plan.jump_from} jump_depth={plan.jump_depth} "
+                     f"shared={int(length < plan.w)}")
+        if function is not None:  # a list joins these short tuples faster
+            line += " function=" + ";".join([str(v) for v in function])
+        lines.append(line)
     body = "\n".join(lines) + "\n"
     return body + f"hash: {config_hash(body)}\n"
 

@@ -265,8 +265,7 @@ class SegmentRecord(_Frozen):
     inner gap, or an outer gap): it ascends from index p up to jump_from, then
     jumps down to -jump_depth and ascends to q. ``start``/``length`` cover the
     points the segment owns; winds inside a piece share their first point with
-    the previous wind, in which case ``shared`` is true and ``wind_start`` is
-    one before ``start``.
+    the previous wind, in which case ``shared`` is true.
 
     For the dense family a segment is a framed pattern segment or a glue
     chain; wind fields are zero and ``function`` holds the realized pattern.
@@ -285,21 +284,17 @@ class SegmentRecord(_Frozen):
         """First time after the segment's owned points."""
         return self.start + self.length
 
-    @property
-    def wind_start(self) -> int:
-        return self.start - 1 if self.shared else self.start
-
 
 class BlockRecord(_Frozen):
     """One block: ``end`` is exclusive, the block proper (last piece or
     tail glue end); ``times`` are the designated times relative to a piece
-    start. ``winds`` to ``outer_gap_start`` are the head-indexed family's,
-    ``eps`` (a Fraction) the dense family's."""
+    start. ``outer_gap_start`` is the head-indexed family's, ``eps`` (a
+    Fraction) the dense family's; the lengths are the schedule's."""
 
     __slots__ = _fields = (
         "level", "start", "end", "times", "functions", "piece_starts",
-        "winds", "inner_gaps", "outer_gap", "outer_gap_start", "eps")
-    _defaults = ((), (), 0, 0, None)
+        "outer_gap_start", "eps")
+    _defaults = (0, None)
 
 
 class _Records(Sequence):
@@ -372,18 +367,12 @@ class SegmentationManifest(_Record):
     def _records(self, i: int):
         """The records of segment i and every later one, in order."""
         starts, lengths = self.starts, self.lengths
-        if self.plans is None:
-            for i, (path, function) in enumerate(self.dense_walk(i), i):
-                yield SegmentRecord(
-                    path, "glue" if function is None else "pattern",
-                    starts[i], lengths[i], function=function)
-            return
-        for i in range(i, len(starts)):
-            plan, length = self.plans[i], lengths[i]
-            yield SegmentRecord(
-                self.paths[i], self.kinds[i], starts[i], length, plan.p,
-                plan.q, plan.w, plan.jump_from, plan.jump_depth,
-                shared=length < plan.w)
+        for i, (path, kind, plan, function) in enumerate(self.walk(i), i):
+            wind = () if plan is None else (
+                plan.p, plan.q, plan.w, plan.jump_from, plan.jump_depth,
+                lengths[i] < plan.w)
+            yield SegmentRecord(path, kind, starts[i], lengths[i], *wind,
+                                function=function)
 
     def _before(self, i: int) -> tuple[BlockRecord, int, int]:
         """Dense segment i's block and the numbers of the block's pattern
@@ -394,10 +383,16 @@ class SegmentationManifest(_Record):
         l = bisect.bisect_left(block.piece_starts, start)
         return block, l, i - bisect.bisect_left(self.starts, block.start) - l
 
-    def dense_walk(self, i: int = 0):
-        """(path, function) of dense segment i and every later one, in
-        order; a glue's function is None."""
+    def walk(self, i: int = 0):
+        """(path, kind, plan, function) of segment i and every later one, in
+        order: a head-indexed segment's wind plan and no function, or a
+        dense segment's "pattern" and its block's function, or "glue" and
+        None, and no plan."""
         starts = self.starts
+        if self.plans is not None:
+            for i in range(i, len(starts)):
+                yield self.paths[i], self.kinds[i], self.plans[i], None
+            return
         block, l, g = self._before(i)
         for block in self.blocks[block.level - 1:]:
             n, piece_starts = block.level, block.piece_starts
@@ -405,10 +400,10 @@ class SegmentationManifest(_Record):
             for i in range(i, end):
                 if l < len(piece_starts) and piece_starts[l] == starts[i]:
                     l += 1
-                    yield f"B{n}/S{l}", block.functions[l - 1]
+                    yield f"B{n}/S{l}", "pattern", None, block.functions[l - 1]
                 else:
                     g += 1
-                    yield f"B{n}/G{g}", None
+                    yield f"B{n}/G{g}", "glue", None, None
             i, l, g = end, 0, 0
 
 
@@ -486,7 +481,6 @@ class Trajectory:
             self.n_points = starts[-1] + len(pieces[ids[-1]])
         self._segment_starts = manifest.starts
         self._hit_cache: dict[int, tuple[int, ...]] = {}
-        self._window_cache: dict[int, tuple[int, ...]] = {}
         # search caches filled by ``independence``, keyed by neighborhood
         self._occ_cache: dict = {}
 
@@ -584,18 +578,14 @@ class Trajectory:
         This is the sparse complement of the orbit part of an infinity
         neighborhood: only a handful of points per run fall in the window.
         """
-        cached = self._window_cache.get(width)
-        if cached is None:
-            out = []
-            for start, first, length in self._runs:
-                lo = max(first, -width)
-                hi = min(first + length - 1, width)
-                for idx in range(lo, hi + 1):
-                    out.append(start + (idx - first))
-            out.sort()
-            cached = tuple(out)
-            self._window_cache[width] = cached
-        return cached
+        out = []
+        for start, first, length in self._runs:
+            lo = max(first, -width)
+            hi = min(first + length - 1, width)
+            for idx in range(lo, hi + 1):
+                out.append(start + (idx - first))
+        out.sort()
+        return tuple(out)
 
     def symbol_pieces(self, lo: int, hi: int):
         """Yield (t0, indices, path) pieces that cover the times [lo, hi].

@@ -79,6 +79,16 @@ class TestValidateGrowth:
         rep = validate_growth(dense4)
         assert rep.passed, rep.counterexample
 
+    def test_times_that_do_not_mirror_the_winds_fail(self):
+        traj = build_log_m(2, 3, minimal_schedule(2, 3))
+        blocks = traj.manifest.blocks
+        times = blocks[1].times[:-1] + (blocks[1].times[-1] + 1,)
+        blocks[1] = blocks[1]._replace(times=times)
+        rep = validate_growth(traj)
+        assert not rep.passed
+        assert rep.counterexample == (
+            f"block 2 times {times} do not match its wind lengths")
+
     def test_undersized_gap_caught(self):
         sched = minimal_schedule(2, 1)
         broken = GrowthSchedule(FAMILY_LOG_M, 2,

@@ -809,7 +809,7 @@ ARTIFACT_SHA256 = {
         "cert-cross-02.txt":
             "ac89b156d4c03fe6b03178c33c5315f90637edc8dcd174e1823076f2cb476bd0",
         "report-cross-petal.txt":
-            "d2dea4f0f26890f33828726013e324e1e66f07dd49f8c57dbacf35862ad94594",
+            "5d218e557d50ecf0df3ad926bf8b8c28458e730e8d29e6782095b96a199e6080",
     },
 }
 
@@ -922,9 +922,10 @@ class TestEntryPoints:
         ["build", "--family", "log-m", "--m", "2", "--budget-nodes", "1"],
         ["build", "--family", "log-m", "--m", "2", "--budget-seconds", "1"],
         ["entropy", "--m", "2", "--out", "out"],
-        ["flower", "--petals", "p2=2,p3=3", "--m", "2"]],
+        ["flower", "--petals", "p2=2,p3=3", "--m", "2"],
+        ["flower", "--petals", "p2=2,p3=3", "--nmax", "4"]],
         ids=["build-budget-nodes", "build-budget-seconds", "entropy-out",
-             "flower-m"])
+             "flower-m", "flower-nmax"])
     def test_unread_option_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

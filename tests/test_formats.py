@@ -50,7 +50,24 @@ class TestSpecParsing:
         assert ",".join(s.render() for s in specs) == text
 
 
+# sha256 of the head-indexed manifests, taken from the writer that made a
+# record per segment; DENSE4_DIGEST in test_construct pins a dense one
+HEAD_MANIFEST_SHA256 = {
+    "m2k3": (96, "3ee0a2957845f63b29db5e1d5a44b137"
+                 "94ede3c1165a2ee57fd22fd7a5372af9"),
+    "m3k3": (423, "b0ea0f61feb1d1eeee6049a665eecadd"
+                  "1279aa865f25466426aae6779cee01e4"),
+}
+
+
 class TestManifest:
+    @pytest.mark.parametrize("build", list(HEAD_MANIFEST_SHA256))
+    def test_head_indexed_manifest_pinned(self, request, build):
+        text = manifest_string(request.getfixturevalue(build))
+        segments, digest = HEAD_MANIFEST_SHA256[build]
+        assert text.count("\nsegment: ") == segments
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_deterministic_and_hash_stable(self, m2k2):
         a = manifest_string(m2k2)
         b = manifest_string(build_log_m(2, 2, minimal_schedule(2, 2)))

@@ -100,6 +100,29 @@ class TestStepAndIterate:
         with pytest.raises(HorizonExceeded):
             iterate(ModelPoint.orbit(0), m2k2.n_points, m2k2)
 
+    def test_iterate_is_step_repeated(self, m2k2, dense2):
+        # orbit points 12 before the end: the 12th step and every later
+        # count pass the horizon, for iterate as for step
+        points = [(m2k2, ModelPoint.orbit(m2k2.n_points - 12)),
+                  (dense2, ModelPoint.orbit(dense2.n_points - 12)),
+                  (m2k2, ModelPoint.head(Symbol.head(-5))),
+                  (m2k2, ModelPoint.head(Symbol.head_inf())),
+                  (dense2, ModelPoint.head(Symbol.dense(3)))]
+        for traj, point in points:
+            p = point
+            for t in range(20):
+                if p is None:
+                    with pytest.raises(HorizonExceeded):
+                        iterate(point, t, traj)
+                    continue
+                assert iterate(point, t, traj) == p
+                try:
+                    p = step(p, traj)
+                except HorizonExceeded:
+                    assert t == 11
+                    p = None
+            assert (p is None) == point.is_orbit
+
 
 class TestTrajectoryAccessors:
     def test_first_symbols_of_smallest_build(self, m2k3):
@@ -283,7 +306,7 @@ class TestPackageSurface:
         exec("from seqent import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(seqent.__all__)
-        assert len(set(seqent.__all__)) == len(seqent.__all__) == 83
+        assert len(set(seqent.__all__)) == len(seqent.__all__) == 82
         modules = {n for n, v in namespace.items()
                    if isinstance(v, types.ModuleType)}
         assert modules == {"checks", "construct", "entropy", "errors",
