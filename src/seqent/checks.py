@@ -145,9 +145,10 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
     seg_starts, seg_lengths = manifest.starts, manifest.lengths
     for block in manifest.blocks:
         n = block.level
-        if block.eps != Fraction(1, 2 ** n):
+        eps = traj.schedule.eps[n - 1]
+        if eps != Fraction(1, 2 ** n):
             report.counterexample = (
-                f"block {n} tolerance {block.eps}, expected 1/{2 ** n}")
+                f"block {n} tolerance {eps}, expected 1/{2 ** n}")
             return
         first = bisect.bisect_left(seg_starts, block.start)
         last = bisect.bisect_left(seg_starts, block.end)
@@ -167,7 +168,7 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
         for i in set(ids[lo:hi]):
             steps.update(zip(pieces[i], pieces[i][1:]))
         bad = {(a, b) for a, b in steps
-               if abs(value(b) - value(a)) >= block.eps}
+               if abs(value(b) - value(a)) >= eps}
         if bad:
             # the first bad step in placement order: into a placement from
             # the one before (none at lo), or inside it
@@ -177,7 +178,7 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
                      if step in bad)
             jump = abs(value(index_at(t)) - value(index_at(t - 1)))
             report.counterexample = (
-                f"step at time {t} jumps {jump} >= {block.eps}")
+                f"step at time {t} jumps {jump} >= {eps}")
             return
         # glue chains are minimal for their endpoint values; the block glues
         # few distinct endpoint pairs, each pair's minimum is found once
@@ -193,7 +194,7 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
                              index_at(start + length - home))
             if (before, after) not in least:
                 least[before, after] = chain_min_interior(
-                    value(before), value(after), block.eps)
+                    value(before), value(after), eps)
             need = least[before, after]
             if interior != need:
                 report.counterexample = (
@@ -215,16 +216,21 @@ def _validate_growth_dense(traj: Trajectory, report: CheckReport):
 # part structure
 
 
-def part_expected_times(block: BlockRecord, l: int) -> list[int]:
-    """Times of the designated-time hits of piece l (1-based) of a block.
+def part_expected_times(block: BlockRecord, l: int, m: int) -> list[int]:
+    """Times of the designated-time hits of piece l (1-based) of a block
+    over the alphabet {0..m-1}.
 
-    Piece l realizing pattern s places the center's hits at
-    piece_start + n_c - s(c) for each designated index c; the c = 0 hit sits
-    inside the preceding gap when s(0) > 0.
+    Piece l realizes the l-th pattern s in lexicographic order, whose values
+    s(0) .. s(k) are the k + 1 base-m digits of l - 1. It places the
+    center's hits at piece_start + n_c - s(c) for each designated index c;
+    the c = 0 hit sits inside the preceding gap when s(0) > 0.
     """
-    j = block.piece_starts[l - 1]
-    s = block.functions[l - 1]
-    return [j + block.times[c] - s[c] for c in range(len(block.times))]
+    pieces = len(block.piece_starts)
+    if not 1 <= l <= pieces:
+        raise InvalidConfig(f"block {block.level} has {pieces} pieces")
+    j, k = block.piece_starts[l - 1], len(block.times) - 1
+    return [j + n_c - (l - 1) // m ** (k - c) % m
+            for c, n_c in enumerate(block.times)]
 
 
 def check_part_structure(k: int, l: int, traj: Trajectory) -> CheckReport:
@@ -237,9 +243,7 @@ def check_part_structure(k: int, l: int, traj: Trajectory) -> CheckReport:
     with CheckReport("part-structure",
                      {"m": str(traj.m), "k": str(k), "l": str(l)}) as report:
         block = traj.manifest.block(k)
-        if not 1 <= l <= len(block.functions):
-            raise InvalidConfig(f"block {k} has {len(block.functions)} pieces")
-        expected = part_expected_times(block, l)
+        expected = part_expected_times(block, l, traj.m)
         j = block.piece_starts[l - 1]
         lo = j - (traj.m - 1)
         hi = j + block.times[-1]
@@ -271,9 +275,7 @@ def check_distance_uniqueness(k: int, l: int, traj: Trajectory) -> CheckReport:
     with CheckReport("distance-uniqueness",
                      {"m": str(traj.m), "k": str(k), "l": str(l)}) as report:
         block = traj.manifest.block(k)
-        if not 1 <= l <= len(block.functions):
-            raise InvalidConfig(f"block {k} has {len(block.functions)} pieces")
-        pts = part_expected_times(block, l)
+        pts = part_expected_times(block, l, traj.m)
         times = block.times
         tol = traj.m - 1
         seen: dict[int, tuple[int, int]] = {}
@@ -305,7 +307,7 @@ def check_block_parts(k: int, traj: Trajectory) -> CheckReport:
     _require_family(traj, FAMILY_LOG_M, "check_block_parts")
     with CheckReport("block-parts", {"m": str(traj.m), "k": str(k)}) as report:
         block = traj.manifest.block(k)
-        pieces = len(block.functions)
+        pieces = len(block.piece_starts)
         for l in range(1, pieces + 1):
             for sub in (check_part_structure(k, l, traj),
                         check_distance_uniqueness(k, l, traj)):
@@ -338,8 +340,8 @@ def check_shiftability(traj: Trajectory, horizon: int) -> CheckReport:
                      {"m": str(traj.m), "horizon": str(horizon)}) as report:
         location: dict[int, tuple[int, int, int]] = {}
         for block in traj.manifest.blocks:
-            for l in range(1, len(block.functions) + 1):
-                for c, t in enumerate(part_expected_times(block, l)):
+            for l in range(1, len(block.piece_starts) + 1):
+                for c, t in enumerate(part_expected_times(block, l, traj.m)):
                     if t <= horizon:
                         location[t] = (block.level, l, c)
         occ = occupancy(NeighborhoodSpec(Symbol.head(0), 1), traj)

@@ -104,7 +104,7 @@ class GrowthSchedule(_Record):
 
 
 def patterns(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All functions {0..k} -> {0..m-1} in lexicographic order."""
+    """All patterns {0..k} -> {0..m-1} in lexicographic order."""
     return tuple(itertools.product(range(m), repeat=k + 1))
 
 
@@ -137,10 +137,9 @@ def minimal_schedule(m: int, kmax: int) -> GrowthSchedule:
             ws.append(w)
             n += w - 1
         piece_len = n + 1
-        funcs = patterns(m, k)
         pos = block_start + piece_len
         igs = []
-        for _ in range(1, len(funcs)):
+        for _ in range(1, m ** (k + 1)):
             g = GROWTH_FACTOR * pos + 1
             igs.append(g)
             pos += g + piece_len
@@ -238,14 +237,12 @@ def build_log_m(m: int, kmax: int, schedule: GrowthSchedule) -> Trajectory:
                              f[i - 1], f[i], ws[i - 1], shared=(i > 1))
         block_end = em.pos
         em.emit_wind(f"OG{k}", "outer-gap", m, -1, og, shared=False)
-        blocks.append(BlockRecord(
-            level=k, start=block_start, end=block_end,
-            times=tuple(times), functions=funcs,
-            piece_starts=tuple(piece_starts), outer_gap_start=block_end))
+        blocks.append(BlockRecord(k, block_start, block_end, tuple(times),
+                                  tuple(piece_starts)))
 
-    manifest = SegmentationManifest(
-        FAMILY_LOG_M, m, kmax, blocks, em.starts, em.lengths,
-        paths=em.paths, kinds=em.kinds, plans=em.plans)
+    manifest = SegmentationManifest(blocks, em.starts, em.lengths,
+                                    paths=em.paths, kinds=em.kinds,
+                                    plans=em.plans)
     return Trajectory(FAMILY_LOG_M, m, manifest, runs=em.runs,
                       schedule=schedule)
 
@@ -388,7 +385,6 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
         if eps <= 0:
             raise ValueError("tolerance must be positive")
         values = range(1, n + 2)  # the block's first n+1 enumeration indices
-        funcs = tuple(itertools.product(values, repeat=n + 1))
         least = {(a, b): _least_interior(a, b, eps)
                  for a in values for b in values}
         # the block's chains, between enumeration indices, each made once
@@ -408,7 +404,7 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
         block_start = pos
         piece_starts = []
         prev: int | None = None
-        for f in funcs:
+        for f in itertools.product(values, repeat=n + 1):
             if (prev, f[0]) in glues:
                 glue, count = glues[prev, f[0]]
                 seg_starts.append(pos)
@@ -438,13 +434,10 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
         starts.append(pos)
         ids.append(piece_id(tail))
         pos += len(tail)
-        blocks.append(BlockRecord(
-            level=n, start=block_start, end=pos,
-            times=tuple(rel), functions=funcs,
-            piece_starts=tuple(piece_starts), eps=eps))
+        blocks.append(BlockRecord(n, block_start, pos, tuple(rel),
+                                  tuple(piece_starts)))
 
-    manifest = SegmentationManifest(FAMILY_LOG_INFTY, nmax, nmax, blocks,
-                                    seg_starts, seg_lengths)
+    manifest = SegmentationManifest(blocks, seg_starts, seg_lengths)
     return Trajectory(FAMILY_LOG_INFTY, nmax, manifest,
                       piece_table=(tuple(piece_ids), starts, ids),
                       schedule=schedule)

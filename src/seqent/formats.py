@@ -107,7 +107,7 @@ def manifest_string(traj: Trajectory) -> str:
     for b in traj.manifest.blocks:
         extra = ""
         if traj.family == FAMILY_LOG_M:
-            extra = f" outer-gap-start={b.outer_gap_start}"
+            extra = f" outer-gap-start={b.end}"
         lines.append(
             f"block[{b.level}]: start={b.start} end={b.end} "
             f"times={','.join(str(t) for t in b.times)} "

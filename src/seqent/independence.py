@@ -195,8 +195,7 @@ def occupancy(spec: NeighborhoodSpec, traj: Trajectory) -> OccupancyVector:
     else:
         # levels are tied to built blocks through their thresholds
         threshold = traj.level_threshold(spec.level) + spec.threshold_offset
-        hits = (traj.dense_hits(center.index) if dense
-                else traj.head_hits(center.index))
+        hits = traj.hits(center.index)
         vec = OccupancyVector(traj.n_points,
                               times=hits[bisect.bisect_left(hits, threshold):])
     cache[spec] = vec

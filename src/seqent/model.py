@@ -23,6 +23,7 @@ import bisect
 from array import array
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import islice, product
 from operator import attrgetter
 
 from .errors import HorizonExceeded, UnknownBlock
@@ -288,13 +289,11 @@ class SegmentRecord(_Frozen):
 class BlockRecord(_Frozen):
     """One block: ``end`` is exclusive, the block proper (last piece or
     tail glue end); ``times`` are the designated times relative to a piece
-    start. ``outer_gap_start`` is the head-indexed family's, ``eps`` (a
-    Fraction) the dense family's; the lengths are the schedule's."""
+    start, and ``piece_starts`` each piece's first time. Piece l realizes
+    the block's l-th pattern in lexicographic order, so the pattern is
+    derived, not kept; the lengths are the schedule's."""
 
-    __slots__ = _fields = (
-        "level", "start", "end", "times", "functions", "piece_starts",
-        "outer_gap_start", "eps")
-    _defaults = (0, None)
+    __slots__ = _fields = ("level", "start", "end", "times", "piece_starts")
 
 
 class _Records(Sequence):
@@ -327,13 +326,11 @@ class SegmentationManifest(_Record):
     point. Its times pass 2^63, so its columns are lists. The dense family
     keeps ``array``s of starts and lengths and nothing more: a segment that
     starts at one of its block's ``piece_starts`` is the pattern segment
-    ``B{n}/S{l}`` realizing the block's l-th function, and any other is the
-    block's next glue ``B{n}/G{g}``. ``m`` is the alphabet size (log-m) or
-    the deepest block (log-infty).
+    ``B{n}/S{l}`` realizing the block's l-th pattern, and any other is the
+    block's next glue ``B{n}/G{g}``; ``walk`` names them.
     """
 
-    _fields = ("family", "m", "kmax", "blocks", "starts", "lengths", "paths",
-               "kinds", "plans")
+    _fields = ("blocks", "starts", "lengths", "paths", "kinds", "plans")
     _defaults = (None, None, None)
 
     def block(self, k: int) -> BlockRecord:
@@ -352,13 +349,7 @@ class SegmentationManifest(_Record):
 
     def path(self, i: int) -> str:
         """Segment i's path."""
-        if self.paths is not None:
-            return self.paths[i]
-        block, l, g = self._before(i)
-        if l < len(block.piece_starts) and \
-                block.piece_starts[l] == self.starts[i]:
-            return f"B{block.level}/S{l + 1}"
-        return f"B{block.level}/G{g + 1}"
+        return next(self.walk(i))[0]
 
     def record(self, i: int) -> SegmentRecord:
         """Segment i as a record."""
@@ -367,40 +358,41 @@ class SegmentationManifest(_Record):
     def _records(self, i: int):
         """The records of segment i and every later one, in order."""
         starts, lengths = self.starts, self.lengths
-        for i, (path, kind, plan, function) in enumerate(self.walk(i), i):
+        for i, (path, kind, plan, function) in enumerate(
+                self.walk(i), range(len(starts))[i]):
             wind = () if plan is None else (
                 plan.p, plan.q, plan.w, plan.jump_from, plan.jump_depth,
                 lengths[i] < plan.w)
             yield SegmentRecord(path, kind, starts[i], lengths[i], *wind,
                                 function=function)
 
-    def _before(self, i: int) -> tuple[BlockRecord, int, int]:
-        """Dense segment i's block and the numbers of the block's pattern
-        and glue segments before it."""
-        start = self.starts[i]
-        block = self.blocks[bisect.bisect_right(
-            self.blocks, start, key=attrgetter("start")) - 1]
-        l = bisect.bisect_left(block.piece_starts, start)
-        return block, l, i - bisect.bisect_left(self.starts, block.start) - l
-
     def walk(self, i: int = 0):
         """(path, kind, plan, function) of segment i and every later one, in
         order: a head-indexed segment's wind plan and no function, or a
-        dense segment's "pattern" and its block's function, or "glue" and
-        None, and no plan."""
+        dense segment's "pattern" and the pattern it realizes, or "glue"
+        and None, and no plan. i is a sequence index: -1 is the last
+        segment, and one out of range raises IndexError."""
         starts = self.starts
+        i = range(len(starts))[i]
         if self.plans is not None:
             for i in range(i, len(starts)):
                 yield self.paths[i], self.kinds[i], self.plans[i], None
             return
-        block, l, g = self._before(i)
+        # segment i's block, and the block's pattern and glue segments
+        # before it
+        start = starts[i]
+        block = self.blocks[bisect.bisect_right(
+            self.blocks, start, key=attrgetter("start")) - 1]
+        l = bisect.bisect_left(block.piece_starts, start)
+        g = i - bisect.bisect_left(starts, block.start) - l
         for block in self.blocks[block.level - 1:]:
             n, piece_starts = block.level, block.piece_starts
+            patterns = islice(product(range(1, n + 2), repeat=n + 1), l, None)
             end = bisect.bisect_left(starts, block.end)
             for i in range(i, end):
                 if l < len(piece_starts) and piece_starts[l] == starts[i]:
                     l += 1
-                    yield f"B{n}/S{l}", "pattern", None, block.functions[l - 1]
+                    yield f"B{n}/S{l}", "pattern", None, next(patterns)
                 else:
                     g += 1
                     yield f"B{n}/G{g}", "glue", None, None
@@ -448,9 +440,8 @@ class Trajectory:
     time and its piece's index (``array``s). Placements cover the times
     from 0 without gaps, and each block starts at one.
 
-    ``_segment_starts`` is the manifest's starts column; ``segment_at``
-    makes the one record it returns, and ``symbol_pieces`` asks the
-    manifest for paths only.
+    ``segment_at`` makes the one record it returns, and ``symbol_pieces``
+    takes its paths from one manifest walk.
     """
 
     def __init__(
@@ -470,8 +461,8 @@ class Trajectory:
         self._runs = runs or []
         self._run_starts = [r[0] for r in self._runs]
         self.piece_table = piece_table
-        # dense hit lists, one per asked index, and each piece's starts
-        self._dense_hits: dict[int, tuple[int, ...]] = {}
+        # hit lists, one per asked index, and each dense piece's starts
+        self._hits: dict[int, tuple[int, ...]] = {}
         self._placed: list[array] | None = None
         if family == FAMILY_LOG_M:
             last = self._runs[-1]
@@ -479,8 +470,6 @@ class Trajectory:
         else:
             pieces, starts, ids = piece_table
             self.n_points = starts[-1] + len(pieces[ids[-1]])
-        self._segment_starts = manifest.starts
-        self._hit_cache: dict[int, tuple[int, ...]] = {}
         # search caches filled by ``independence``, keyed by neighborhood
         self._occ_cache: dict = {}
 
@@ -535,41 +524,34 @@ class Trajectory:
     def runs(self) -> list[tuple[int, int, int]]:
         return list(self._runs)
 
-    def head_hits(self, idx: int) -> tuple[int, ...]:
-        """All orbit times whose symbol is a_idx, ascending."""
-        if self.family != FAMILY_LOG_M:
-            raise ValueError("head_hits applies to the head-indexed family")
-        cached = self._hit_cache.get(idx)
-        if cached is None:
-            out = []
-            for start, first, length in self._runs:
-                if first <= idx < first + length:
-                    out.append(start + (idx - first))
-            cached = tuple(out)
-            self._hit_cache[idx] = cached
-        return cached
+    def hits(self, j: int) -> tuple[int, ...]:
+        """All orbit times whose symbol index is j, ascending: the times of
+        a_j (log-m) or of e_j (log-infty).
 
-    def dense_hits(self, j: int) -> tuple[int, ...]:
-        """All orbit times whose symbol is e_j, ascending.
-
-        Only index j is looked up, and its tuple is cached: each start of a
-        piece's placements plus each offset of j in that piece. The first
-        call lists every piece's placement starts.
+        Only index j is looked up, and its tuple is cached: one time per run
+        that passes j, or each start of a dense piece's placements plus each
+        offset of j in that piece. The first dense call lists every piece's
+        placement starts.
         """
-        if self.piece_table is None:
-            raise ValueError("dense_hits applies to the dense family")
-        hits = self._dense_hits.get(j)
+        hits = self._hits.get(j)
         if hits is None:
-            pieces, starts, ids = self.piece_table
-            if self._placed is None:
-                self._placed = [array("q") for _ in pieces]
-                for start, i in zip(starts, ids):
-                    self._placed[i].append(start)
-            hits = self._dense_hits[j] = tuple(sorted(
-                start + offset
-                for piece, placed in zip(pieces, self._placed) if j in piece
-                for offset, index in enumerate(piece) if index == j
-                for start in placed))
+            if self.piece_table is None:
+                hits = tuple(start + (j - first)
+                             for start, first, length in self._runs
+                             if first <= j < first + length)
+            else:
+                pieces, starts, ids = self.piece_table
+                if self._placed is None:
+                    self._placed = [array("q") for _ in pieces]
+                    for start, i in zip(starts, ids):
+                        self._placed[i].append(start)
+                hits = tuple(sorted(
+                    start + offset
+                    for piece, placed in zip(pieces, self._placed)
+                    if j in piece
+                    for offset, index in enumerate(piece) if index == j
+                    for start in placed))
+            self._hits[j] = hits
         return hits
 
     def near_head_times(self, width: int) -> tuple[int, ...]:
@@ -601,10 +583,16 @@ class Trajectory:
         if self.piece_table is not None:
             pieces, starts, ids = self.piece_table
             p = bisect.bisect_right(starts, lo) - 1
+        seg_starts = self.manifest.starts
+        # lo's segment and each later one; a piece starts in the segment of
+        # the piece before it or at the next one's start
+        walk = self.manifest.walk(bisect.bisect_right(seg_starts, lo) - 1)
         t = lo
         while t <= hi:  # cut where segment_at and symbol_index_at switch
-            s = bisect.bisect_right(self._segment_starts, t)
-            end = min(hi + 1, t + PIECE_TIMES, *self._segment_starts[s:s + 1])
+            s = bisect.bisect_right(seg_starts, t)
+            if t == lo or t == seg_starts[s - 1]:
+                path = next(walk)[0]
+            end = min(hi + 1, t + PIECE_TIMES, *seg_starts[s:s + 1])
             if self.piece_table is not None:
                 indices, u = [], t
                 while u < end:  # placement p holds time u
@@ -619,7 +607,7 @@ class Trajectory:
                 end = min(end, *self._run_starts[r:r + 1])
                 start, first, _length = self._runs[r - 1]
                 indices = range(first + t - start, first + end - start)
-            yield t, indices, self.manifest.path(s - 1)
+            yield t, indices, path
             t = end
 
 

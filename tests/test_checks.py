@@ -25,6 +25,7 @@ from seqent.construct import (
     GrowthSchedule,
     build_log_m,
     minimal_schedule,
+    patterns,
 )
 from seqent.errors import InvalidConfig
 from seqent.model import (
@@ -37,21 +38,20 @@ from seqent.model import (
 )
 
 
-def _dense_copy(traj, symbols, blocks=None, segments=None):
-    """A dense trajectory over edited symbols and manifest records, with
-    one piece per manifest segment; the manifest's columns are the
-    records' starts and lengths."""
+def _dense_copy(traj, symbols, blocks=None, segments=None, schedule=None):
+    """A dense trajectory over edited symbols, manifest records and
+    schedule, with one piece per manifest segment; the manifest's columns
+    are the records' starts and lengths."""
     man = traj.manifest
     segments = list(man.segments if segments is None else segments)
     seg_starts = array("q", [s.start for s in segments])
     manifest = SegmentationManifest(
-        FAMILY_LOG_INFTY, man.m, man.kmax,
         list(man.blocks if blocks is None else blocks), seg_starts,
         array("q", [s.length for s in segments]))
     table = (tuple(tuple(symbols[s.start:s.end]) for s in segments),
              seg_starts, array("I", range(len(segments))))
     return Trajectory(FAMILY_LOG_INFTY, traj.m, manifest, piece_table=table,
-                      schedule=traj.schedule)
+                      schedule=schedule or traj.schedule)
 
 
 class TestCheckReport:
@@ -219,9 +219,9 @@ class TestValidateGrowth:
 
     def test_dense_wrong_tolerance_caught(self, dense2):
         symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
-        blocks = list(dense2.manifest.blocks)
-        blocks[1] = blocks[1]._replace(eps=Fraction(1, 8))
-        rep = validate_growth(_dense_copy(dense2, symbols, blocks))
+        schedule = dense2.schedule._replace(
+            eps=[dense2.schedule.eps[0], Fraction(1, 8)])
+        rep = validate_growth(_dense_copy(dense2, symbols, schedule=schedule))
         assert not rep.passed
         assert rep.counterexample == "block 2 tolerance 1/8, expected 1/4"
 
@@ -244,7 +244,7 @@ class TestPartStructure:
     def test_expected_times_account_for_pattern_offsets(self, m2k3):
         block = m2k3.manifest.block(2)
         for l in (1, 3, 8):
-            times = part_expected_times(block, l)
+            times = part_expected_times(block, l, m2k3.m)
             assert len(times) == len(block.times)
             assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
 
@@ -255,6 +255,27 @@ class TestPartStructure:
                 for l in range(1, m ** (k + 1) + 1):
                     rep = check_distance_uniqueness(k, l, traj)
                     assert rep.passed, (m, k, l, rep.counterexample)
+
+    def test_expected_times_read_the_pattern_from_the_piece_number(
+            self, m2k3, m3k2):
+        for traj, kmax in ((m2k3, 3), (m3k2, 2)):
+            for k in range(1, kmax + 1):
+                block = traj.manifest.block(k)
+                for l, s in enumerate(patterns(traj.m, k), 1):
+                    j = block.piece_starts[l - 1]
+                    assert part_expected_times(block, l, traj.m) == [
+                        j + n_c - s_c for n_c, s_c in zip(block.times, s)]
+
+    @pytest.mark.parametrize("l", [0, 9])
+    def test_piece_number_out_of_range_refused(self, m2k2, l):
+        # block 2 of m2k2 has 2^3 = 8 pieces; l = 0 once read the last one
+        block = m2k2.manifest.block(2)
+        assert len(block.piece_starts) == 8
+        for call in (lambda: part_expected_times(block, l, m2k2.m),
+                     lambda: check_part_structure(2, l, m2k2),
+                     lambda: check_distance_uniqueness(2, l, m2k2)):
+            with pytest.raises(InvalidConfig, match="^block 2 has 8 pieces$"):
+                call()
 
     def test_aggregator_matches_piecewise_checks(self, m2k2):
         rep = check_block_parts(2, m2k2)

@@ -336,8 +336,8 @@ class TestBuildLogInfty:
 
     def test_whole_build_stays_under_a_megabyte(self):
         # the nmax=4 trajectory, manifest included: the piece table is about
-        # 0.3 MB, the manifest's columns 0.1 MB and the blocks' functions
-        # most of the rest; one record per segment was 2.0 MB more
+        # 0.3 MB and the manifest's columns 0.1 MB; one record per segment
+        # was 2.0 MB more, and a tuple per pattern 0.3 MB more
         tracemalloc.start()
         try:
             traj = build_log_infty(4)

@@ -435,11 +435,10 @@ class TestSymbolEmitterDifferential:
         traj = request.getfixturevalue(family)
         odd = "B1/%d%%{0}%s}/S2é"
         manifest = traj.manifest
-        path, record = manifest.path, manifest.record
-        monkeypatch.setattr(manifest, "path",
-                            lambda i: odd if i == 1 else path(i))
-        monkeypatch.setattr(manifest, "record", lambda i: record(i)._replace(
-            path=manifest.path(i)))
+        walk = manifest.walk
+        monkeypatch.setattr(manifest, "walk", lambda i=0: (
+            (odd, *step[1:]) if j == 1 else step
+            for j, step in enumerate(walk(i), range(len(manifest.starts))[i])))
         assert traj.segment_at(manifest.starts[1]).path == odd
         self._check(tmp_path, traj, [(0, min(traj.horizon, 1000))])
         text = (tmp_path / "s.txt").read_text(encoding="utf-8")

@@ -1,6 +1,7 @@
 """Model layer: symbols, points, membership, and trajectory accessors."""
 
 import copy
+import itertools
 import os
 import pickle
 import subprocess
@@ -179,6 +180,20 @@ class TestManifestColumns:
                 assert traj.segment_at(t) == record  # field for field
         assert all(a.end == b.start for a, b in zip(records, records[1:]))
 
+    @pytest.mark.parametrize("name", ["dense2", "m2k2"])
+    def test_segment_index_is_a_sequence_index(self, request, name):
+        manifest = request.getfixturevalue(name).manifest
+        count = len(manifest.starts)
+        last = manifest.segments[count - 1]
+        assert manifest.path(-1) == last.path
+        assert manifest.record(-1) == last
+        assert manifest.record(-count) == manifest.segments[0]
+        for i in (count, -count - 1):
+            with pytest.raises(IndexError):
+                manifest.path(i)
+            with pytest.raises(IndexError):
+                manifest.record(i)
+
     @pytest.mark.parametrize("name", ["dense2", "dense4"])
     def test_dense_records_follow_the_blocks(self, request, name):
         traj = request.getfixturevalue(name)
@@ -191,9 +206,10 @@ class TestManifestColumns:
             glues = [r for r in own if r.kind == "glue"]
             assert len(patterns) + len(glues) == len(own)
             assert [r.path for r in patterns] == [
-                f"B{n}/S{l}" for l in range(1, len(block.functions) + 1)]
+                f"B{n}/S{l}" for l in range(1, len(block.piece_starts) + 1)]
             assert [r.start for r in patterns] == list(block.piece_starts)
-            assert [r.function for r in patterns] == list(block.functions)
+            assert [r.function for r in patterns] == list(
+                itertools.product(range(1, n + 2), repeat=n + 1))
             assert [r.path for r in glues] == [
                 f"B{n}/G{g}" for g in range(1, len(glues) + 1)]
             assert own[-1] == glues[-1] and own[-1].end == block.end
@@ -203,14 +219,27 @@ class TestManifestColumns:
                              for t in block.times) == r.function
 
 
+class TestHeadHits:
+    def test_every_index_near_zero_against_the_symbols(self, m2k2):
+        horizon = min(m2k2.n_points, 100_000)
+        symbols = [m2k2.symbol_index_at(t) for t in range(horizon)]
+        for j in range(-8, 9):
+            hits = m2k2.hits(j)
+            assert list(hits) == sorted(set(hits)), j
+            assert all(m2k2.symbol_index_at(t) == j for t in hits), j
+            assert [t for t in hits if t < horizon] == [
+                t for t, index in enumerate(symbols) if index == j], j
+            assert m2k2.hits(j) is hits  # cached
+
+
 class TestDenseHits:
     @pytest.mark.parametrize("name", ["dense2", "dense4"])
     def test_every_index_matches_the_one_pass_table(self, request, name):
         traj = request.getfixturevalue(name)
         table = naive_dense_hits(naive_dense_symbols(traj.kmax))
         for j, times in table.items():
-            assert traj.dense_hits(j) == times, j
-        assert traj.dense_hits(max(table) + 1) == ()
+            assert traj.hits(j) == times, j
+        assert traj.hits(max(table) + 1) == ()
 
     @pytest.mark.parametrize("name", ["dense2", "dense4"])
     def test_piece_table_reads_as_the_flat_list(self, request, name):
@@ -235,13 +264,13 @@ class TestDenseHits:
         traj = Trajectory(FAMILY_LOG_INFTY, dense2.m, dense2.manifest,
                           piece_table=table, schedule=dense2.schedule)
         assert traj.n_points == 6
-        assert traj.dense_hits(65_537) == (1, 5)
-        assert traj.dense_hits(1) == (0, 4)
-        assert traj.dense_hits(4_464) == (2,)
-        assert traj.dense_hits(2 ** 33) == (3,)
+        assert traj.hits(65_537) == (1, 5)
+        assert traj.hits(1) == (0, 4)
+        assert traj.hits(4_464) == (2,)
+        assert traj.hits(2 ** 33) == (3,)
         # no piece holds 70,000 (4,464 plus 2^16) or 2^40
-        assert traj.dense_hits(70_000) == ()
-        assert traj.dense_hits(2 ** 40) == ()
+        assert traj.hits(70_000) == ()
+        assert traj.hits(2 ** 40) == ()
 
 
 class TestMembership:
@@ -341,7 +370,7 @@ FROZEN_RECORDS = [
     ModelPoint.orbit(5),
     NeighborhoodSpec(Symbol.dense(2), 1),
     SegmentRecord("B1/W1", "wind", 10, 20, 1, 2, 22, 9, 6),
-    BlockRecord(1, 0, 10, (1, 2), ((0, 1),), (0,), eps=Fraction(1, 2)),
+    BlockRecord(1, 0, 10, (1, 2), (0,)),
     WindPlan(0, 1, 8, 3, 2),
     ExhaustionCertificate("U1(a0)", 3, 10, "level-shapes", (1, 0), 2, 7),
     Value.log(2),
