@@ -41,9 +41,8 @@ from .independence import (
 )
 from .model import (
     FAMILY_LOG_INFTY, FAMILY_LOG_M, BlockRecord, ModelPoint, NeighborhoodSpec,
-    SegmentationManifest, SegmentRecord, Symbol, Trajectory, dense_index,
-    dense_value, infinity_window, itinerary_hits, iterate, parse_symbol,
-    point_member, step,
+    SegmentationManifest, Symbol, Trajectory, dense_index, dense_value,
+    infinity_window, itinerary_hits, iterate, parse_symbol, point_member, step,
 )
 
 __version__ = "0.1.0"
@@ -77,9 +76,9 @@ __all__ = [
     "shift_property_check",
     # model
     "FAMILY_LOG_INFTY", "FAMILY_LOG_M", "BlockRecord", "ModelPoint",
-    "NeighborhoodSpec", "SegmentationManifest", "SegmentRecord", "Symbol",
-    "Trajectory", "dense_index", "dense_value", "infinity_window",
-    "itinerary_hits", "iterate", "parse_symbol", "point_member", "step",
+    "NeighborhoodSpec", "SegmentationManifest", "Symbol", "Trajectory",
+    "dense_index", "dense_value", "infinity_window", "itinerary_hits",
+    "iterate", "parse_symbol", "point_member", "step",
     # submodules
     "checks", "construct", "entropy", "errors", "flower", "formats",
     "independence", "model",

@@ -13,7 +13,7 @@ import math
 from itertools import combinations
 
 from .independence import (
-    DEFAULT_ASSIGNMENT_CAP, SearchBudget, is_independence_set,
+    SearchBudget, _within_assignment_cap, is_independence_set,
     max_independence,
 )
 from .model import NeighborhoodSpec, Trajectory, _Record
@@ -65,7 +65,7 @@ def h_star_lower_bound(traj: Trajectory, centers, cap: int,
 
     def sustains(specs, k: int) -> int:
         # past the assignment cap only the search may answer, and refute
-        if len(specs) ** cap <= DEFAULT_ASSIGNMENT_CAP:
+        if _within_assignment_cap(len(specs), cap):
             for b in reversed(blocks):
                 if (b.level >= k and len(b.times) >= cap
                         and b.end - 1 <= horizon

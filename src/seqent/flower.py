@@ -14,7 +14,6 @@ infinite value as soon as any petal is active.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 
 from .checks import CheckReport
@@ -168,16 +167,12 @@ def value_calculus(comp: CompositeSystem) -> Value:
 # cross-petal independence
 
 
-def _petal_pair_hits(traj: Trajectory, spec: NeighborhoodSpec,
-                     horizon: int) -> list[int]:
+def _petal_pair_hits(traj: Trajectory, spec: NeighborhoodSpec) -> list[int]:
     """Orbit hit times of a petal neighborhood, junction excluded."""
-    occ = occupancy(spec, traj)
-    times = occ.times[:bisect.bisect_right(occ.times, horizon)]
-    return [t for t in times if t >= 1]
+    return [t for t in occupancy(spec, traj).times if t >= 1]
 
 
 def cross_petal_check(comp: CompositeSystem,
-                      horizon: int | None = None,
                       budget: SearchBudget | None = None) -> CheckReport:
     """Cross-petal pairs admit no independence set of length 2; pairs
     inside one petal do.
@@ -190,8 +185,8 @@ def cross_petal_check(comp: CompositeSystem,
     pair carries an exhaustion certificate at level 2; a pair that
     survives is a violation naming its difference, with no certificate.
     Positive evidence comes from each petal's own (a_0, a_1) pair
-    restricted to orbit starts past the junction. The budget, when given,
-    bounds both.
+    restricted to orbit starts past the junction. Each petal is read up
+    to its own horizon; the budget, when given, bounds both.
     """
     with CheckReport("cross-petal", {"cap": "2"}) as report:
         built = [p for p in comp.active_petals()
@@ -205,7 +200,7 @@ def cross_petal_check(comp: CompositeSystem,
             for pb in built:
                 if pa.petal_id == pb.petal_id:
                     continue
-                cert, bad = _cross_pair_search(pa, pb, horizon, budget)
+                cert, bad = _cross_pair_search(pa, pb, budget)
                 if bad is not None:
                     violations.append(bad)
                 else:
@@ -215,7 +210,7 @@ def cross_petal_check(comp: CompositeSystem,
                         f"level {cert.died_level}, frontier "
                         f"{list(cert.frontier_sizes)}")
         for p in built:
-            line, ok = _petal_internal_evidence(p, horizon, budget)
+            line, ok = _petal_internal_evidence(p, budget)
             report.details.append(line)
             if not ok:
                 violations.append(line)
@@ -227,7 +222,6 @@ def cross_petal_check(comp: CompositeSystem,
 
 
 def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
-                       horizon: int | None,
                        budget: SearchBudget | None = None):
     """Pair stage of one cross pair over petal-tagged hit lists.
 
@@ -246,15 +240,11 @@ def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
     the budget and of the certificate's own count.
     """
     spec = NeighborhoodSpec(Symbol.head(0), 1)
-    sides = []
-    for p in (pa, pb):
-        traj = p.trajectory
-        h = traj.horizon if horizon is None else min(horizon, traj.horizon)
-        sides.append((p.petal_id, h, _petal_pair_hits(traj, spec, h)))
+    sides = [(p.petal_id, _petal_pair_hits(p.trajectory, spec))
+             for p in (pa, pb)]
     nodes = 0
     viable = None
-    for (id_i, _, hits_i), (id_j, _, hits_j) in itertools.product(sides,
-                                                                 repeat=2):
+    for (id_i, hits_i), (id_j, hits_j) in itertools.product(sides, repeat=2):
         cost = len(hits_i) * len(hits_j)
         if budget is not None:
             budget.spend(cost)
@@ -271,14 +261,14 @@ def _cross_pair_search(pa: PetalSystem, pb: PetalSystem,
         tuple_rendered=(f"{pa.petal_id}:{spec.render()},"
                         f"{pb.petal_id}:{spec.render()}"),
         target_length=2,
-        horizon=max(h for _, h, _ in sides),
+        horizon=max(pa.trajectory.horizon, pb.trajectory.horizon),
         search="level-shapes",
         frontier_sizes=(1, 0),
         died_level=2,
         nodes_used=nodes), None
 
 
-def _petal_internal_evidence(p: PetalSystem, horizon: int | None,
+def _petal_internal_evidence(p: PetalSystem,
                              budget: SearchBudget | None = None):
     """One petal's own (a_0, a_1) pair is independent past the junction.
 
@@ -287,14 +277,13 @@ def _petal_internal_evidence(p: PetalSystem, horizon: int | None,
     at time 1 or later.
     """
     traj = p.trajectory
-    h = traj.horizon if horizon is None else min(horizon, traj.horizon)
     specs = (NeighborhoodSpec(Symbol.head(0), 1),
              NeighborhoodSpec(Symbol.head(1), 1))
-    hits = _petal_pair_hits(traj, specs[0], h)
+    hits = _petal_pair_hits(traj, specs[0])
     diffs = sorted({v - u for i, u in enumerate(hits) for v in hits[i + 1:]})
     for d in diffs:
-        res = is_independence_set((0, d), specs, traj, horizon=h,
-                                  start_range=(1, h), budget=budget)
+        res = is_independence_set((0, d), specs, traj,
+                                  start_range=(1, traj.horizon), budget=budget)
         if res.ok:
             starts = sorted(pt.time for pt in res.witness.realizers.values())
             return (f"{p.petal_id}: in-petal pair independent at "

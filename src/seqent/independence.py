@@ -626,12 +626,19 @@ def _cofinite_kept(live, shape, sigma, c, starts, idx, occs, heads, horizon,
     return kept
 
 
-def _check_assignment_cap(k: int, n: int):
-    """Raise CapExceeded past the cap on k^n assignments; as 2^b exceeds a
-    cap of bit length b, no huge power is formed."""
+def _within_assignment_cap(k: int, n: int) -> bool:
+    """Are the k^n assignments over n times, and the n times, within the
+    cap? As 2^b exceeds a cap of bit length b, no huge power is formed."""
     cap = DEFAULT_ASSIGNMENT_CAP
-    if k ** min(n, cap.bit_length()) > cap:
-        raise CapExceeded(f"{k}^{n} assignments exceed the cap {cap}")
+    return n <= cap and k ** min(n, cap.bit_length()) <= cap
+
+
+def _check_assignment_cap(k: int, n: int):
+    """Raise CapExceeded past the cap on k^n assignments or n times."""
+    if not _within_assignment_cap(k, n):
+        what = f"length {n} exceeds" if k == 1 else \
+            f"{k}^{n} assignments exceed"
+        raise CapExceeded(f"{what} the cap {DEFAULT_ASSIGNMENT_CAP}")
 
 
 def is_independence_set(J, specs, traj: Trajectory,
@@ -775,7 +782,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
     and its exhaustion certificate records their number per size. A
     fixed point in every neighborhood answers at once, with the first
     min(cap, horizon + 1) times, no certificate and one node per time,
-    within ``is_independence_set``'s assignment cap.
+    within ``is_independence_set``'s assignment cap, which also bounds
+    the number of times.
     """
     if not specs:
         raise ValueError("a tuple needs at least one neighborhood")
@@ -787,12 +795,12 @@ def max_independence(specs, cap: int, traj: Trajectory,
     if budget is None:
         budget = SearchBudget()
 
-    # a shape holds distinct times up to the horizon
-    longest = min(cap, horizon + 1)
     # built first: they reject centers of the other family
     occs = [occupancy(s, traj) for s in specs]
     fixed = _fixed_head_everywhere(specs, traj)
     if fixed is not None:
+        # a shape holds distinct times up to the horizon
+        longest = min(cap, horizon + 1)
         _check_assignment_cap(len(specs), longest)
         budget.spend(longest)
         shape = tuple(range(longest))
@@ -803,8 +811,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
 
     heads = _head_keys(specs, traj)
     disjoint = _disjoint(occs, heads, horizon)
-    visited = [0] * (longest + 1)
-    visited[1] = 1
+    # shapes visited per size, grown as the search first reaches a size
+    visited = [0, 1]
     best_shape = (0,)
     # the center index is built at the first descent: every u + d that
     # a child table reads lies in [1, horizon]
@@ -814,6 +822,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
         nonlocal best_shape, index
         ds, childless, table = _extensions(shape, groups, occs, heads,
                                            horizon, budget, disjoint)
+        if len(visited) == len(shape) + 1:
+            visited.append(0)
         for d in ds:
             cand = shape + (d,)
             visited[len(cand)] += 1

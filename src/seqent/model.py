@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice, product
 from operator import attrgetter
@@ -259,33 +258,6 @@ class ModelPoint(_Frozen):
 # segmentation manifest
 
 
-class SegmentRecord(_Frozen):
-    """One emitted segment of the orbit, as its manifest describes it.
-
-    For the head-indexed family a segment is a single wind (of a piece, an
-    inner gap, or an outer gap): it ascends from index p up to jump_from, then
-    jumps down to -jump_depth and ascends to q. ``start``/``length`` cover the
-    points the segment owns; winds inside a piece share their first point with
-    the previous wind, in which case ``shared`` is true.
-
-    For the dense family a segment is a framed pattern segment or a glue
-    chain; wind fields are zero and ``function`` holds the realized pattern.
-
-    Manifests hold columns, not records: a record is made each time
-    ``SegmentationManifest.record`` or ``segments`` is read.
-    """
-
-    # kind is wind|inner-gap|outer-gap|pattern|glue
-    __slots__ = _fields = ("path", "kind", "start", "length", "p", "q", "w",
-                           "jump_from", "jump_depth", "shared", "function")
-    _defaults = (0, 0, 0, 0, 0, False, None)
-
-    @property
-    def end(self) -> int:
-        """First time after the segment's owned points."""
-        return self.start + self.length
-
-
 class BlockRecord(_Frozen):
     """One block: ``end`` is exclusive, the block proper (last piece or
     tail glue end); ``times`` are the designated times relative to a piece
@@ -296,38 +268,21 @@ class BlockRecord(_Frozen):
     __slots__ = _fields = ("level", "start", "end", "times", "piece_starts")
 
 
-class _Records(Sequence):
-    """A manifest's segments as records, each made when it is read."""
-
-    def __init__(self, manifest: "SegmentationManifest"):
-        self._manifest = manifest
-
-    def __len__(self) -> int:
-        return len(self._manifest.starts)
-
-    def __getitem__(self, i):
-        got = range(len(self))[i]
-        if isinstance(got, range):
-            return list(map(self._manifest.record, got))
-        return self._manifest.record(got)
-
-    def __iter__(self):
-        return self._manifest._records(0)
-
-
 class SegmentationManifest(_Record):
     """The orbit's segments, held as columns in time order.
 
     ``starts`` and ``lengths`` give each segment's first owned time and its
     number of owned points; the segments tile the times from 0. The
     head-indexed family also keeps each segment's ``paths`` and ``kinds``
-    entry and its wind plan in ``plans`` (anything with p, q, w, jump_from
-    and jump_depth); a wind that owns one point less than w shares its first
-    point. Its times pass 2^63, so its columns are lists. The dense family
-    keeps ``array``s of starts and lengths and nothing more: a segment that
-    starts at one of its block's ``piece_starts`` is the pattern segment
-    ``B{n}/S{l}`` realizing the block's l-th pattern, and any other is the
-    block's next glue ``B{n}/G{g}``; ``walk`` names them.
+    entry (wind, inner-gap or outer-gap) and its wind plan in ``plans``
+    (anything with p, q, w, jump_from and jump_depth); a wind that owns
+    one point less than w shares its first point. Its times pass 2^63, so
+    its columns are lists. The dense family keeps ``array``s of starts and
+    lengths and nothing more: a segment that starts at one of its block's
+    ``piece_starts`` is the pattern segment ``B{n}/S{l}`` realizing the
+    block's l-th pattern, and any other is the block's next glue
+    ``B{n}/G{g}``. ``walk`` names the segments, and ``path(i)`` is its
+    per-index form.
     """
 
     _fields = ("blocks", "starts", "lengths", "paths", "kinds", "plans")
@@ -338,33 +293,9 @@ class SegmentationManifest(_Record):
             raise UnknownBlock(f"block {k} not built (have 1..{len(self.blocks)})")
         return self.blocks[k - 1]
 
-    @property
-    def segments(self) -> Sequence[SegmentRecord]:
-        """Every segment as a record, made when indexed or iterated."""
-        return _Records(self)
-
-    def index_at(self, t: int) -> int:
-        """Index of the segment that owns time t."""
-        return bisect.bisect_right(self.starts, t) - 1
-
     def path(self, i: int) -> str:
-        """Segment i's path."""
+        """Segment i's path, from a walk started at i."""
         return next(self.walk(i))[0]
-
-    def record(self, i: int) -> SegmentRecord:
-        """Segment i as a record."""
-        return next(self._records(i))
-
-    def _records(self, i: int):
-        """The records of segment i and every later one, in order."""
-        starts, lengths = self.starts, self.lengths
-        for i, (path, kind, plan, function) in enumerate(
-                self.walk(i), range(len(starts))[i]):
-            wind = () if plan is None else (
-                plan.p, plan.q, plan.w, plan.jump_from, plan.jump_depth,
-                lengths[i] < plan.w)
-            yield SegmentRecord(path, kind, starts[i], lengths[i], *wind,
-                                function=function)
 
     def walk(self, i: int = 0):
         """(path, kind, plan, function) of segment i and every later one, in
@@ -440,8 +371,7 @@ class Trajectory:
     time and its piece's index (``array``s). Placements cover the times
     from 0 without gaps, and each block starts at one.
 
-    ``segment_at`` makes the one record it returns, and ``symbol_pieces``
-    takes its paths from one manifest walk.
+    ``symbol_pieces`` takes its paths from one manifest walk.
     """
 
     def __init__(
@@ -504,10 +434,6 @@ class Trajectory:
         if self.family == FAMILY_LOG_M:
             return Symbol.head(idx)
         return Symbol.dense(idx)
-
-    def segment_at(self, t: int) -> SegmentRecord:
-        self.check_time(t)
-        return self.manifest.record(self.manifest.index_at(t))
 
     def block_range(self, k: int) -> tuple[int, int]:
         """Inclusive time range of block k proper (no trailing outer gap)."""
@@ -588,7 +514,7 @@ class Trajectory:
         # the piece before it or at the next one's start
         walk = self.manifest.walk(bisect.bisect_right(seg_starts, lo) - 1)
         t = lo
-        while t <= hi:  # cut where segment_at and symbol_index_at switch
+        while t <= hi:  # cut where the segment and the run or placement switch
             s = bisect.bisect_right(seg_starts, t)
             if t == lo or t == seg_starts[s - 1]:
                 path = next(walk)[0]

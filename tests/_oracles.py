@@ -6,6 +6,7 @@ each assignment is checked by scanning every candidate point and comparing
 symbols. Slow on purpose, and only usable on short builds.
 """
 
+import bisect
 import functools
 import itertools
 import random
@@ -42,7 +43,9 @@ def materialize(traj, horizon):
 
 def naive_symbol_lines(traj, lo, hi):
     """Symbol-file data lines for times lo..hi, one point query per time."""
-    return [f"{t}\t{traj.symbol_at(t).render()}\t{traj.segment_at(t).path}"
+    starts = traj.manifest.starts
+    return [f"{t}\t{traj.symbol_at(t).render()}\t"
+            f"{traj.manifest.path(bisect.bisect_right(starts, t) - 1)}"
             for t in range(lo, hi + 1)]
 
 

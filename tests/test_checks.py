@@ -38,18 +38,17 @@ from seqent.model import (
 )
 
 
-def _dense_copy(traj, symbols, blocks=None, segments=None, schedule=None):
-    """A dense trajectory over edited symbols, manifest records and
-    schedule, with one piece per manifest segment; the manifest's columns
-    are the records' starts and lengths."""
+def _dense_copy(traj, symbols, blocks=None, starts=None, lengths=None,
+                schedule=None):
+    """A dense trajectory over edited symbols, manifest columns and
+    schedule, with one piece per manifest segment."""
     man = traj.manifest
-    segments = list(man.segments if segments is None else segments)
-    seg_starts = array("q", [s.start for s in segments])
+    starts = array("q", man.starts if starts is None else starts)
+    lengths = array("q", man.lengths if lengths is None else lengths)
     manifest = SegmentationManifest(
-        list(man.blocks if blocks is None else blocks), seg_starts,
-        array("q", [s.length for s in segments]))
-    table = (tuple(tuple(symbols[s.start:s.end]) for s in segments),
-             seg_starts, array("I", range(len(segments))))
+        list(man.blocks if blocks is None else blocks), starts, lengths)
+    table = (tuple(tuple(symbols[s:s + n]) for s, n in zip(starts, lengths)),
+             starts, array("I", range(len(starts))))
     return Trajectory(FAMILY_LOG_INFTY, traj.m, manifest, piece_table=table,
                       schedule=schedule or traj.schedule)
 
@@ -113,9 +112,10 @@ class TestValidateGrowth:
     @pytest.mark.parametrize("farthest", [False, True])
     def test_dense_far_step_caught_at_first_bad_time(self, dense2, farthest):
         symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
-        seg = next(s for s in dense2.manifest.segments
-                   if s.path == "B2/S2")
-        t = seg.start + 1  # an interior point of a pattern segment's chain
+        man = dense2.manifest
+        i = next(i for i, (path, *_) in enumerate(man.walk())
+                 if path == "B2/S2")
+        t = man.starts[i] + 1  # an interior point of a pattern segment's chain
         prev = dense_value(symbols[t - 1])
         if farthest:  # the step after t jumps too
             far = max((Fraction(0), Fraction(1)), key=lambda v: abs(v - prev))
@@ -174,48 +174,47 @@ class TestValidateGrowth:
 
     def test_dense_padded_glue_caught(self, dense2):
         symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
-        tail = dense2.manifest.segments[-1]
-        assert tail.path.startswith("B2/G") and tail.length > 1
+        man = dense2.manifest
+        path, start, length = man.path(-1), man.starts[-1], man.lengths[-1]
+        assert path.startswith("B2/G") and length > 1
         # repeat the tail glue's first interior point: every step stays short
-        symbols.insert(tail.start, symbols[tail.start])
-        segments = dense2.manifest.segments[:-1] + [
-            tail._replace(length=tail.length + 1)]
-        blocks = dense2.manifest.blocks[:-1] + [
-            dense2.manifest.blocks[-1]._replace(end=len(symbols))]
-        rep = validate_growth(_dense_copy(dense2, symbols, blocks, segments))
+        symbols.insert(start, symbols[start])
+        lengths = array("q", man.lengths)
+        lengths[-1] += 1
+        blocks = man.blocks[:-1] + [man.blocks[-1]._replace(end=len(symbols))]
+        rep = validate_growth(
+            _dense_copy(dense2, symbols, blocks, lengths=lengths))
         assert not rep.passed
         assert rep.counterexample == (
-            f"{tail.path} has {tail.length} interior points, "
-            f"minimal is {tail.length - 1}")
+            f"{path} has {length} interior points, minimal is {length - 1}")
 
     def test_dense_padded_glue_with_a_repeated_endpoint_pair_caught(
             self, dense2):
         symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
-        block = dense2.manifest.block(2)
-        glue = [s for s in dense2.manifest.segments
-                if s.path.startswith("B2/G") and s.end < block.end]
-        pairs = [(symbols[s.start - 1], symbols[s.end]) for s in glue]
+        man = dense2.manifest
+        block = man.block(2)
+        glue = [(i, path) for i, (path, *_) in enumerate(man.walk())
+                if path.startswith("B2/G")
+                and man.starts[i] + man.lengths[i] < block.end]
+        pairs = [(symbols[man.starts[i] - 1],
+                  symbols[man.starts[i] + man.lengths[i]]) for i, _ in glue]
         # the first glue segment whose endpoint pair an earlier one used
-        i = next(i for i, pair in enumerate(pairs) if pair in pairs[:i])
-        seg = glue[i]
+        i, path = glue[next(g for g, pair in enumerate(pairs)
+                            if pair in pairs[:g])]
+        start, length = man.starts[i], man.lengths[i]
         # repeat its first interior point and shift everything after it
-        symbols.insert(seg.start, symbols[seg.start])
-        segments = []
-        for s in dense2.manifest.segments:
-            if s == seg:
-                s = s._replace(length=s.length + 1)
-            elif s.start > seg.start:
-                s = s._replace(start=s.start + 1)
-            segments.append(s)
-        blocks = dense2.manifest.blocks[:-1] + [block._replace(
+        symbols.insert(start, symbols[start])
+        starts = array("q", (s + (s > start) for s in man.starts))
+        lengths = array("q", man.lengths)
+        lengths[i] += 1
+        blocks = man.blocks[:-1] + [block._replace(
             end=block.end + 1,
-            piece_starts=tuple(p + (p > seg.start)
-                               for p in block.piece_starts))]
-        rep = validate_growth(_dense_copy(dense2, symbols, blocks, segments))
+            piece_starts=tuple(p + (p > start) for p in block.piece_starts))]
+        rep = validate_growth(
+            _dense_copy(dense2, symbols, blocks, starts, lengths))
         assert not rep.passed
         assert rep.counterexample == (
-            f"{seg.path} has {seg.length + 1} interior points, "
-            f"minimal is {seg.length}")
+            f"{path} has {length + 1} interior points, minimal is {length}")
 
     def test_dense_wrong_tolerance_caught(self, dense2):
         symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]

@@ -434,24 +434,28 @@ class TestCertificateReplay:
 
     def test_fixed_head_certificate_past_the_budget_is_inconclusive(
             self, run, tmp_path, capsys):
-        # the limit head lies in U1(a_inf), and 1^n assignments never pass
-        # the cap: the answer's times are bounded by the horizon and paid
-        # for one node each, before any is built
-        text = (run / "cert-11.txt").read_text(encoding="utf-8")
-        text = text.replace("tuple: U1(a0),U1(a_inf)", "tuple: U1(a_inf)", 1)
-        text = text.replace("target-length: 5", "target-length: 1000000000",
-                            1)
-        path = tmp_path / "forged.txt"
-        path.write_text(text, encoding="utf-8")
-        started = time.monotonic()
-        code, out, err = run_cli(capsys, "verify", "--replay", str(path),
-                                 "--manifest",
-                                 str(run / "manifest-log-m-2-2.txt"),
-                                 "--budget-nodes", "1000")
-        assert time.monotonic() - started < 5
-        assert code == EXIT_INCONCLUSIVE
-        assert out == ""
-        assert "node budget 1000 exhausted" in err
+        # the limit head lies in U1(a_inf): the answer's times are paid for
+        # one node each, before any is built, and past the assignment cap
+        # they are refused before any is paid for
+        for length, message in (
+                (200_000, "node budget 1000 exhausted"),
+                (1_000_000_000, "length 1000000000 exceeds the cap 200000")):
+            text = (run / "cert-11.txt").read_text(encoding="utf-8")
+            text = text.replace("tuple: U1(a0),U1(a_inf)", "tuple: U1(a_inf)",
+                                1)
+            text = text.replace("target-length: 5",
+                                f"target-length: {length}", 1)
+            path = tmp_path / "forged.txt"
+            path.write_text(text, encoding="utf-8")
+            started = time.monotonic()
+            code, out, err = run_cli(capsys, "verify", "--replay", str(path),
+                                     "--manifest",
+                                     str(run / "manifest-log-m-2-2.txt"),
+                                     "--budget-nodes", "1000")
+            assert time.monotonic() - started < 5
+            assert code == EXIT_INCONCLUSIVE
+            assert out == ""
+            assert message in err
 
     @pytest.mark.parametrize("flags, env", [
         (["--budget-nodes", "1"], {}),

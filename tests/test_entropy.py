@@ -9,6 +9,8 @@ import seqent.entropy
 import seqent.independence
 from _oracles import search_h_star_lower_bound
 from seqent.entropy import HStarEvidence, h_star_lower_bound
+from seqent.errors import ResourceBudgetExceeded
+from seqent.independence import SearchBudget
 from seqent.model import Symbol
 
 
@@ -38,6 +40,14 @@ class TestHStarLowerBound:
                                 cap=3)
         assert ev.p in (0, 1)
         assert ev.value == 0.0
+
+    def test_huge_cap_forms_no_huge_power(self, m2k2):
+        # 2^cap is never formed: the witness check is skipped past the
+        # assignment cap and the search runs into its budget
+        with pytest.raises(ResourceBudgetExceeded):
+            h_star_lower_bound(m2k2, [Symbol.head(0), Symbol.head(1)],
+                               cap=10 ** 12, levels=(1,),
+                               budget=SearchBudget(max_nodes=1000))
 
     def test_dense_small_evidence(self, dense2):
         ev = h_star_lower_bound(dense2, [Symbol.dense(j) for j in (1, 2, 3)],
@@ -102,8 +112,7 @@ class TestWitnessFirst:
                                                             monkeypatch):
         # 4^3 assignments pass the cap: the set check would raise where the
         # search refutes the four centers and reports a shorter length
-        for module in (seqent.entropy, seqent.independence):
-            monkeypatch.setattr(module, "DEFAULT_ASSIGNMENT_CAP", 63)
+        monkeypatch.setattr(seqent.independence, "DEFAULT_ASSIGNMENT_CAP", 63)
         centers = [Symbol.dense(j) for j in (1, 2, 3, 4)]
         ev = h_star_lower_bound(dense2, centers, cap=3)
         assert (ev.p, ev.per_level) == (3, {1: 3, 2: 3})

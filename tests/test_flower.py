@@ -141,7 +141,7 @@ class TestCrossPetalCheck:
         # realized inside one petal and the pair survives: there is no
         # exhaustion to certify, only the surviving difference to name
         p2, _ = petals
-        cert, bad = _cross_pair_search(p2, p2, None)
+        cert, bad = _cross_pair_search(p2, p2)
         assert cert is None
         assert re.fullmatch(r"cross pair p2:p2 realized a mixed assignment "
                             r"at difference \d+", bad)

@@ -370,7 +370,7 @@ class _Runs:
 
 class TestSymbolEmitterDifferential:
     """The piece renderer against a per-point oracle built on symbol_at and
-    segment_at, for both families."""
+    the manifest's path, for both families."""
 
     @pytest.mark.parametrize("piece_times",
                              [seqent.model.PIECE_TIMES, 250, 5])
@@ -381,7 +381,7 @@ class TestSymbolEmitterDifferential:
         runs = [r for r in m2k3.runs if r[0] < window]
         boundaries = sorted(
             {r[0] for r in runs}
-            | {s.start for s in m2k3.manifest.segments if s.start < window})
+            | {s for s in m2k3.manifest.starts if s < window})
         rng = random.Random(7100 + piece_times)
         self._check(tmp_path, m2k3,
                     boundary_spans(rng, m2k3.horizon, boundaries, 40, 3000)
@@ -421,7 +421,7 @@ class TestSymbolEmitterDifferential:
         monkeypatch.setattr(seqent.model, "PIECE_TIMES", piece_times)
         rng = random.Random(7200 + piece_times)
         for traj in (dense2, dense4):
-            boundaries = sorted(s.start for s in traj.manifest.segments)
+            boundaries = list(traj.manifest.starts)
             self._check(tmp_path, traj,
                         boundary_spans(rng, traj.horizon, boundaries, 30, 1500)
                         + [(0, min(traj.horizon, 3000)),
@@ -439,7 +439,7 @@ class TestSymbolEmitterDifferential:
         monkeypatch.setattr(manifest, "walk", lambda i=0: (
             (odd, *step[1:]) if j == 1 else step
             for j, step in enumerate(walk(i), range(len(manifest.starts))[i])))
-        assert traj.segment_at(manifest.starts[1]).path == odd
+        assert manifest.path(1) == odd
         self._check(tmp_path, traj, [(0, min(traj.horizon, 1000))])
         text = (tmp_path / "s.txt").read_text(encoding="utf-8")
         assert text.count(f"\t{odd}\n") == traj.manifest.lengths[1] > 0

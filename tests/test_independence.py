@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -262,10 +263,36 @@ class TestMaxIndependence:
                              budget=SearchBudget(max_nodes=1))
         res = max_independence(specs, cap=3, traj=m2k2)
         assert res.length == 3 and len(res.witness.realizers) == 8
+        # 1^n assignments always pass, so the cap bounds the n times
+        specs = (U(Symbol.head_inf(), 1),)
+        cap = independence.DEFAULT_ASSIGNMENT_CAP
+        assert m2k2.horizon + 1 > cap
+        with pytest.raises(CapExceeded,
+                           match=f"length {cap + 1} exceeds the cap {cap}"):
+            max_independence(specs, cap=cap + 1, traj=m2k2)
+        res = max_independence(specs, cap=cap, traj=m2k2)
+        assert res.length == cap and res.certificate is None
+
+    def test_huge_cap_allocates_by_the_sizes_reached(self, m2k2):
+        # the per-size counts grow with the sizes the search reaches, not
+        # with the cap; the first search fills the occupancy caches
+        specs = (U(Symbol.head(0), 1), U(Symbol.head(3), 1))
+        small = max_independence(specs, cap=5, traj=m2k2, horizon=10 ** 6)
+        tracemalloc.start()
+        try:
+            res = max_independence(specs, cap=10 ** 6, traj=m2k2,
+                                   horizon=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.certificate == small.certificate._replace(
+            target_length=10 ** 6)
+        assert res.certificate.frontier_sizes == (1, 0)
+        assert res.certificate.nodes_used == 36
+        assert peak < 1_000_000
 
     def test_fixed_head_answer_is_bounded_by_the_horizon(self, m2k2):
-        # 1^n assignments never pass the assignment cap, so the horizon
-        # bounds the answer and the budget its cost
+        # the horizon bounds the answer and the budget its cost
         specs = (U(Symbol.head_inf(), 1),)
         with pytest.raises(ResourceBudgetExceeded):
             max_independence(specs, cap=10 ** 6, traj=m2k2, horizon=100,

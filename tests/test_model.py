@@ -1,5 +1,6 @@
 """Model layer: symbols, points, membership, and trajectory accessors."""
 
+import bisect
 import copy
 import itertools
 import os
@@ -29,7 +30,6 @@ from seqent.model import (
     BlockRecord,
     ModelPoint,
     NeighborhoodSpec,
-    SegmentRecord,
     Symbol,
     Trajectory,
     dense_dyadic,
@@ -125,6 +125,11 @@ class TestStepAndIterate:
             assert (p is None) == point.is_orbit
 
 
+def _path_at(traj, t):
+    """Path of the segment that owns time t, by the per-index accessor."""
+    return traj.manifest.path(bisect.bisect_right(traj.manifest.starts, t) - 1)
+
+
 class TestTrajectoryAccessors:
     def test_first_symbols_of_smallest_build(self, m2k3):
         got = [m2k3.symbol_index_at(t) for t in range(9)]
@@ -148,7 +153,7 @@ class TestTrajectoryAccessors:
             assert t0 == t and 0 < len(indices) <= PIECE_TIMES
             for t, idx in enumerate(indices, t0):
                 assert idx == m2k3.symbol_index_at(t)
-                assert m2k3.segment_at(t).path == path
+                assert _path_at(m2k3, t) == path
             t += 1
         assert t == hi + 1
 
@@ -156,67 +161,67 @@ class TestTrajectoryAccessors:
         with pytest.raises(HorizonExceeded):
             list(dense2.symbol_pieces(0, dense2.n_points))
 
-    def test_segment_at_covers_every_time(self, m2k3):
+    def test_owning_segment_covers_every_time(self, m2k3):
+        starts, lengths = m2k3.manifest.starts, m2k3.manifest.lengths
         for t in (0, 7, 8, 808, 809, 8335134, 8335135, 841848636):
-            seg = m2k3.segment_at(t)
-            assert seg.start <= t < seg.end
+            i = bisect.bisect_right(starts, t) - 1
+            assert starts[i] <= t < starts[i] + lengths[i]
 
 
 class TestManifestColumns:
     @pytest.mark.parametrize("name", ["dense2", "dense4", "m2k3"])
-    def test_segment_at_first_and_last_time_is_the_record(self, request,
-                                                          name):
+    def test_columns_tile_and_path_restarts_the_walk(self, request, name):
         traj = request.getfixturevalue(name)
         manifest = traj.manifest
-        records = list(manifest.segments)
-        assert len(records) == len(manifest.starts) == len(manifest.lengths)
-        assert records[0].start == 0 and records[-1].end == traj.n_points
-        for i, record in enumerate(records):
-            assert (record.path, record.start, record.length) == (
-                manifest.path(i), manifest.starts[i], manifest.lengths[i])
-            assert manifest.segments[i] == record
-            for t in (record.start, record.end - 1):
-                assert manifest.index_at(t) == i
-                assert traj.segment_at(t) == record  # field for field
-        assert all(a.end == b.start for a, b in zip(records, records[1:]))
+        starts, lengths = manifest.starts, manifest.lengths
+        # the columns tile [0, n_points)
+        assert len(starts) == len(lengths)
+        assert starts[0] == 0 and starts[-1] + lengths[-1] == traj.n_points
+        assert all(n > 0 for n in lengths)
+        assert all(s + n == after
+                   for s, n, after in zip(starts, lengths, starts[1:]))
+        # path(i) restarts the walk at i; one full walk names every segment
+        paths = [path for path, *_ in manifest.walk()]
+        assert len(paths) == len(starts)
+        for i, path in enumerate(paths):
+            assert manifest.path(i) == path
 
     @pytest.mark.parametrize("name", ["dense2", "m2k2"])
     def test_segment_index_is_a_sequence_index(self, request, name):
         manifest = request.getfixturevalue(name).manifest
         count = len(manifest.starts)
-        last = manifest.segments[count - 1]
-        assert manifest.path(-1) == last.path
-        assert manifest.record(-1) == last
-        assert manifest.record(-count) == manifest.segments[0]
+        assert manifest.path(-1) == manifest.path(count - 1)
+        assert manifest.path(-count) == manifest.path(0)
         for i in (count, -count - 1):
             with pytest.raises(IndexError):
                 manifest.path(i)
-            with pytest.raises(IndexError):
-                manifest.record(i)
 
     @pytest.mark.parametrize("name", ["dense2", "dense4"])
     def test_dense_records_follow_the_blocks(self, request, name):
         traj = request.getfixturevalue(name)
-        records = traj.manifest.segments
-        assert records[-1:] == [records[len(records) - 1]]  # slices a list
-        for block in traj.manifest.blocks:
+        manifest = traj.manifest
+        # (path, kind, function, start, length) of every segment
+        segments = [(path, kind, function, start, length)
+                    for (path, kind, _, function), start, length in zip(
+                        manifest.walk(), manifest.starts, manifest.lengths)]
+        for block in manifest.blocks:
             n = block.level
-            own = [r for r in records if block.start <= r.start < block.end]
-            patterns = [r for r in own if r.kind == "pattern"]
-            glues = [r for r in own if r.kind == "glue"]
+            own = [s for s in segments if block.start <= s[3] < block.end]
+            patterns = [s for s in own if s[1] == "pattern"]
+            glues = [s for s in own if s[1] == "glue"]
             assert len(patterns) + len(glues) == len(own)
-            assert [r.path for r in patterns] == [
+            assert [s[0] for s in patterns] == [
                 f"B{n}/S{l}" for l in range(1, len(block.piece_starts) + 1)]
-            assert [r.start for r in patterns] == list(block.piece_starts)
-            assert [r.function for r in patterns] == list(
+            assert [s[3] for s in patterns] == list(block.piece_starts)
+            assert [s[2] for s in patterns] == list(
                 itertools.product(range(1, n + 2), repeat=n + 1))
-            assert [r.path for r in glues] == [
+            assert [s[0] for s in glues] == [
                 f"B{n}/G{g}" for g in range(1, len(glues) + 1)]
-            assert own[-1] == glues[-1] and own[-1].end == block.end
-            for r in patterns:
-                assert r.length == block.times[-1] + 1
-                assert tuple(traj.symbol_index_at(r.start + t)
-                             for t in block.times) == r.function
+            assert own[-1] == glues[-1] and own[-1][3] + own[-1][4] == block.end
+            for path, _, function, start, length in patterns:
+                assert length == block.times[-1] + 1
+                assert tuple(traj.symbol_index_at(start + t)
+                             for t in block.times) == function
 
 
 class TestHeadHits:
@@ -252,9 +257,9 @@ class TestDenseHits:
         for t0, indices, path in traj.symbol_pieces(0, traj.horizon):
             assert t0 == t and 0 < len(indices) <= PIECE_TIMES
             assert list(indices) == symbols[t0:t0 + len(indices)]
-            assert traj.segment_at(t0).path == path
+            assert _path_at(traj, t0) == path
             t += len(indices)
-            assert traj.segment_at(t - 1).path == path
+            assert _path_at(traj, t - 1) == path
         assert t == len(symbols)
 
     def test_indices_above_two_bytes(self, dense2):
@@ -335,7 +340,7 @@ class TestPackageSurface:
         exec("from seqent import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(seqent.__all__)
-        assert len(set(seqent.__all__)) == len(seqent.__all__) == 82
+        assert len(set(seqent.__all__)) == len(seqent.__all__) == 81
         modules = {n for n, v in namespace.items()
                    if isinstance(v, types.ModuleType)}
         assert modules == {"checks", "construct", "entropy", "errors",
@@ -369,7 +374,6 @@ FROZEN_RECORDS = [
     Symbol.head(3),
     ModelPoint.orbit(5),
     NeighborhoodSpec(Symbol.dense(2), 1),
-    SegmentRecord("B1/W1", "wind", 10, 20, 1, 2, 22, 9, 6),
     BlockRecord(1, 0, 10, (1, 2), (0,)),
     WindPlan(0, 1, 8, 3, 2),
     ExhaustionCertificate("U1(a0)", 3, 10, "level-shapes", (1, 0), 2, 7),
