@@ -128,87 +128,88 @@ def _validate_growth_log_m(traj: Trajectory, report: CheckReport):
 
 
 def _validate_growth_dense(traj: Trajectory, report: CheckReport):
-    """Growth rules, block by block, read from the manifest's columns.
+    """Growth rules, block by block, read from the blocks' tables.
 
-    A block's segments start inside it, and its pattern segments start at
-    its piece starts. Each consecutive pair of symbols in a block is a step
-    inside one of its distinct pieces or the (last, first) junction of two
-    consecutive placements, so each distinct pair is tested once for an
-    eps-step.
+    A block realizes all its patterns when each slot piece fills its slot's
+    gap and ends on its pair's second value. Every step of the block is then
+    a step into a piece from the value before it: into a slot piece from
+    its pair's first value, into a glue (and on to the next pattern) from
+    the value it leaves, into the tail from e_{n+1}. So each piece is read
+    once, and a bad step is named at its first time, in the piece's first
+    placement: the least pattern with the digits it needs. Each glue that
+    joins two patterns, and the tail, must be a minimal chain for its ends.
     """
-    pieces, starts, ids = traj.piece_table
-    firsts = [piece[0] for piece in pieces]
-    lasts = [piece[-1] for piece in pieces]
     value = functools.cache(dense_value)
-    index_at = traj.symbol_index_at
     manifest = traj.manifest
-    seg_starts, seg_lengths = manifest.starts, manifest.lengths
     for block in manifest.blocks:
         n = block.level
+        N, M = n + 1, (n + 1) ** n
         eps = traj.schedule.eps[n - 1]
         if eps != Fraction(1, 2 ** n):
             report.counterexample = (
                 f"block {n} tolerance {eps}, expected 1/{2 ** n}")
             return
-        first = bisect.bisect_left(seg_starts, block.start)
-        last = bisect.bisect_left(seg_starts, block.end)
-        patterns = set(block.piece_starts).intersection(
-            seg_starts[first:last])
-        seen = len(patterns)
-        want = (n + 1) ** (n + 1)
+        times, starts, tail = block.times, block.piece_starts, block.tail
+        # patterns realized, counted slot by slot per last digit
+        counts = [1] * N
+        for i, slot in enumerate(block.slots):
+            gap = times[i + 1] - times[i]
+            counts = [sum(c for a, c in enumerate(counts)
+                          if len(slot[a * N + b]) == gap
+                          and slot[a * N + b][-1] == b + 1)
+                      for b in range(N)]
+        seen, want = sum(counts), N ** N
         if seen != want:
             report.counterexample = (
                 f"block {n} realizes {seen} patterns, expected {want}")
             return
-        # the block's placements are lo..hi - 1
-        lo = bisect.bisect_left(starts, block.start)
-        hi = bisect.bisect_left(starts, block.end)
-        steps = set(zip(map(lasts.__getitem__, ids[lo:hi - 1]),
-                        map(firsts.__getitem__, ids[lo + 1:hi])))
-        for i in set(ids[lo:hi]):
-            steps.update(zip(pieces[i], pieces[i][1:]))
-        bad = {(a, b) for a, b in steps
-               if abs(value(b) - value(a)) >= eps}
+        # (first time, value before it, symbols) of each piece: a slot
+        # piece is first placed by the pattern of its two digits and zeros;
+        # a glue from a to b, then the value it leads to, first where a
+        # pattern ending on a precedes one starting on b; the tail last
+        runs = [(starts[pair * N ** (n - 1 - i)] + times[i] + 1,
+                 pair // N + 1, piece)
+                for i, slot in enumerate(block.slots)
+                for pair, piece in enumerate(slot)]
+        glued = {}
+        for pair, glue in enumerate(block.glues):
+            a, b = divmod(pair, N)
+            p = b * M + (a + 1) % N or N
+            if p < (b + 1) * M:
+                glued[pair] = starts[p] - len(glue)
+                runs.append((glued[pair], a + 1, glue + (b + 1,)))
+        runs.append((block.end - len(tail), N, tail))
+        # each distinct step is measured once
+        far = functools.cache(lambda x, y: abs(value(y) - value(x)) >= eps)
+        bad = [(t + k, x, y) for t, before, piece in runs
+               for k, (x, y) in enumerate(zip((before,) + piece, piece))
+               if far(x, y)]
         if bad:
-            # the first bad step in placement order: into a placement from
-            # the one before (none at lo), or inside it
-            t = next(starts[p] + o for p in range(lo, hi) for o, step in
-                     enumerate(zip((lasts[ids[p - 1]] if p > lo else 0,)
-                                   + pieces[ids[p]], pieces[ids[p]]))
-                     if step in bad)
-            jump = abs(value(index_at(t)) - value(index_at(t - 1)))
+            t, x, y = min(bad)
             report.counterexample = (
-                f"step at time {t} jumps {jump} >= {eps}")
+                f"step at time {t} jumps {abs(value(y) - value(x))} >= {eps}")
             return
-        # glue chains are minimal for their endpoint values; the block glues
-        # few distinct endpoint pairs, each pair's minimum is found once
-        least: dict[tuple[int, int], int] = {}
-        for i in range(first, last):
-            start, length = seg_starts[i], seg_lengths[i]
-            if start in patterns:
-                continue
-            # the tail owns the block's return point
-            home = start + length == block.end
-            interior = length - home
-            before, after = (index_at(start - 1),
-                             index_at(start + length - home))
-            if (before, after) not in least:
-                least[before, after] = chain_min_interior(
-                    value(before), value(after), eps)
-            need = least[before, after]
-            if interior != need:
-                report.counterexample = (
-                    f"{manifest.path(i)} has {interior} interior points, "
-                    f"minimal is {need}")
-                return
+        # glue chains, and the tail's, are minimal for their end values
+        ends = [(t, len(block.glues[pair]), *divmod(pair, N))
+                for pair, t in glued.items()]
+        ends.append((block.end - len(tail), len(tail) - 1, N - 1, 0))
+        bad = [(t, interior, need) for t, interior, a, b in ends
+               if interior != (need := chain_min_interior(
+                   value(a + 1), value(b + 1), eps))]
+        if bad:
+            t, interior, need = min(bad)
+            path = manifest.path(bisect.bisect_right(manifest.starts, t) - 1)
+            report.counterexample = (
+                f"{path} has {interior} interior points, minimal is {need}")
+            return
         # blocks start and end at the first enumeration value
-        if index_at(block.start) != 1:
+        if block.symbol_index_at(block.start) != 1:
             report.counterexample = f"block {n} does not start at e1"
             return
-        if index_at(block.end - 1) != 1:
+        if block.symbol_index_at(block.end - 1) != 1:
             report.counterexample = f"block {n} does not end at e1"
             return
-    report.details.append(f"{len(traj.manifest.blocks)} blocks checked")
+    report.details.append(f"{len(manifest.blocks)} blocks checked")
     report.passed = True
 
 

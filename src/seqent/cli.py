@@ -6,8 +6,9 @@ Subcommands: ``build`` writes a manifest (and optionally a symbol listing),
 composes petal systems and checks cross-petal separation.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid configuration,
-3 inconclusive (a node, time, or assignment budget ran out), 141 standard
-output closed early, as for a process stopped by SIGPIPE.
+3 inconclusive (a node, time, or assignment budget ran out), 70 an internal
+error (``EX_SOFTWARE``: a bug, with its traceback on standard error), 141
+standard output closed early, as for a process stopped by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .checks import (
@@ -34,7 +36,7 @@ from .flower import (
     value_calculus,
 )
 from .formats import (
-    SYMBOL_LINE_CAP, config_hash, input_file, parse_field, read_certificate,
+    MANIFEST_NMAX, SYMBOL_LINE_CAP, config_hash, input_file, parse_field, read_certificate,
     read_manifest, rebuild_from_manifest, replay_certificate,
     replay_manifest, replay_symbols, write_certificate, write_manifest,
     write_report, write_symbols,
@@ -49,6 +51,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_SOFTWARE = 70
 EXIT_CLOSED_OUTPUT = 141
 
 DEFAULT_SYMBOL_LINES = 4096
@@ -96,9 +99,19 @@ class _Builds:
         self.cache = {}
 
     def log_m(self, m: int, kmax: int):
+        """The build, if its times can be written: files and reports hold
+        them in decimal, which CPython limits to a number of digits (4,300
+        by default) that m=5 kmax=4's 7,837-digit horizon passes."""
         key = (FAMILY_LOG_M, m, kmax)
         if key not in self.cache:
-            self.cache[key] = build_log_m(m, kmax, minimal_schedule(m, kmax))
+            traj = build_log_m(m, kmax, minimal_schedule(m, kmax))
+            digits = sys.get_int_max_str_digits()
+            if digits and traj.n_points >= 10 ** digits:
+                raise InvalidConfig(
+                    f"the m={m} kmax={kmax} build has times of more than "
+                    f"{digits} decimal digits, past the limit of Python's "
+                    f"int-to-text conversion")
+            self.cache[key] = traj
         return self.cache[key]
 
     def log_infty(self, nmax: int):
@@ -124,10 +137,14 @@ def _cmd_build(args) -> int:
     if args.family == FAMILY_LOG_M:
         if args.m is None:
             raise InvalidConfig("build --family log-m needs --m")
-        traj = build_log_m(args.m, args.kmax,
-                           minimal_schedule(args.m, args.kmax))
+        traj = _Builds().log_m(args.m, args.kmax)
         name = f"manifest-log-m-m{args.m}-k{args.kmax}.txt"
     else:
+        if args.out is not None and args.nmax > MANIFEST_NMAX:
+            raise InvalidConfig(
+                f"--nmax {args.nmax} --out: a log-infty manifest lists every "
+                f"segment, (n+1)^(n+1) patterns and their glues in block n, "
+                f"and is written up to --nmax {MANIFEST_NMAX}")
         traj = build_log_infty(args.nmax)
         name = f"manifest-log-infty-n{args.nmax}.txt"
     n_lines = args.symbols
@@ -457,6 +474,9 @@ def main(argv=None) -> int:
     except SeqentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except Exception:  # a bug: never read as a failed check
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution hook

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from fractions import Fraction
 
 from .errors import Infeasible, ScheduleInvalid
@@ -20,6 +19,7 @@ from .model import (
     FAMILY_LOG_INFTY,
     FAMILY_LOG_M,
     BlockRecord,
+    DenseBlock,
     SegmentationManifest,
     Trajectory,
     _Frozen,
@@ -343,18 +343,19 @@ def default_dense_schedule(nmax: int) -> GrowthSchedule:
 
 
 def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajectory:
-    """Assemble the dense-family trajectory as a piece table.
+    """Assemble the dense-family trajectory as per-block tables.
 
     Block n realizes every function {slot times} -> {first n+1 enumeration
     values} in lexicographic order through equal-length pattern segments,
     glued by minimal eps_n-chains; a tail chain returns the block to the
     first enumeration value, so blocks start and end there.
 
-    No symbol list is built. A pattern segment is its lone first value,
-    then per slot the slot's chain followed by the slot's end value; a glue
-    is one chain, and the tail its chain followed by e1. Each distinct
-    piece is kept once, and each placement as its start and piece id. The
-    manifest keeps each segment's start and length.
+    Only each block's tables are built (``DenseBlock``): per slot and value
+    pair the slot's chain followed by the pair's second value, per value
+    pair the glue chain, and the tail. A pattern segment is its lone first
+    value, then its slots' pieces. Every placement, segment and symbol is
+    computed from a pattern's digits, so the build costs O(n^3) chains per
+    block, not one entry per pattern: nmax=6 takes a few milliseconds.
     """
     if schedule is None:
         schedule = default_dense_schedule(nmax)
@@ -364,19 +365,8 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
         raise ScheduleInvalid(f"schedule covers {len(schedule.eps)} blocks, "
                               f"nmax={nmax} requested")
 
-    # each distinct piece once, as a key whose value is its id; then each
-    # placement's start and piece id, and each segment's start and length
-    piece_ids: dict[tuple[int, ...], int] = {}
-    starts = array("q")
-    ids = array("I")
-    seg_starts = array("q")
-    seg_lengths = array("q")
-    blocks: list[BlockRecord] = []
+    blocks: list[DenseBlock] = []
     pos = 0
-
-    def piece_id(piece: tuple[int, ...]) -> int:
-        return piece_ids.setdefault(piece, len(piece_ids))
-
     for n in range(1, nmax + 1):
         eps = schedule.eps[n - 1]
         rel = [0] + list(schedule.times[n - 1])
@@ -384,60 +374,34 @@ def build_log_infty(nmax: int, schedule: GrowthSchedule | None = None) -> Trajec
             raise ScheduleInvalid(f"block {n} needs {n} increasing times")
         if eps <= 0:
             raise ValueError("tolerance must be positive")
-        values = range(1, n + 2)  # the block's first n+1 enumeration indices
-        least = {(a, b): _least_interior(a, b, eps)
-                 for a in values for b in values}
+        N = n + 1
+        values = range(1, N + 1)  # the block's first n+1 enumeration indices
+        # in the tables' order: pair (a, b) at (a - 1) * N + b - 1
+        pairs = [(a, b) for a in values for b in values]
+        least = {(a, b): _least_interior(a, b, eps) for a, b in pairs}
         # the block's chains, between enumeration indices, each made once
         chain = functools.cache(
             lambda a, b, count: _chain_interior(a, b, eps, count))
-        # each slot's piece per value pair its gap can chain: the chain and
-        # the pair's second value; a pattern segment places its first value,
-        # then its slots' pieces
-        slots = [{(a, b): piece_id(chain(a, b, need) + (b,))
-                  for (a, b), low in least.items() if need >= low}
-                 for need in (rel[i + 1] - rel[i] - 1 for i in range(n))]
-        # each pair's glue piece and length, for the pairs that need one
-        glues = {pair: (piece_id(chain(*pair, low)), low)
-                 for pair, low in least.items() if low}
-        offsets = [0] + [t + 1 for t in rel[:-1]]
-        length = rel[-1] + 1
-        block_start = pos
-        piece_starts = []
-        prev: int | None = None
-        for f in itertools.product(values, repeat=n + 1):
-            if (prev, f[0]) in glues:
-                glue, count = glues[prev, f[0]]
-                seg_starts.append(pos)
-                seg_lengths.append(count)
-                starts.append(pos)
-                ids.append(glue)
-                pos += count
-            piece_starts.append(pos)
-            seg_starts.append(pos)
-            seg_lengths.append(length)
-            starts.extend([pos + o for o in offsets])
-            ids.append(piece_id(f[:1]))
-            try:
-                ids.extend(map(dict.__getitem__, slots, zip(f, f[1:])))
-            except KeyError:
-                i = next(i for i in range(n) if f[i:i + 2] not in slots[i])
-                raise ScheduleInvalid(
-                    f"block {n}: slot gap {rel[i + 1] - rel[i]} cannot chain "
-                    f"{dense_value(f[i])} to {dense_value(f[i + 1])} "
-                    f"at {eps}") from None
-            pos += length
-            prev = f[-1]
-        # tail back to the first enumeration value, ending on it
-        tail = chain(prev, 1, least[prev, 1]) + (1,)
-        seg_starts.append(pos)
-        seg_lengths.append(len(tail))
-        starts.append(pos)
-        ids.append(piece_id(tail))
-        pos += len(tail)
-        blocks.append(BlockRecord(n, block_start, pos, tuple(rel),
-                                  tuple(piece_starts)))
+        gaps = [rel[i + 1] - rel[i] for i in range(n)]
+        # a slot that cannot chain a pair: name the first pattern holding
+        # it, pair (a, b) at slots i, i + 1 and zeros elsewhere, and there
+        # the first such slot
+        short = [(((a - 1) * N + b - 1) * N ** (n - 1 - i), i, a, b)
+                 for i, gap in enumerate(gaps) for a, b in pairs
+                 if gap - 1 < least[a, b]]
+        if short:
+            _, i, a, b = min(short)
+            raise ScheduleInvalid(
+                f"block {n}: slot gap {gaps[i]} cannot chain "
+                f"{dense_value(a)} to {dense_value(b)} at {eps}")
+        slots = tuple(tuple(chain(a, b, gap - 1) + (b,) for a, b in pairs)
+                      for gap in gaps)
+        glues = tuple(chain(a, b, least[a, b]) for a, b in pairs)
+        # the tail back to the first enumeration value, ending on it
+        tail = chain(N, 1, least[N, 1]) + (1,)
+        block = DenseBlock(n, pos, tuple(rel), slots, glues, tail)
+        blocks.append(block)
+        pos = block.end
 
-    manifest = SegmentationManifest(blocks, seg_starts, seg_lengths)
-    return Trajectory(FAMILY_LOG_INFTY, nmax, manifest,
-                      piece_table=(tuple(piece_ids), starts, ids),
+    return Trajectory(FAMILY_LOG_INFTY, nmax, SegmentationManifest(blocks),
                       schedule=schedule)

@@ -781,9 +781,10 @@ def max_independence(specs, cap: int, traj: Trajectory,
     the search dies below the cap it has visited every surviving shape,
     and its exhaustion certificate records their number per size. A
     fixed point in every neighborhood answers at once, with the first
-    min(cap, horizon + 1) times, no certificate and one node per time,
-    within ``is_independence_set``'s assignment cap, which also bounds
-    the number of times.
+    n = min(cap, horizon + 1) times and no certificate, within
+    ``is_independence_set``'s assignment cap, which also bounds the number
+    of times. It charges max(n, k^n) nodes, for its n times or its table of
+    k^n realizers, before it builds the table.
     """
     if not specs:
         raise ValueError("a tuple needs at least one neighborhood")
@@ -802,7 +803,8 @@ def max_independence(specs, cap: int, traj: Trajectory,
         # a shape holds distinct times up to the horizon
         longest = min(cap, horizon + 1)
         _check_assignment_cap(len(specs), longest)
-        budget.spend(longest)
+        # charged before it is built: the times, or the table's entries
+        budget.spend(max(longest, len(specs) ** longest))
         shape = tuple(range(longest))
         realizers = {sigma: fixed for sigma in
                      itertools.product(range(len(specs)), repeat=longest)}

@@ -13,16 +13,16 @@ Two families are supported:
 Orbits can be astronomically long (the growth rules force roughly a factor
 of 101 per constrained segment), so the head-indexed family stores symbols as
 maximal ascending runs with exact integer arithmetic and never materializes
-individual points. The dense family stores a piece table: the few distinct
-chain pieces its segments are made of, and where each one is placed.
+individual points. The dense family stores per block the few tables its
+segments are made of (``DenseBlock``): every time, segment and placement is
+computed from a pattern's base-(n+1) digits.
 """
 
 from __future__ import annotations
 
 import bisect
-from array import array
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, chain, islice, product, repeat
 from operator import attrgetter
 
 from .errors import HorizonExceeded, UnknownBlock
@@ -259,13 +259,294 @@ class ModelPoint(_Frozen):
 
 
 class BlockRecord(_Frozen):
-    """One block: ``end`` is exclusive, the block proper (last piece or
-    tail glue end); ``times`` are the designated times relative to a piece
+    """One head-indexed block: ``end`` is exclusive, the block proper (last
+    piece end); ``times`` are the designated times relative to a piece
     start, and ``piece_starts`` each piece's first time. Piece l realizes
     the block's l-th pattern in lexicographic order, so the pattern is
-    derived, not kept; the lengths are the schedule's."""
+    derived, not kept; the lengths are the schedule's. A dense block is a
+    ``DenseBlock``: the same first four fields, and piece starts derived
+    from its tables."""
 
     __slots__ = _fields = ("level", "start", "end", "times", "piece_starts")
+
+
+class _Ints:
+    """A read-only sequence of ints that holds none of them: ``item(i)``
+    computes entry i, 0 <= i < length, and ``each()`` iterates them all."""
+
+    __slots__ = ("_length", "_item", "_each")
+
+    def __init__(self, length: int, item, each):
+        self._length, self._item, self._each = length, item, each
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(self._length)[i]]
+        return self._item(range(self._length)[i])
+
+    def __iter__(self):
+        return self._each()
+
+
+class _Layout:
+    """Where the units of a dense block fall, for one weight per pattern and
+    one per glue.
+
+    A block over N digits lists its N^N patterns in lexicographic order;
+    unit p is the glue into pattern p, weighed by its digit pair (the last
+    of pattern p - 1, the first of pattern p), then pattern p. Unit p's
+    pair is ((p - 1) mod N, p // N^(N-1)); unit 0, which no pattern
+    precedes, takes that pair's weight too, and the layout is shifted back
+    by it. So the units with first digit d form N^(N-2) equal periods of N
+    units, whose pairs run (N - 1, d), (0, d), ..., (N - 2, d): pattern p's
+    offset is a few products, and an offset's unit a division and two
+    bisects over N + 1 entries.
+    """
+
+    __slots__ = ("N", "M", "weights", "units", "patterns", "groups", "shift",
+                 "total")
+
+    def __init__(self, N: int, pattern: int, weights: list[int]):
+        # weights[a * N + b] weighs the glue between the digits a and b
+        self.N, self.M, self.weights = N, N ** (N - 1), weights
+        # per first digit d: the offsets in a period of each unit (and the
+        # period's length), of each pattern, and of the first unit of d
+        self.units, self.patterns, self.groups = [], [], [0]
+        for d in range(N):
+            glue = [weights[(i - 1) % N * N + d] for i in range(N)]
+            units = list(accumulate((pattern + g for g in glue), initial=0))
+            self.units.append(units)
+            self.patterns.append([u + g for u, g in zip(units, glue)])
+            self.groups.append(self.groups[-1] + self.M // N * units[-1])
+        self.shift = weights[(N - 1) * N]
+        self.total = self.groups[-1] - self.shift  # the last pattern's end
+
+    def offset(self, p: int) -> int:
+        """Pattern p's offset from the block start."""
+        d, r = divmod(p, self.M)
+        c, i = divmod(r, self.N)
+        return (self.groups[d] + c * self.units[d][-1] + self.patterns[d][i]
+                - self.shift)
+
+    def locate(self, x: int) -> tuple[int, int, int]:
+        """(p, z, g) for an offset 0 <= x < total: x lies z into unit p, whose
+        glue weighs g, so z < g is in the glue and z - g in the pattern."""
+        x += self.shift
+        d = bisect.bisect_right(self.groups, x) - 1
+        units = self.units[d]
+        c, y = divmod(x - self.groups[d], units[-1])
+        i = bisect.bisect_right(units, y) - 1
+        return (d * self.M + c * self.N + i, y - units[i],
+                self.weights[(i - 1) % self.N * self.N + d])
+
+    def spread(self, base: int, rel: list[list[int]]):
+        """base plus each offset of rel[d], a period's offsets, for every
+        period of every first digit d, in order."""
+        for d, group in enumerate(self.groups[:-1]):
+            start, period = base - self.shift + group, self.units[d][-1]
+            for c in range(self.M // self.N):
+                yield from map((start + c * period).__add__, rel[d])
+
+
+def _lex_from(values: list[int], N: int):
+    """The tuples over 1..N from values on, in lexicographic order."""
+    k, full = len(values), range(1, N + 1)
+    return chain.from_iterable(
+        product(*([v] for v in values[:i]),
+                range(values[i] + (i < k - 1), N + 1), *[full] * (k - 1 - i))
+        for i in range(k - 1, -1, -1))
+
+
+class DenseBlock(_Frozen):
+    """Block n of the dense family, as the tables its segments are made of.
+
+    With N = n + 1, the block realizes the N^N functions from its n + 1
+    slot times to the values e_1 .. e_N in lexicographic order: pattern p
+    (from 0) is the n + 1 base-N digits of p, digit d standing for e_{d+1}.
+    ``times`` are the slot times relative to a pattern start, from 0, so a
+    pattern segment has L = times[-1] + 1 points: its first value, then per
+    slot i the piece ``slots[i][a * N + b]`` for its digits a and b at
+    slots i and i + 1, the eps_n-chain that fills the slot's gap followed
+    by e_{b+1}. ``glues[a * N + b]`` glues a pattern ending on digit a to
+    the next, starting on digit b: the interior of a minimal chain, empty
+    when the two values are close. ``tail``, a chain back to e_1 and then
+    e_1, ends the block. Pieces are tuples of dense positions.
+
+    Everything else is derived in O(n) per query (``_Layout``): pattern p
+    starts at start + p * L + the glue lengths before it; ``end``
+    (exclusive) follows the tail; ``piece_starts`` lists the pattern
+    starts without holding them; ``walk``, ``segment``, ``symbol_index_at``
+    and ``hits`` read the segments and symbols from the digits.
+    """
+
+    _fields = ("level", "start", "times", "slots", "glues", "tail")
+    __slots__ = _fields + ("end", "_at", "_seg")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        N = self.level + 1
+        # the same layout over times and over segment indices
+        lengths = [len(g) for g in self.glues]
+        _set(self, "_at", _Layout(N, self.times[-1] + 1, lengths))
+        _set(self, "_seg", _Layout(N, 1, [int(g > 0) for g in lengths]))
+        _set(self, "end", self.start + self._at.total + len(self.tail))
+
+    @property
+    def piece_starts(self) -> _Ints:
+        at, start = self._at, self.start
+        return _Ints(self._at.M * (self.level + 1),
+                     lambda p: start + at.offset(p),
+                     lambda: at.spread(start, at.patterns))
+
+    @property
+    def segments(self) -> int:
+        """The number of segments: patterns, non-empty glues and the tail."""
+        return self._seg.total + 1
+
+    def _pair(self, p: int) -> int:
+        """The glue index of the pair (last digit of pattern p - 1, first
+        digit of pattern p)."""
+        N = self.level + 1
+        return (p - 1) % N * N + p // self._at.M
+
+    def glue_into(self, p: int) -> tuple[int, ...]:
+        """The glue before pattern p, or the tail for p = N^N."""
+        return (self.tail if p == self._at.M * (self.level + 1)
+                else self.glues[self._pair(p)])
+
+    def segment(self, s: int) -> tuple[int, int]:
+        """(start, length) of the block's segment s, from 0."""
+        if s == self._seg.total:
+            return self.end - len(self.tail), len(self.tail)
+        p, z, g = self._seg.locate(s)
+        start = self.start + self._at.offset(p)
+        if z < g:  # the glue into pattern p
+            length = len(self.glues[self._pair(p)])
+            return start - length, length
+        return start, self.times[-1] + 1
+
+    def segment_at(self, t: int) -> tuple[int, int, int]:
+        """(s, start, p) for a time t in the block: the block's segment s
+        that holds t, its start, and the pattern p that is segment s or
+        follows it (N^N after the tail)."""
+        at = self._at
+        x = t - self.start
+        if x >= at.total:
+            return self._seg.total, self.start + at.total, at.M * (
+                self.level + 1)
+        p, z, g = at.locate(x)
+        glue = z < g  # t lies in the glue into pattern p
+        return (self._seg.offset(p) - glue, self.start + at.offset(p)
+                - glue * g, p)
+
+    def column(self, lengths: bool):
+        """Every segment's start, or its length, in order."""
+        at, N, L = self._at, self.level + 1, self.times[-1] + 1
+        starts, sizes = [], []  # per first digit, one period's segments
+        for d in range(N):
+            offsets, counts = [], []
+            for i in range(N):
+                glue = at.weights[(i - 1) % N * N + d]
+                if glue:
+                    offsets.append(at.units[d][i])
+                    counts.append(glue)
+                offsets.append(at.patterns[d][i])
+                counts.append(L)
+            starts.append(offsets)
+            sizes.append(counts)
+        tail = len(self.tail)
+        if lengths:
+            out = chain.from_iterable(chain.from_iterable(
+                repeat(s, at.M // N)) for s in sizes)
+            last = tail
+        else:
+            out = at.spread(self.start, starts)
+            last = self.end - tail
+        # pattern 0 has no glue before it
+        return chain(islice(out, int(at.shift > 0), None), (last,))
+
+    def walk(self, s: int = 0):
+        """(path, kind, None, function) of the block's segment s and every
+        later one: ``B{n}/S{l}``, "pattern" and the l-th pattern's values,
+        or ``B{n}/G{g}``, "glue" and None for the g-th non-empty glue, the
+        tail last."""
+        n, N = self.level, self.level + 1
+        glues, tail = self.glues, self._seg.total
+        if s == tail:
+            yield f"B{n}/G{tail - N ** N + 1}", "glue", None, None
+            return
+        p, z, g = self._seg.locate(s)
+        glued = s - p  # the non-empty glues before segment s
+        last = (p - 1) % N + 1  # the value pattern p - 1 ends on
+        skip = z >= g  # segment s is pattern p, not its glue
+        values = [p // N ** (n - i) % N + 1 for i in range(N)]
+        for f in _lex_from(values, N):
+            if skip:
+                skip = False
+            elif glues[(last - 1) * N + f[0] - 1]:
+                glued += 1
+                yield f"B{n}/G{glued}", "glue", None, None
+            p += 1
+            yield f"B{n}/S{p}", "pattern", None, f
+            last = f[-1]
+        yield f"B{n}/G{glued + 1}", "glue", None, None
+
+    def pattern_symbols(self, f) -> list[int]:
+        """The symbols of the pattern segment realizing the values f."""
+        N = self.level + 1
+        out = [f[0]]
+        for slot, a, b in zip(self.slots, f, f[1:]):
+            out += slot[a * N + b - N - 1]
+        return out
+
+    def symbol_index_at(self, t: int) -> int:
+        """The dense position of x_t, for a time t in the block."""
+        at = self._at
+        x = t - self.start
+        if x >= at.total:
+            return self.tail[x - at.total]
+        p, z, g = at.locate(x)
+        if z < g:
+            return self.glues[self._pair(p)][z]
+        z -= g
+        if z == 0:
+            return p // at.M + 1
+        # slot i holds the offsets times[i] + 1 .. times[i + 1]
+        times, N = self.times, self.level + 1
+        i = bisect.bisect_left(times, z) - 1
+        pair = p // N ** (N - 2 - i) % (N * N)  # the digits at i and i + 1
+        return self.slots[i][pair][z - times[i] - 1]
+
+    def hits(self, j: int) -> list[int]:
+        """The block's times of e_j, in no set order: per piece that holds
+        j, each pattern that places the piece, from the digits it fixes."""
+        n, N, at = self.level, self.level + 1, self._at
+        count, M, times = N ** N, at.M, self.times
+        starts = list(self.piece_starts)
+        out = []
+        if 1 <= j <= N:  # the first value of every pattern of first digit j
+            out += starts[(j - 1) * M:j * M]
+        for i, slot in enumerate(self.slots):
+            # the patterns of digits a, b at i, i + 1: runs of N^(n-1-i)
+            run = N ** (n - 1 - i)
+            for pair, piece in enumerate(slot):
+                for o, index in enumerate(piece, times[i] + 1):
+                    if index == j:
+                        for p in range(pair * run, count, N * N * run):
+                            out += map(o.__add__, starts[p:p + run])
+        for pair, glue in enumerate(self.glues):
+            # the patterns after a pattern ending on a, starting on b
+            a, b = divmod(pair, N)
+            first = b * M + (a + 1) % N or N
+            for o, index in enumerate(glue, -len(glue)):
+                if index == j:
+                    out += map(o.__add__, starts[first:(b + 1) * M:N])
+        out += (self.end - len(self.tail) + o
+                for o, index in enumerate(self.tail) if index == j)
+        return out
 
 
 class SegmentationManifest(_Record):
@@ -273,22 +554,39 @@ class SegmentationManifest(_Record):
 
     ``starts`` and ``lengths`` give each segment's first owned time and its
     number of owned points; the segments tile the times from 0. The
-    head-indexed family also keeps each segment's ``paths`` and ``kinds``
-    entry (wind, inner-gap or outer-gap) and its wind plan in ``plans``
-    (anything with p, q, w, jump_from and jump_depth); a wind that owns
-    one point less than w shares its first point. Its times pass 2^63, so
-    its columns are lists. The dense family keeps ``array``s of starts and
-    lengths and nothing more: a segment that starts at one of its block's
-    ``piece_starts`` is the pattern segment ``B{n}/S{l}`` realizing the
-    block's l-th pattern, and any other is the block's next glue
+    head-indexed family keeps them as lists, since its times pass 2^63,
+    with each segment's ``paths`` and ``kinds`` entry (wind, inner-gap or
+    outer-gap) and its wind plan in ``plans`` (anything with p, q, w,
+    jump_from and jump_depth); a wind that owns one point less than w
+    shares its first point. A dense manifest is made from its
+    ``DenseBlock``s alone, and its columns are sequences that compute each
+    entry from its block's tables: a block's segments are each pattern
+    ``B{n}/S{l}``, realizing its l-th pattern, after the glue into it if
+    that is not empty, and the tail; the g-th glue or tail is
     ``B{n}/G{g}``. ``walk`` names the segments, and ``path(i)`` is its
     per-index form.
     """
 
     _fields = ("blocks", "starts", "lengths", "paths", "kinds", "plans")
-    _defaults = (None, None, None)
+    _defaults = (None, None, None, None, None)
 
-    def block(self, k: int) -> BlockRecord:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.starts is None:  # dense: columns from the blocks' tables
+            blocks = self.blocks
+            firsts = list(accumulate((b.segments for b in blocks), initial=0))
+
+            def column(lengths: bool):
+                def item(i):
+                    k = bisect.bisect_right(firsts, i) - 1
+                    return blocks[k].segment(i - firsts[k])[lengths]
+                return _Ints(firsts[-1], item, lambda: chain.from_iterable(
+                    b.column(lengths) for b in blocks))
+
+            self.starts, self.lengths = column(False), column(True)
+            self._firsts = firsts
+
+    def block(self, k: int) -> BlockRecord | DenseBlock:
         if not 1 <= k <= len(self.blocks):
             raise UnknownBlock(f"block {k} not built (have 1..{len(self.blocks)})")
         return self.blocks[k - 1]
@@ -309,25 +607,12 @@ class SegmentationManifest(_Record):
             for i in range(i, len(starts)):
                 yield self.paths[i], self.kinds[i], self.plans[i], None
             return
-        # segment i's block, and the block's pattern and glue segments
-        # before it
-        start = starts[i]
-        block = self.blocks[bisect.bisect_right(
-            self.blocks, start, key=attrgetter("start")) - 1]
-        l = bisect.bisect_left(block.piece_starts, start)
-        g = i - bisect.bisect_left(starts, block.start) - l
-        for block in self.blocks[block.level - 1:]:
-            n, piece_starts = block.level, block.piece_starts
-            patterns = islice(product(range(1, n + 2), repeat=n + 1), l, None)
-            end = bisect.bisect_left(starts, block.end)
-            for i in range(i, end):
-                if l < len(piece_starts) and piece_starts[l] == starts[i]:
-                    l += 1
-                    yield f"B{n}/S{l}", "pattern", None, next(patterns)
-                else:
-                    g += 1
-                    yield f"B{n}/G{g}", "glue", None, None
-            i, l, g = end, 0, 0
+        # segment i's block and its index there, from the digits
+        k = bisect.bisect_right(self._firsts, i) - 1
+        s = i - self._firsts[k]
+        for block in self.blocks[k:]:
+            yield from block.walk(s)
+            s = 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +647,12 @@ class Trajectory:
     """A built orbit plus its segmentation manifest.
 
     Use the builders in ``construct`` to create one. Symbol queries accept
-    any time below ``n_points`` regardless of how long the orbit is, by
-    binary search over the head-indexed family's ascending runs or the
-    dense family's placements.
-
-    The dense ``piece_table`` is (pieces, starts, ids): the distinct pieces
-    (tuples of dense positions) and, per placement in time order, its first
-    time and its piece's index (``array``s). Placements cover the times
-    from 0 without gaps, and each block starts at one.
+    any time below ``n_points`` regardless of how long the orbit is: by
+    binary search over the head-indexed family's ascending runs, or over
+    the dense family's blocks and then from a pattern's digits
+    (``DenseBlock``). A dense trajectory holds its blocks' tables and
+    nothing per pattern or per point, so nmax=7's 16,777,216 patterns of
+    block 7 build in an instant.
 
     ``symbol_pieces`` takes its paths from one manifest walk.
     """
@@ -380,8 +663,6 @@ class Trajectory:
         m: int,
         manifest: SegmentationManifest,
         runs: list[tuple[int, int, int]] | None = None,
-        piece_table: tuple[tuple[tuple[int, ...], ...], array, array]
-        | None = None,
         schedule=None,
     ):
         self.family = family
@@ -390,16 +671,14 @@ class Trajectory:
         self.schedule = schedule
         self._runs = runs or []
         self._run_starts = [r[0] for r in self._runs]
-        self.piece_table = piece_table
-        # hit lists, one per asked index, and each dense piece's starts
+        # hit lists, one per asked index
         self._hits: dict[int, tuple[int, ...]] = {}
-        self._placed: list[array] | None = None
         if family == FAMILY_LOG_M:
             last = self._runs[-1]
             self.n_points = last[0] + last[2]
         else:
-            pieces, starts, ids = piece_table
-            self.n_points = starts[-1] + len(pieces[ids[-1]])
+            self._block_starts = [b.start for b in manifest.blocks]
+            self.n_points = manifest.blocks[-1].end
         # search caches filled by ``independence``, keyed by neighborhood
         self._occ_cache: dict = {}
 
@@ -418,13 +697,15 @@ class Trajectory:
         if not 0 <= t < self.n_points:
             raise HorizonExceeded(f"time {t} outside [0, {self.n_points})")
 
+    def _dense_block(self, t: int) -> DenseBlock:
+        return self.manifest.blocks[
+            bisect.bisect_right(self._block_starts, t) - 1]
+
     def symbol_index_at(self, t: int) -> int:
         """Head index (log-m) or dense position (log-infty) of x_t."""
         self.check_time(t)
-        if self.piece_table is not None:
-            pieces, starts, ids = self.piece_table
-            i = bisect.bisect_right(starts, t) - 1
-            return pieces[ids[i]][t - starts[i]]
+        if self.family == FAMILY_LOG_INFTY:
+            return self._dense_block(t).symbol_index_at(t)
         i = bisect.bisect_right(self._run_starts, t) - 1
         start, first, _length = self._runs[i]
         return first + (t - start)
@@ -455,28 +736,18 @@ class Trajectory:
         a_j (log-m) or of e_j (log-infty).
 
         Only index j is looked up, and its tuple is cached: one time per run
-        that passes j, or each start of a dense piece's placements plus each
-        offset of j in that piece. The first dense call lists every piece's
-        placement starts.
+        that passes j, or, block by block, each placement of each dense
+        piece that holds j, read from the digits it fixes.
         """
         hits = self._hits.get(j)
         if hits is None:
-            if self.piece_table is None:
+            if self.family == FAMILY_LOG_M:
                 hits = tuple(start + (j - first)
                              for start, first, length in self._runs
                              if first <= j < first + length)
             else:
-                pieces, starts, ids = self.piece_table
-                if self._placed is None:
-                    self._placed = [array("q") for _ in pieces]
-                    for start, i in zip(starts, ids):
-                        self._placed[i].append(start)
-                hits = tuple(sorted(
-                    start + offset
-                    for piece, placed in zip(pieces, self._placed)
-                    if j in piece
-                    for offset, index in enumerate(piece) if index == j
-                    for start in placed))
+                hits = tuple(chain.from_iterable(
+                    sorted(b.hits(j)) for b in self.manifest.blocks))
             self._hits[j] = hits
         return hits
 
@@ -500,41 +771,60 @@ class Trajectory:
 
         A piece holds the symbol indices of at most PIECE_TIMES times from t0
         on that share one segment and, for the head-indexed family, one run:
-        a ``range`` there, a list read from the piece table for the dense
-        family. Symbol files render each piece into one bytes object.
+        a ``range`` there, and for the dense family a slice of the
+        segment's symbols, read from its block's tables. Symbol files render
+        each piece into one bytes object.
         """
         if lo <= hi:
             self.check_time(lo)
             self.check_time(hi)
-        if self.piece_table is not None:
-            pieces, starts, ids = self.piece_table
-            p = bisect.bisect_right(starts, lo) - 1
+        if self.family == FAMILY_LOG_INFTY:
+            yield from self._dense_pieces(lo, hi)
+            return
         seg_starts = self.manifest.starts
         # lo's segment and each later one; a piece starts in the segment of
         # the piece before it or at the next one's start
         walk = self.manifest.walk(bisect.bisect_right(seg_starts, lo) - 1)
         t = lo
-        while t <= hi:  # cut where the segment and the run or placement switch
+        while t <= hi:  # cut where the segment and the run switch
             s = bisect.bisect_right(seg_starts, t)
             if t == lo or t == seg_starts[s - 1]:
                 path = next(walk)[0]
             end = min(hi + 1, t + PIECE_TIMES, *seg_starts[s:s + 1])
-            if self.piece_table is not None:
-                indices, u = [], t
-                while u < end:  # placement p holds time u
-                    start, piece = starts[p], pieces[ids[p]]
-                    indices += piece[u - start:end - start]
-                    if start + len(piece) > end:
-                        break
-                    u = start + len(piece)
-                    p += 1
-            else:
-                r = bisect.bisect_right(self._run_starts, t)
-                end = min(end, *self._run_starts[r:r + 1])
-                start, first, _length = self._runs[r - 1]
-                indices = range(first + t - start, first + end - start)
-            yield t, indices, path
+            r = bisect.bisect_right(self._run_starts, t)
+            end = min(end, *self._run_starts[r:r + 1])
+            start, first, _length = self._runs[r - 1]
+            yield t, range(first + t - start, first + end - start), path
             t = end
+
+    def _dense_pieces(self, lo: int, hi: int):
+        """``symbol_pieces`` on the dense family: one walk from lo's
+        segment, each segment's symbols from its pattern's values, or from
+        the glue into the pattern that comes next."""
+        if lo > hi:
+            return
+        blocks = self.manifest.blocks
+        k = bisect.bisect_right(self._block_starts, lo) - 1
+        block = blocks[k]
+        s, start, p = block.segment_at(lo)
+        walk = self.manifest.walk(self.manifest._firsts[k] + s)
+        t = lo
+        while t <= hi:
+            path, _, _, function = next(walk)
+            if function is not None:
+                symbols = block.pattern_symbols(function)
+                p += 1
+            else:
+                symbols = block.glue_into(p)
+            end = start + len(symbols)
+            while t < end and t <= hi:
+                cut = min(end, hi + 1, t + PIECE_TIMES)
+                yield t, symbols[t - start:cut - start], path
+                t = cut
+            start = end
+            if start == block.end and k + 1 < len(blocks):
+                k, p = k + 1, 0
+                block = blocks[k]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def materialize(traj, horizon):
 
 def naive_symbol_lines(traj, lo, hi):
     """Symbol-file data lines for times lo..hi, one point query per time."""
-    starts = traj.manifest.starts
+    starts = list(traj.manifest.starts)
     return [f"{t}\t{traj.symbol_at(t).render()}\t"
             f"{traj.manifest.path(bisect.bisect_right(starts, t) - 1)}"
             for t in range(lo, hi + 1)]
@@ -126,6 +126,87 @@ def naive_dense_symbols(nmax):
         symbols.extend(glue(prev, 1))
         symbols.append(1)
     return symbols
+
+
+class ArrayDenseBuild:
+    """The default dense build with every placement stored, as seqent built
+    it before it derived placements from pattern digits.
+
+    It keeps each distinct piece once, each placement's start and piece id,
+    each segment's start, length, path and pattern (None for a glue or the
+    tail), and each block's (level, start, end, times, pattern starts).
+    Chains come from the Fraction reference above.
+    """
+
+    def __init__(self, nmax):
+        schedule = default_dense_schedule(nmax)
+        ids_of = {}
+        self.starts, self.ids = [], []
+        self.seg_starts, self.seg_lengths = [], []
+        self.paths, self.functions, self.blocks = [], [], []
+
+        def place(at, piece):
+            self.starts.append(at)
+            self.ids.append(ids_of.setdefault(piece, len(ids_of)))
+
+        def segment(at, length, path, function=None):
+            self.seg_starts.append(at)
+            self.seg_lengths.append(length)
+            self.paths.append(path)
+            self.functions.append(function)
+
+        pos = 0
+        for n in range(1, nmax + 1):
+            eps = schedule.eps[n - 1]
+            rel = [0] + schedule.times[n - 1]
+            offsets = [0] + [t + 1 for t in rel[:-1]]
+
+            pairs = list(itertools.product(range(1, n + 2), repeat=2))
+            # each value pair's glue, and its piece in each slot
+            glue = {(a, b): _chain_indices(a, b, eps, chain_min_interior(
+                dense_value(a), dense_value(b), eps)) for a, b in pairs}
+            slots = [{(a, b): _chain_indices(a, b, eps, need) + (b,)
+                      for a, b in pairs}
+                     for need in (rel[i + 1] - rel[i] - 1 for i in range(n))]
+            block_start, piece_starts, glued, prev = pos, [], 0, None
+            for l, f in enumerate(
+                    itertools.product(range(1, n + 2), repeat=n + 1), 1):
+                if prev is not None and glue[prev, f[0]]:
+                    glued += 1
+                    segment(pos, len(glue[prev, f[0]]), f"B{n}/G{glued}")
+                    place(pos, glue[prev, f[0]])
+                    pos += len(glue[prev, f[0]])
+                piece_starts.append(pos)
+                segment(pos, rel[-1] + 1, f"B{n}/S{l}", f)
+                pieces = [f[:1]] + [slot[pair] for slot, pair in
+                                    zip(slots, zip(f, f[1:]))]
+                for offset, piece in zip(offsets, pieces):
+                    place(pos + offset, piece)
+                pos += rel[-1] + 1
+                prev = f[-1]
+            tail = glue[prev, 1] + (1,)
+            segment(pos, len(tail), f"B{n}/G{glued + 1}")
+            place(pos, tail)
+            pos += len(tail)
+            self.blocks.append((n, block_start, pos, tuple(rel),
+                                tuple(piece_starts)))
+        self.pieces = tuple(ids_of)
+        self.n_points = pos
+
+    def symbol_index_at(self, t):
+        i = bisect.bisect_right(self.starts, t) - 1
+        return self.pieces[self.ids[i]][t - self.starts[i]]
+
+    def hits(self, j):
+        """Each placement of each piece that holds j, plus j's offsets."""
+        if not hasattr(self, "_placed"):  # each piece's placement starts
+            self._placed = [[] for _ in self.pieces]
+            for start, i in zip(self.starts, self.ids):
+                self._placed[i].append(start)
+        return tuple(sorted(
+            start + offset for piece, placed in zip(self.pieces, self._placed)
+            for offset, index in enumerate(piece) if index == j
+            for start in placed))
 
 
 def naive_dense_hits(symbols):
@@ -301,28 +382,51 @@ def naive_frontier_sizes(specs, cap, traj, horizon=None):
     assignment also realizes its restriction to a prefix, so no shape is
     missed. The list stops after the first size with no shape, as an
     exhaustion certificate does.
+
+    The classes of a point at a time (the specs whose neighborhood holds
+    its image) are read once per query into rows: one per orbit time, one
+    per finite head image a_x (a_j at time t is a_{j+t}) and one per other
+    head, which does not move. A candidate's words over a shape are the
+    product of its rows at the shape's times, and each distinct tuple of
+    rows is expanded once.
     """
     specs = tuple(specs)
     if horizon is None:
         horizon = traj.horizon
     horizon = min(horizon, traj.horizon)
     syms = materialize(traj, horizon)
-    inside = {}
+    k = len(specs)
 
-    def classes(point, t):
-        key = (point, t)
-        got = inside.get(key)
-        if got is None:
-            got = tuple(c for c in range(len(specs))
-                        if _realizes(point, (t,), (c,), specs, syms, traj))
-            inside[key] = got
-        return got
+    def row(point):
+        return tuple(c for c in range(k)
+                     if _realizes(point, (0,), (c,), specs, syms, traj))
+
+    rows = [row((ORBIT, tau)) for tau in range(horizon + 1)]
+    # the widest head range is the one for the longest shape
+    heads = [p for p in candidate_points(specs, (0, horizon), traj, horizon,
+                                         None) if p[0] != ORBIT]
+    finite = [j for kind, j in heads if kind == HEAD]
+    low = finite[0] if finite else 0
+    head_rows = [row((HEAD, x)) for x in range(low, low + len(finite)
+                                               + horizon)]
+    fixed = {p: row(p) for p in heads if p[0] != HEAD}
 
     def independent(J):
+        starts = horizon - J[-1] + 1  # orbit starts u = 0 .. horizon - J[-1]
+        tuples = set(zip(*(rows[t:t + starts] for t in J)))
+        points = [p for p in candidate_points(specs, J, traj, horizon, None)
+                  if p[0] != ORBIT]
+        finite = [j for kind, j in points if kind == HEAD]
+        if finite:
+            assert finite == list(range(finite[0], finite[-1] + 1))
+            first = finite[0] - low
+            tuples.update(zip(*(head_rows[first + t:first + t + len(finite)]
+                                for t in J)))
+        tuples.update((fixed[p],) * len(J) for p in points if p[0] != HEAD)
         words = set()
-        for point in candidate_points(specs, J, traj, horizon, None):
-            words.update(itertools.product(*(classes(point, t) for t in J)))
-        return len(words) == len(specs) ** len(J)
+        for row_tuple in tuples:
+            words.update(itertools.product(*row_tuple))
+        return len(words) == k ** len(J)
 
     sizes = []
     shapes = [(0,)]

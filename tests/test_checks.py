@@ -1,9 +1,7 @@
 """Verification checks: growth, parts, distances, shiftability, exclusion."""
 
-import bisect
-import collections
+import itertools
 import time
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -38,19 +36,23 @@ from seqent.model import (
 )
 
 
-def _dense_copy(traj, symbols, blocks=None, starts=None, lengths=None,
-                schedule=None):
-    """A dense trajectory over edited symbols, manifest columns and
-    schedule, with one piece per manifest segment."""
-    man = traj.manifest
-    starts = array("q", man.starts if starts is None else starts)
-    lengths = array("q", man.lengths if lengths is None else lengths)
-    manifest = SegmentationManifest(
-        list(man.blocks if blocks is None else blocks), starts, lengths)
-    table = (tuple(tuple(symbols[s:s + n]) for s, n in zip(starts, lengths)),
-             starts, array("I", range(len(starts))))
-    return Trajectory(FAMILY_LOG_INFTY, traj.m, manifest, piece_table=table,
+def _dense_edit(traj, n, schedule=None, **tables):
+    """A dense trajectory whose block n has the edited tables (the blocks
+    after it start where it now ends) and, if given, another schedule."""
+    blocks = list(traj.manifest.blocks)
+    blocks[n - 1] = blocks[n - 1]._replace(**tables)
+    for k in range(n, len(blocks)):
+        blocks[k] = blocks[k]._replace(start=blocks[k - 1].end)
+    return Trajectory(FAMILY_LOG_INFTY, traj.m, SegmentationManifest(blocks),
                       schedule=schedule or traj.schedule)
+
+
+def _patterns(traj, n):
+    """(start, values) of each pattern segment of block n, in order."""
+    man = traj.manifest
+    return [(start, f) for (path, _, _, f), start in zip(man.walk(),
+                                                          man.starts)
+            if path.startswith(f"B{n}/S")]
 
 
 class TestCheckReport:
@@ -111,116 +113,121 @@ class TestValidateGrowth:
 
     @pytest.mark.parametrize("farthest", [False, True])
     def test_dense_far_step_caught_at_first_bad_time(self, dense2, farthest):
-        symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
-        man = dense2.manifest
-        i = next(i for i, (path, *_) in enumerate(man.walk())
-                 if path == "B2/S2")
-        t = man.starts[i] + 1  # an interior point of a pattern segment's chain
-        prev = dense_value(symbols[t - 1])
+        # B2/S2 = (e1, e1, e2) is the first pattern to place slot 2's piece
+        # for (e1, e2); one interior point of that piece is moved
+        block = dense2.manifest.block(2)
+        start, f = _patterns(dense2, 2)[1]
+        assert f == (1, 1, 2)
+        t = start + block.times[1] + 1  # the piece's first point
+        prev = dense_value(dense2.symbol_index_at(t - 1))
         if farthest:  # the step after t jumps too
             far = max((Fraction(0), Fraction(1)), key=lambda v: abs(v - prev))
         else:  # exactly the tolerance away
             far = prev + Fraction(1, 4) if prev <= Fraction(3, 4) \
                 else prev - Fraction(1, 4)
-        symbols[t] = dense_index(far)
-        rep = validate_growth(_dense_copy(dense2, symbols))
+        slots = [list(slot) for slot in block.slots]
+        pair = 0 * 3 + 1  # digits (0, 1)
+        slots[1][pair] = (dense_index(far),) + slots[1][pair][1:]
+        traj = _dense_edit(dense2, 2, slots=tuple(map(tuple, slots)))
+        assert traj.symbol_index_at(t) == dense_index(far)
+        rep = validate_growth(traj)
         assert not rep.passed
         assert rep.counterexample == (
             f"step at time {t} jumps {abs(far - prev)} >= 1/4")
 
     def test_dense_bad_step_in_a_shared_piece_caught_at_its_first_placement(
             self, dense2):
-        pieces, starts, ids = dense2.piece_table
+        # slot 2's piece for (e2, e1) is placed by the three patterns
+        # (e_, e2, e1); a step inside it is named at the first of them
         block = dense2.manifest.block(2)
-        lo = bisect.bisect_left(starts, block.start)
-        # the most placed piece of block 2 that block 1 does not use and
-        # that has an interior point
-        counts = collections.Counter(ids[lo:])
-        i = max((i for i in counts
-                 if i not in ids[:lo] and len(pieces[i]) >= 3),
-                key=counts.__getitem__)
-        assert counts[i] > 1
-        first = dense_value(pieces[i][0])
+        slots = [list(slot) for slot in block.slots]
+        pair = 1 * 3 + 0  # digits (1, 0)
+        piece = slots[1][pair]
+        assert len(piece) >= 3
+        first = dense_value(piece[0])
         far = max((Fraction(0), Fraction(1)), key=lambda v: abs(v - first))
-        edited = list(pieces)
-        edited[i] = (pieces[i][0], dense_index(far)) + pieces[i][2:]
-        traj = Trajectory(FAMILY_LOG_INFTY, dense2.m, dense2.manifest,
-                          piece_table=(tuple(edited), starts, ids),
-                          schedule=dense2.schedule)
+        slots[1][pair] = (piece[0], dense_index(far)) + piece[2:]
+        traj = _dense_edit(dense2, 2, slots=tuple(map(tuple, slots)))
+        placed = [start for start, f in _patterns(traj, 2) if f[1:] == (2, 1)]
+        assert len(placed) == 3
         rep = validate_growth(traj)
         assert not rep.passed
         assert rep.counterexample == (
-            f"step at time {starts[ids.index(i)] + 1} jumps "
+            f"step at time {placed[0] + block.times[1] + 2} jumps "
             f"{abs(far - first)} >= 1/4")
 
     def test_dense_bad_junction_between_pieces_caught(self, dense2):
-        pieces, starts, ids = dense2.piece_table
+        # without its glue, a pattern ending on e1 runs straight into the
+        # next, starting on e2: every piece intact, and the step 0 -> 1
         block = dense2.manifest.block(2)
-        lo = bisect.bisect_left(starts, block.start)
-        # the second lone e1 of block 2 starts pattern (e1, e1, e2) after a
-        # slot piece that ends on e1; placing a lone e2 there instead keeps
-        # every piece intact and makes the step into it 0 -> 1
-        e1, e2 = pieces.index((1,)), pieces.index((2,))
-        p = [q for q in range(lo, len(ids)) if ids[q] == e1][1]
-        assert pieces[ids[p - 1]][-1] == 1
-        edited = array("I", ids)
-        edited[p] = e2
-        traj = Trajectory(FAMILY_LOG_INFTY, dense2.m, dense2.manifest,
-                          piece_table=(pieces, starts, edited),
-                          schedule=dense2.schedule)
+        glues = list(block.glues)
+        assert glues[0 * 3 + 1]
+        glues[1] = ()
+        traj = _dense_edit(dense2, 2, glues=tuple(glues))
+        t = next(start for (_, prev), (start, f) in itertools.pairwise(
+            _patterns(traj, 2)) if (prev[-1], f[0]) == (1, 2))
+        assert (traj.symbol_index_at(t - 1), traj.symbol_index_at(t)) == (1, 2)
         rep = validate_growth(traj)
         assert not rep.passed
-        assert rep.counterexample == f"step at time {starts[p]} jumps 1 >= 1/4"
+        assert rep.counterexample == f"step at time {t} jumps 1 >= 1/4"
 
     def test_dense_padded_glue_caught(self, dense2):
-        symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
+        # repeat the first interior point of block 2's first glue: every
+        # step stays short, and the glue is one point too long
         man = dense2.manifest
-        path, start, length = man.path(-1), man.starts[-1], man.lengths[-1]
+        i = next(i for i, (path, *_) in enumerate(man.walk())
+                 if path == "B2/G1")
+        start, length = man.starts[i], man.lengths[i]
+        pair = next((prev[-1], f[0]) for (_, prev), (t, f) in
+                    itertools.pairwise(_patterns(dense2, 2))
+                    if t == start + length)
+        glues = list(man.block(2).glues)
+        g = (pair[0] - 1) * 3 + pair[1] - 1
+        assert len(glues[g]) == length
+        glues[g] = glues[g][:1] + glues[g]
+        rep = validate_growth(_dense_edit(dense2, 2, glues=tuple(glues)))
+        assert not rep.passed
+        assert rep.counterexample == (
+            f"B2/G1 has {length + 1} interior points, minimal is {length}")
+
+    def test_dense_padded_glue_with_a_repeated_endpoint_pair_caught(
+            self, dense2):
+        # the tail goes from e3 back to e1, as earlier glues of block 2
+        # do; padding the tail alone leaves those glues minimal
+        man = dense2.manifest
+        block = man.block(2)
+        path, length = man.path(-1), man.lengths[-1]
         assert path.startswith("B2/G") and length > 1
-        # repeat the tail glue's first interior point: every step stays short
-        symbols.insert(start, symbols[start])
-        lengths = array("q", man.lengths)
-        lengths[-1] += 1
-        blocks = man.blocks[:-1] + [man.blocks[-1]._replace(end=len(symbols))]
-        rep = validate_growth(
-            _dense_copy(dense2, symbols, blocks, lengths=lengths))
+        assert block.glues[2 * 3 + 0] == block.tail[:-1]
+        assert any((prev[-1], f[0]) == (3, 1) for (_, prev), (_, f) in
+                   itertools.pairwise(_patterns(dense2, 2)))
+        tail = block.tail[:1] + block.tail
+        traj = _dense_edit(dense2, 2, tail=tail)
+        assert traj.manifest.path(-1) == path
+        rep = validate_growth(traj)
         assert not rep.passed
         assert rep.counterexample == (
             f"{path} has {length} interior points, minimal is {length - 1}")
 
-    def test_dense_padded_glue_with_a_repeated_endpoint_pair_caught(
-            self, dense2):
-        symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
-        man = dense2.manifest
-        block = man.block(2)
-        glue = [(i, path) for i, (path, *_) in enumerate(man.walk())
-                if path.startswith("B2/G")
-                and man.starts[i] + man.lengths[i] < block.end]
-        pairs = [(symbols[man.starts[i] - 1],
-                  symbols[man.starts[i] + man.lengths[i]]) for i, _ in glue]
-        # the first glue segment whose endpoint pair an earlier one used
-        i, path = glue[next(g for g, pair in enumerate(pairs)
-                            if pair in pairs[:g])]
-        start, length = man.starts[i], man.lengths[i]
-        # repeat its first interior point and shift everything after it
-        symbols.insert(start, symbols[start])
-        starts = array("q", (s + (s > start) for s in man.starts))
-        lengths = array("q", man.lengths)
-        lengths[i] += 1
-        blocks = man.blocks[:-1] + [block._replace(
-            end=block.end + 1,
-            piece_starts=tuple(p + (p > start) for p in block.piece_starts))]
+    @pytest.mark.parametrize("edit", ["last-value", "length"])
+    def test_dense_slot_piece_off_its_slot_realizes_fewer_patterns(
+            self, dense2, edit):
+        # slot 1's piece for (e1, e1) ends on e2, or is a point short: the
+        # 3 patterns (e1, e1, _) no longer realize their second value at
+        # their second slot time
+        block = dense2.manifest.block(2)
+        slots = [list(slot) for slot in block.slots]
+        piece = slots[0][0]
+        slots[0][0] = piece[:-1] + (2,) if edit == "last-value" else piece[1:]
         rep = validate_growth(
-            _dense_copy(dense2, symbols, blocks, starts, lengths))
+            _dense_edit(dense2, 2, slots=tuple(map(tuple, slots))))
         assert not rep.passed
-        assert rep.counterexample == (
-            f"{path} has {length + 1} interior points, minimal is {length}")
+        assert rep.counterexample == "block 2 realizes 24 patterns, expected 27"
 
     def test_dense_wrong_tolerance_caught(self, dense2):
-        symbols = [dense2.symbol_index_at(t) for t in range(dense2.n_points)]
         schedule = dense2.schedule._replace(
             eps=[dense2.schedule.eps[0], Fraction(1, 8)])
-        rep = validate_growth(_dense_copy(dense2, symbols, schedule=schedule))
+        rep = validate_growth(_dense_edit(dense2, 2, schedule=schedule))
         assert not rep.passed
         assert rep.counterexample == "block 2 tolerance 1/8, expected 1/4"
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import seqent.cli
 import seqent.entropy
 import seqent.formats
 import seqent.independence
@@ -20,6 +21,7 @@ from seqent.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INVALID,
     EXIT_PASS,
+    EXIT_SOFTWARE,
     main,
 )
 from seqent.formats import config_hash
@@ -126,6 +128,46 @@ class TestBuild:
         run_cli(capsys, "build", "--family", "log-m", "--m", "2",
                 "--kmax", "1", "--symbols", "0", "--out", str(tmp_path))
         assert not (tmp_path / "symbols-log-m-m2-k1.txt").exists()
+
+    def test_internal_error_exits_70_with_its_traceback(self, monkeypatch,
+                                                        capsys):
+        # any exception that is no SeqentError is a bug: exit 70, never 1
+        # (a failed check) or 2 (bad input)
+        def broken(_args):
+            raise RuntimeError("command bug")
+        monkeypatch.setattr(seqent.cli, "_cmd_build", broken)
+        code, out, err = run_cli(capsys, "build", "--family", "log-m",
+                                 "--m", "2", "--kmax", "1")
+        assert (code, out) == (EXIT_SOFTWARE, "") and EXIT_SOFTWARE == 70
+        assert err.startswith("Traceback")
+        assert err.endswith("RuntimeError: command bug\n")
+
+    def test_times_past_the_decimal_limit_are_invalid(self, tmp_path,
+                                                      capsys):
+        # m=5 kmax=4 builds in ~0.3 s, but its 7,837-digit times pass the
+        # 4,300 digits Python converts to text, and its manifest would
+        # hold ~74,000 such numbers at ~1 ms each
+        code, out, err = run_cli(capsys, "build", "--family", "log-m",
+                                 "--m", "5", "--kmax", "4", "--symbols", "0",
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == ("invalid configuration: the m=5 kmax=4 build has "
+                       "times of more than 4300 decimal digits, past the "
+                       "limit of Python's int-to-text conversion\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_dense_manifest_past_nmax_6_is_refused(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "build", "--family", "log-infty",
+                                 "--nmax", "7", "--out", str(tmp_path / "d"))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("invalid configuration: --nmax 7 --out: ")
+        assert "written up to --nmax 6" in err
+        assert not (tmp_path / "d").exists()
+        # without --out the build runs and writes nothing
+        code, out, _ = run_cli(capsys, "build", "--family", "log-infty",
+                               "--nmax", "7")
+        assert code == EXIT_PASS
+        assert out.startswith("built log-infty trajectory: ")
 
     def test_missing_m_is_invalid(self, capsys):
         code, _, err = run_cli(capsys, "build", "--family", "log-m")
@@ -667,24 +709,29 @@ class TestEntropy:
         assert out == ""
         assert "node budget 1 exhausted" in err
 
-    def test_internal_value_error_is_not_invalid_input(self, monkeypatch):
+    def test_internal_value_error_is_not_invalid_input(self, monkeypatch,
+                                                       capsys):
         # a ValueError inside the engine is a bug, not a bad option
         def broken(*_args, **_kwargs):
             raise ValueError("engine bug")
         monkeypatch.setattr(seqent.independence, "_extensions", broken)
-        with pytest.raises(ValueError, match="engine bug"):
-            main(["entropy", "--family", "log-m", "--m", "2", "--kmax", "1"])
+        code, out, err = run_cli(capsys, "entropy", "--family", "log-m",
+                                 "--m", "2", "--kmax", "1")
+        assert code == EXIT_SOFTWARE
+        assert "Traceback" in err and "ValueError: engine bug" in err
 
-    def test_internal_error_is_not_invalid_input(self, monkeypatch):
+    def test_internal_error_is_not_invalid_input(self, monkeypatch, capsys):
         # the limit head answers an all-infinity tuple before any search;
         # without it the candidate generator has nothing to anchor on, a
         # bug that must not read as a bad configuration (exit 2). Cap 3
         # passes block 1's two designated times, so the search runs.
         monkeypatch.setattr(seqent.independence, "_fixed_head_everywhere",
                             lambda specs, traj: None)
-        with pytest.raises(RuntimeError, match="anchor"):
-            main(["entropy", "--family", "log-m", "--m", "2", "--kmax", "1",
-                  "--centers", "a_inf", "--cap", "3"])
+        code, _, err = run_cli(capsys, "entropy", "--family", "log-m",
+                               "--m", "2", "--kmax", "1", "--centers",
+                               "a_inf", "--cap", "3")
+        assert code == EXIT_SOFTWARE
+        assert "RuntimeError" in err and "anchor" in err
 
 
 class TestFlower:

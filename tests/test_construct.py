@@ -335,9 +335,10 @@ class TestBuildLogInfty:
             build_log_infty(2, sched)
 
     def test_whole_build_stays_under_a_megabyte(self):
-        # the nmax=4 trajectory, manifest included: the piece table is about
-        # 0.3 MB and the manifest's columns 0.1 MB; one record per segment
-        # was 2.0 MB more, and a tuple per pattern 0.3 MB more
+        # the nmax=4 trajectory, manifest included: the blocks' tables are
+        # about 17 kB; the piece table and the manifest's columns that
+        # stored every placement and segment were 0.4 MB, and one record
+        # per segment 2.0 MB more
         tracemalloc.start()
         try:
             traj = build_log_infty(4)
@@ -349,8 +350,8 @@ class TestBuildLogInfty:
 
     def test_build_keeps_no_structure_per_point(self):
         # what the nmax=4 trajectory holds beside its manifest: the memory
-        # freed when only the manifest is kept. The piece table is about
-        # 0.3 MB; a list with one entry per point would be 1.95 MB.
+        # freed when only the manifest is kept, which holds the blocks'
+        # tables. A list with one entry per point would be 1.95 MB.
         tracemalloc.start()
         try:
             traj = build_log_infty(4)

@@ -11,7 +11,12 @@ from _oracles import naive_symbol_lines
 
 from seqent.checks import validate_growth, verify_far_pair_exclusion
 from seqent.cli import EXIT_INVALID, main
-from seqent.construct import build_log_infty, build_log_m, minimal_schedule
+from seqent.construct import (
+    build_log_infty,
+    build_log_m,
+    default_dense_schedule,
+    minimal_schedule,
+)
 from seqent.errors import InvalidConfig
 from seqent.formats import (
     FORMAT_VERSION,
@@ -113,6 +118,23 @@ class TestManifest:
         write_manifest(dense2, path)
         ok, message = replay_manifest(path)
         assert ok, message
+
+    def test_dense_manifest_past_nmax_6_is_refused(self, tmp_path):
+        # a manifest of seven dense blocks would list ~33 M segments, so
+        # replay refuses it before it rebuilds anything
+        schedule = default_dense_schedule(7)
+        body = "".join(
+            ["format: 1\nkind: manifest\nfamily: log-infty\nm: 7\n"
+             "kmax: 7\n"]
+            + [f"eps[{n}]: {eps}\ntimes[{n}]: {','.join(map(str, times))}\n"
+               for n, (eps, times) in enumerate(
+                   zip(schedule.eps, schedule.times), 1)])
+        path = tmp_path / "d7.txt"
+        path.write_text(body + f"hash: {config_hash(body)}\n",
+                        encoding="utf-8")
+        with pytest.raises(InvalidConfig, match="kmax 7 is past the 6 "
+                                                "blocks of a dense manifest"):
+            replay_manifest(path)
 
     @pytest.mark.parametrize("ending, changed", [
         ("\r\n", slice(None)), ("\r", slice(2, 3)), ("", slice(-1, None))],

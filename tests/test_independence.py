@@ -304,6 +304,25 @@ class TestMaxIndependence:
         assert res.witness.times == tuple(range(101))
         assert budget.nodes == 101
 
+    def test_fixed_head_answer_charges_its_table_before_building_it(
+            self, m2k2):
+        # 2^17 realizers, one per assignment: a budget of 20 nodes, which
+        # the 17 times fit, stops the answer before its table is built
+        specs = (U(Symbol.head_inf(), 1), U(Symbol.head_inf(), 2))
+        budget = SearchBudget()
+        res = max_independence(specs, cap=3, traj=m2k2, budget=budget)
+        assert len(res.witness.realizers) == 8 and budget.nodes == 8
+        budget = SearchBudget(max_nodes=20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetExceeded):
+                max_independence(specs, cap=17, traj=m2k2, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert budget.nodes == 2 ** 17
+        assert peak < 1_000_000
+
     def test_fixed_head_shortcut_matches_head_membership(self, m2k2, dense2):
         # the shortcut fires exactly when one fixed head lies in every
         # neighborhood: the limit head on the head-indexed family, whose
@@ -543,6 +562,26 @@ class TestFrontiers:
             with_inf += len(want) >= 3 and any(
                 s.center.kind == KIND_HEAD_INF for s in specs)
         assert deep >= 2 and with_inf >= 3, (deep, with_inf)
+
+
+    @pytest.mark.parametrize("name,centers,horizon,want", [
+        ("dense2", ((1, 1), (2, 1)), 200, (1, 74, 7, 0)),
+        ("dense2", ((1, 2), (2, 2), (3, 1)), 120, (1, 1, 0)),
+        ("m2k2", ((3, 1), ("inf", 2)), 300, (1, 0)),
+        ("m2k2", ((0, 1), (1, 1)), 150, (1, 0)),
+        ("m2k2", ((-1, 1), ("inf", 1), (0, 1)), 100, (1, 0)),
+        ("m2k2", ((0, 1), ("inf", 1)), 60, (1, 1, 0)),
+    ])
+    def test_brute_force_keeps_the_per_point_frontiers(self, request, name,
+                                                       centers, horizon,
+                                                       want):
+        # frontiers of the brute force that read each (point, time)'s
+        # classes through its own lookup, before it read them from rows
+        traj = request.getfixturevalue(name)
+        specs = tuple(U(Symbol.dense(c) if name == "dense2"
+                        else Symbol.head_inf() if c == "inf"
+                        else Symbol.head(c), level) for c, level in centers)
+        assert naive_frontier_sizes(specs, 4, traj, horizon=horizon) == want
 
 
 class TestPigeonholeRule:

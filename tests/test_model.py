@@ -7,7 +7,6 @@ import os
 import pickle
 import subprocess
 import sys
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -30,6 +29,7 @@ from seqent.model import (
     BlockRecord,
     ModelPoint,
     NeighborhoodSpec,
+    SegmentationManifest,
     Symbol,
     Trajectory,
     dense_dyadic,
@@ -263,17 +263,21 @@ class TestDenseHits:
         assert t == len(symbols)
 
     def test_indices_above_two_bytes(self, dense2):
-        # placements (1, 65537) (4464, 2^33) (1, 65537) at times 0, 2, 4
-        table = (((1, 65_537), (4_464, 2 ** 33)),
-                 array("q", [0, 2, 4]), array("I", [0, 1, 0]))
-        traj = Trajectory(FAMILY_LOG_INFTY, dense2.m, dense2.manifest,
-                          piece_table=table, schedule=dense2.schedule)
-        assert traj.n_points == 6
-        assert traj.hits(65_537) == (1, 5)
-        assert traj.hits(1) == (0, 4)
-        assert traj.hits(4_464) == (2,)
-        assert traj.hits(2 ** 33) == (3,)
-        # no piece holds 70,000 (4,464 plus 2^16) or 2^40
+        # block 2's tail edited to e65537, e(2^33), e65537, e1: the tables
+        # hold any int, and hit lists read them like every other piece
+        blocks = list(dense2.manifest.blocks)
+        blocks[1] = blocks[1]._replace(tail=(65_537, 2 ** 33, 65_537, 1))
+        traj = Trajectory(FAMILY_LOG_INFTY, dense2.m,
+                          SegmentationManifest(blocks),
+                          schedule=dense2.schedule)
+        end = traj.n_points
+        assert end == blocks[1].end
+        assert [traj.symbol_index_at(t) for t in range(end - 4, end)] == [
+            65_537, 2 ** 33, 65_537, 1]
+        assert traj.hits(65_537) == (end - 4, end - 2)
+        assert traj.hits(2 ** 33) == (end - 3,)
+        assert traj.hits(1)[-1] == end - 1
+        # no piece holds 70,000 (65,537 plus 4,463) or 2^40
         assert traj.hits(70_000) == ()
         assert traj.hits(2 ** 40) == ()
 
