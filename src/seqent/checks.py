@@ -19,6 +19,7 @@ from .construct import chain_min_interior
 from .errors import InvalidConfig
 from .independence import (
     SearchBudget,
+    _check_assignment_cap,
     is_independence_set,
     max_independence,
     occupancy,
@@ -31,7 +32,9 @@ from .model import (
     Symbol,
     Trajectory,
     _Record,
+    check_realizers,
     dense_value,
+    propose_realizers,
 )
 
 
@@ -516,7 +519,12 @@ def verify_dense_block_independence(n: int, traj: Trajectory,
     length n + 1 for the level-n neighborhoods of the first n + 1 heads.
 
     Realizers are restricted to orbit starts inside block n, so the witness
-    is carried entirely by the block's own pattern segments.
+    is carried entirely by the block's own pattern segments. The block
+    proposes one per assignment (``propose_realizers``), within the
+    assignment cap and after the budget is charged for the reads, and
+    ``check_realizers`` reads them up to the block's last time: level n's
+    threshold is the block's start. Only when a proposal fails does
+    ``is_independence_set`` search the block's starts.
     """
     _require_family(traj, FAMILY_LOG_INFTY, "verify_dense_block_independence")
     with CheckReport("dense-block-independence", {"n": str(n)}) as report:
@@ -524,18 +532,30 @@ def verify_dense_block_independence(n: int, traj: Trajectory,
         specs = tuple(NeighborhoodSpec(Symbol.dense(j), n)
                       for j in range(1, n + 2))
         times = block.times
-        start_range = (block.start, block.end - 1 - times[-1])
-        res = is_independence_set(times, specs, traj,
-                                  start_range=start_range, budget=budget)
+        _check_assignment_cap(len(specs), len(times))
         count = (n + 1) ** len(times)
         report.params["assignments"] = str(count)
         report.params["times"] = ",".join(str(t) for t in times)
-        if res.ok:
-            report.passed = True
-            starts = sorted({p.time for p in res.witness.realizers.values()})
-            report.details.append(
-                f"all {count} assignments realized by {len(starts)} "
-                f"in-block starts")
-        else:
-            report.counterexample = f"assignment {res.failing} unrealizable"
+        if budget is not None:
+            budget.spend(count * len(times))
+        starts = set()
+
+        def proposals():  # each proposal, its start noted
+            for sigma, u in propose_realizers(block, specs, len(times)):
+                starts.add(u)
+                yield sigma, u
+
+        if check_realizers(times, specs, proposals(), traj,
+                           horizon=block.end - 1) is not None:
+            start_range = (block.start, block.end - 1 - times[-1])
+            res = is_independence_set(times, specs, traj,
+                                      start_range=start_range, budget=budget)
+            if not res.ok:
+                report.counterexample = (f"assignment {res.failing} "
+                                         f"unrealizable")
+                return report
+            starts = {p.time for p in res.witness.realizers.values()}
+        report.passed = True
+        report.details.append(f"all {count} assignments realized by "
+                              f"{len(starts)} in-block starts")
     return report

@@ -16,7 +16,9 @@ from .independence import (
     SearchBudget, _within_assignment_cap, is_independence_set,
     max_independence,
 )
-from .model import NeighborhoodSpec, Trajectory, _Record
+from .model import (
+    NeighborhoodSpec, Trajectory, _Record, check_realizers, propose_realizers,
+)
 
 
 class HStarEvidence(_Record):
@@ -39,18 +41,21 @@ def h_star_lower_bound(traj: Trajectory, centers, cap: int,
 
     Each (combo, level k) first tries the construction's own witness: the
     first cap designated times of each block of level >= k that holds cap
-    times and ends inside the horizon, highest block first, checked by
-    ``is_independence_set`` at the same horizon. The paper shatters a
-    block's classes at its level n with these times. Raising the level
-    raises the orbit threshold, so the level-k hit lists contain the
-    level-n ones and a set shattered at level n is shattered at level k;
-    a subset of the shattered classes is still shattered; and the heads
-    of dense centers do not depend on the level. The check is the
-    definition and the search is exact, so a passing shape is a length
-    the search would also reach, and the answer does not change. Only
-    when no shape passes does the level run one depth-first
-    ``max_independence`` search, which stops at the first shape of
-    length cap and alone refutes a combo.
+    times and ends inside the horizon, highest block first. The paper
+    shatters a block's classes at its level n with these times. A dense
+    block whose values hold the combo's centers names a realizer for every
+    assignment (``propose_realizers``), and ``check_realizers`` reads each
+    at the same horizon; the budget is charged for those reads first.
+    When no block's proposals all pass, each block's times go, in the same
+    order, to ``is_independence_set``. Raising the level raises the orbit
+    threshold, so the level-k hit lists contain the level-n ones and a set
+    shattered at level n is shattered at level k; a subset of the
+    shattered classes is still shattered; and the heads of dense centers
+    do not depend on the level. The checks are the definition and the
+    search is exact, so a passing shape is a length the search would also
+    reach, and the answer does not change. Only when no shape passes does
+    the level run one depth-first ``max_independence`` search, which stops
+    at the first shape of length cap and alone refutes a combo.
     """
     centers = tuple(centers)
     if len(set(centers)) != len(centers):
@@ -66,12 +71,21 @@ def h_star_lower_bound(traj: Trajectory, centers, cap: int,
     def sustains(specs, k: int) -> int:
         # past the assignment cap only the search may answer, and refute
         if _within_assignment_cap(len(specs), cap):
-            for b in reversed(blocks):
-                if (b.level >= k and len(b.times) >= cap
-                        and b.end - 1 <= horizon
-                        and is_independence_set(b.times[:cap], specs, traj,
-                                                horizon=horizon,
-                                                budget=budget).ok):
+            tried = [b for b in reversed(blocks)
+                     if b.level >= k and len(b.times) >= cap
+                     and b.end - 1 <= horizon]
+            for b in tried:
+                proposals = propose_realizers(b, specs, cap)
+                if proposals is None:
+                    continue
+                if budget is not None:  # the reads, before any is made
+                    budget.spend(len(specs) ** cap * cap)
+                if check_realizers(b.times[:cap], specs, proposals, traj,
+                                   horizon=horizon) is None:
+                    return cap
+            for b in tried:
+                if is_independence_set(b.times[:cap], specs, traj,
+                                       horizon=horizon, budget=budget).ok:
                     return cap
         return max_independence(specs, cap=cap, traj=traj, horizon=horizon,
                                 budget=budget).length

@@ -378,21 +378,31 @@ class DenseBlock(_Frozen):
     Everything else is derived in O(n) per query (``_Layout``): pattern p
     starts at start + p * L + the glue lengths before it; ``end``
     (exclusive) follows the tail; ``piece_starts`` lists the pattern
-    starts without holding them; ``walk``, ``segment``, ``symbol_index_at``
-    and ``hits`` read the segments and symbols from the digits.
+    starts without holding them; ``walk``, ``segment``, ``symbol_index_at``,
+    ``symbol_indices`` and ``hits`` read the segments and symbols from the
+    digits.
     """
 
     _fields = ("level", "start", "times", "slots", "glues", "tail")
-    __slots__ = _fields + ("end", "_at", "_seg")
+    __slots__ = _fields + ("end", "_at", "_seg", "_reads")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        N = self.level + 1
+        N, times = self.level + 1, self.times
         # the same layout over times and over segment indices
         lengths = [len(g) for g in self.glues]
-        _set(self, "_at", _Layout(N, self.times[-1] + 1, lengths))
+        _set(self, "_at", _Layout(N, times[-1] + 1, lengths))
         _set(self, "_seg", _Layout(N, 1, [int(g > 0) for g in lengths]))
         _set(self, "end", self.start + self._at.total + len(self.tail))
+        # per offset z into a pattern, (table, divisor, modulus, k): pattern
+        # p's symbol there is table[p // divisor % modulus][k], its first
+        # digit's value at 0, and then slot i's piece for its digits at i
+        # and i + 1, which holds the offsets times[i] + 1 .. times[i + 1]
+        reads = [(tuple((d + 1,) for d in range(N)), N ** (N - 1), N, 0)]
+        for i, slot in enumerate(self.slots):
+            reads += ((slot, N ** (N - 2 - i), N * N, k)
+                      for k in range(times[i + 1] - times[i]))
+        _set(self, "_reads", tuple(reads))
 
     @property
     def piece_starts(self) -> _Ints:
@@ -511,32 +521,58 @@ class DenseBlock(_Frozen):
         p, z, g = at.locate(x)
         if z < g:
             return self.glues[self._pair(p)][z]
-        z -= g
-        if z == 0:
-            return p // at.M + 1
-        # slot i holds the offsets times[i] + 1 .. times[i + 1]
-        times, N = self.times, self.level + 1
-        i = bisect.bisect_left(times, z) - 1
-        pair = p // N ** (N - 2 - i) % (N * N)  # the digits at i and i + 1
-        return self.slots[i][pair][z - times[i] - 1]
+        table, div, mod, k = self._reads[z - g]
+        return table[p // div % mod][k]
+
+    def symbol_indices(self, t: int, offsets) -> list[int]:
+        """``symbol_index_at(t + o)`` for each offset, every t + o in the
+        block: from one locate and the pattern's digits when all of them
+        fall in one pattern segment."""
+        at, reads = self._at, self._reads
+        lo = min(offsets)
+        x = t + lo - self.start
+        if x < at.total:
+            p, z, g = at.locate(x)
+            z -= g + lo  # t's offset into pattern p
+            if z + lo >= 0 and z + max(offsets) < len(reads):
+                out = []
+                for o in offsets:
+                    table, div, mod, k = reads[z + o]
+                    out.append(table[p // div % mod][k])
+                return out
+        return [self.symbol_index_at(t + o) for o in offsets]
 
     def hits(self, j: int) -> list[int]:
         """The block's times of e_j, in no set order: per piece that holds
         j, each pattern that places the piece, from the digits it fixes."""
         n, N, at = self.level, self.level + 1, self._at
         count, M, times = N ** N, at.M, self.times
-        starts = list(self.piece_starts)
+        starts = []  # every pattern start, one first digit at a time
+        for d, group in enumerate(at.groups[:-1]):
+            base, period = self.start - at.shift + group, at.units[d][-1]
+            starts += [b + r for b in range(base, base + M // N * period,
+                                            period)
+                       for r in at.patterns[d]]
         out = []
         if 1 <= j <= N:  # the first value of every pattern of first digit j
             out += starts[(j - 1) * M:j * M]
         for i, slot in enumerate(self.slots):
-            # the patterns of digits a, b at i, i + 1: runs of N^(n-1-i)
-            run = N ** (n - 1 - i)
+            # the patterns of digits a, b at i, i + 1: N^i runs of
+            # N^(n-1-i), read as runs or as strided slices, whichever are
+            # fewer
+            run, runs = N ** (n - 1 - i), N ** i
+            stride = N * N * run
             for pair, piece in enumerate(slot):
                 for o, index in enumerate(piece, times[i] + 1):
-                    if index == j:
-                        for p in range(pair * run, count, N * N * run):
+                    if index != j:
+                        continue
+                    first = pair * run
+                    if run >= runs:
+                        for p in range(first, count, stride):
                             out += map(o.__add__, starts[p:p + run])
+                    else:
+                        for p in range(first, first + run):
+                            out += map(o.__add__, starts[p::stride])
         for pair, glue in enumerate(self.glues):
             # the patterns after a pattern ending on a, starting on b
             a, b = divmod(pair, N)
@@ -709,6 +745,20 @@ class Trajectory:
         i = bisect.bisect_right(self._run_starts, t) - 1
         start, first, _length = self._runs[i]
         return first + (t - start)
+
+    def symbol_indices(self, t: int, offsets) -> list[int]:
+        """``symbol_index_at(t + o)`` for each offset, in order. On the
+        dense family, offsets that fall in one block take one block
+        bisect, and in one pattern one locate there
+        (``DenseBlock.symbol_indices``)."""
+        if self.family == FAMILY_LOG_INFTY and offsets:
+            lo, hi = t + min(offsets), t + max(offsets)
+            if 0 <= lo and hi < self.n_points:
+                block = self.manifest.blocks[
+                    bisect.bisect_right(self._block_starts, lo) - 1]
+                if hi < block.end:
+                    return block.symbol_indices(t, offsets)
+        return [self.symbol_index_at(t + o) for o in offsets]
 
     def symbol_at(self, t: int) -> Symbol:
         idx = self.symbol_index_at(t)
@@ -911,3 +961,64 @@ def itinerary_hits(
         if not point_member(spec, iterate(point, t, traj), traj):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# proposed realizers
+
+
+def propose_realizers(block, specs, c: int):
+    """The construction's orbit start for every assignment of a dense
+    block's first c slot times to ``specs``, or None when it names none.
+
+    Pattern p of block n carries at slot time i the value of its i-th
+    base-(n + 1) digit, plus one. So an assignment sigma, a tuple of spec
+    indices in product order, is proposed the pattern whose digits are
+    sigma's centers' digits followed by zeros, and its start
+    ``block.piece_starts[p]``. That needs a dense block, c <= n + 1 and
+    every center among e1 .. e(n+1). The (sigma, u) pairs come lazily, and
+    nothing of them is trusted: ``check_realizers`` decides.
+    """
+    if not isinstance(block, DenseBlock) or c > len(block.times):
+        return None
+    N = block.level + 1
+    if any(s.center.kind != KIND_DENSE or s.center.index > N for s in specs):
+        return None
+    places = [[(s.center.index - 1) * N ** (N - 1 - i) for s in specs]
+              for i in range(c)]
+    # block.piece_starts[p], without its per-index checks
+    return zip(product(range(len(specs)), repeat=c),
+               map(block.start.__add__,
+                   map(block._at.offset, map(sum, product(*places)))))
+
+
+def check_realizers(J, specs, proposals, traj: Trajectory,
+                    horizon: int | None = None):
+    """The first assignment whose proposed orbit start does not realize
+    it, or None when every one does.
+
+    ``proposals`` gives (sigma, u) pairs, sigma a tuple of indices into
+    ``specs``, one per time of J. u realizes sigma when 0 <= u, u + max(J)
+    <= horizon (the built one by default) and x(u + J[i]) lies in
+    specs[sigma[i]] for every i as ``orbit_member`` decides: at or past
+    its threshold, on its center. Centers are finite. Thresholds and
+    centers are read once per call, and each proposal's symbols with one
+    ``Trajectory.symbol_indices`` call.
+    """
+    if any(s.center.kind == KIND_HEAD_INF for s in specs):
+        raise ValueError("proposed realizers need finite centers")
+    J = tuple(J)
+    horizon = traj.horizon if horizon is None else min(horizon, traj.horizon)
+    last = max(J, default=0)
+    lows = [traj.level_threshold(s.level) + s.threshold_offset for s in specs]
+    centers = [s.center.index for s in specs]
+    # u + t >= lows[s] for every t when u + min(J) >= max(lows)
+    sure = max(lows) - min(J, default=0)
+    read = traj.symbol_indices
+    for sigma, u in proposals:
+        if (not 0 <= u <= horizon - last
+                or read(u, J) != list(map(centers.__getitem__, sigma))
+                or u < sure and any(u + t < lows[s]
+                                    for t, s in zip(J, sigma))):
+            return sigma
+    return None

@@ -226,6 +226,15 @@ class TestVerifySuites:
         assert texts[0]
         assert texts[0] == texts[1]
 
+    def test_section3_keeps_the_assignment_cap_at_nmax_6(self, capsys):
+        # block 6 has 7^7 = 823,543 assignments: the cap is checked before
+        # any of them is proposed
+        code, out, err = run_cli(capsys, "verify", "--suite", "section3",
+                                 "--nmax", "6")
+        assert code == EXIT_INCONCLUSIVE
+        assert "7^7 assignments exceed the cap 200000" in err
+        assert out == ""
+
     def test_output_files_use_inf_token(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         run_cli(capsys, "verify", "--suite", "R2", "--m", "2", "--kmax", "2",
@@ -697,6 +706,21 @@ class TestEntropy:
         assert out == ("h-star lower bound: log 5 = 1.609438 (centers "
                        "e1,e2,e3,e4,e5; level1=4 level2=4 level3=4 "
                        "level4=4; cap 4)\n")
+
+    def test_dense_blocks_give_log_seven_at_nmax_6(self, capsys,
+                                                   monkeypatch):
+        # block 6 proposes a realizer for each of the 7^3 assignments at
+        # every level; no hit list, fold or search is needed
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the fold or the search ran")
+        monkeypatch.setattr(seqent.entropy, "is_independence_set", refuse)
+        monkeypatch.setattr(seqent.entropy, "max_independence", refuse)
+        code, out, _ = run_cli(capsys, "entropy", "--family", "log-infty",
+                               "--nmax", "6")
+        assert code == EXIT_PASS
+        assert out == ("h-star lower bound: log 7 = 1.945910 (centers "
+                       "e1,e2,e3,e4,e5,e6,e7; level1=3 level2=3 level3=3 "
+                       "level4=3 level5=3 level6=3; cap 3)\n")
 
     def test_node_budget_stops_the_witness_check(self, capsys, monkeypatch):
         # block 2's designated times are checked before any search runs

@@ -69,17 +69,18 @@ class TestWitnessFirst:
                                                     "e5"]
 
     def test_highest_block_is_tried_first(self, dense4, monkeypatch):
-        # block 4's shape passes at every level, so each level makes one
-        # check; block 3's shape fails the five centers on levels 1 to 3,
-        # so trying it first would add three
+        # block 4's proposals pass at every level, so each level makes one
+        # check; block 3 cannot propose for e5, and its shape fails the five
+        # centers on levels 1 to 3, so trying it first would fall back
         checks = []
-        check = seqent.entropy.is_independence_set
+        check = seqent.entropy.check_realizers
 
         def counted(times, *args, **kwargs):
             checks.append(times)
             return check(times, *args, **kwargs)
 
-        monkeypatch.setattr(seqent.entropy, "is_independence_set", counted)
+        monkeypatch.setattr(seqent.entropy, "check_realizers", counted)
+        monkeypatch.setattr(seqent.entropy, "is_independence_set", _no_search)
         monkeypatch.setattr(seqent.entropy, "max_independence", _no_search)
         ev = h_star_lower_bound(dense4, [Symbol.dense(j) for j in range(1, 6)],
                                 cap=4)
