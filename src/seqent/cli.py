@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import traceback
@@ -369,7 +370,11 @@ def _cmd_flower(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing does not
+    change it. Each subcommand's handler is ``_cmd_<command>``, looked up
+    when it runs."""
     parser = argparse.ArgumentParser(
         prog="seqent",
         description="Construct and verify countable systems with "
@@ -407,7 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--symbols", type=int, default=None,
                    help="symbol lines to write (default "
                         f"{DEFAULT_SYMBOL_LINES}; 0 skips the file)")
-    b.set_defaults(func=_cmd_build)
 
     v = sub.add_parser("verify", help="run a verification suite or replay",
                        allow_abbrev=False)
@@ -419,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cap", type=int, default=5,
                    help="length cap for exclusion searches (default 5)")
     add_common(v, "3")
-    v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("entropy", help="independence-based entropy evidence",
                        allow_abbrev=False)
@@ -433,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--levels", default=None,
                    help="comma list of levels (default: all built)")
     add_common(e, "3 for m=2, else 2", out=False)
-    e.set_defaults(func=_cmd_entropy)
 
     f = sub.add_parser("flower", help="compose petals and check separation",
                        allow_abbrev=False)
@@ -448,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(f, "2", m=False, nmax=False)
     # cross-petal checks are pair searches; the config hash names that cap
     f.set_defaults(kmax=2, cap=2)
-    f.set_defaults(func=_cmd_flower)
     return parser
 
 
@@ -456,7 +457,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()[f"_cmd_{args.command}"](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

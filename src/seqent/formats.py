@@ -85,36 +85,35 @@ def parse_tuple(token: str) -> tuple[NeighborhoodSpec, ...]:
 # manifests
 
 
-def manifest_string(traj: Trajectory) -> str:
-    """Canonical manifest text for a built trajectory, hash line included."""
+def _manifest_lines(traj: Trajectory):
+    """The manifest's lines before its hash line, without line endings."""
     sched = traj.schedule
-    lines = [f"format: {FORMAT_VERSION}", "kind: manifest",
-             f"family: {traj.family}", f"m: {traj.m}",
-             f"kmax: {traj.kmax}", f"points: {traj.n_points}"]
+    yield from (f"format: {FORMAT_VERSION}", "kind: manifest",
+                f"family: {traj.family}", f"m: {traj.m}",
+                f"kmax: {traj.kmax}", f"points: {traj.n_points}")
     if traj.family == FAMILY_LOG_M:
         for k in range(1, traj.kmax + 1):
-            lines.append(f"winds[{k}]: " +
-                         ",".join(str(w) for w in sched.winds[k - 1]))
-            lines.append(f"inner-gaps[{k}]: " +
-                         ",".join(str(g) for g in sched.inner_gaps[k - 1]))
-        lines.append("outer-gaps: " +
-                     ",".join(str(g) for g in sched.outer_gaps[:traj.kmax]))
+            yield (f"winds[{k}]: " +
+                   ",".join(str(w) for w in sched.winds[k - 1]))
+            yield (f"inner-gaps[{k}]: " +
+                   ",".join(str(g) for g in sched.inner_gaps[k - 1]))
+        yield ("outer-gaps: " +
+               ",".join(str(g) for g in sched.outer_gaps[:traj.kmax]))
         for k in range(1, traj.kmax + 1):
-            lines.append(f"functions[{k}]: " + ";".join(
-                ",".join(str(v) for v in f) for f in patterns(traj.m, k)))
+            yield f"functions[{k}]: " + ";".join(
+                ",".join(str(v) for v in f) for f in patterns(traj.m, k))
     else:
         for n in range(1, traj.kmax + 1):
-            lines.append(f"eps[{n}]: {sched.eps[n - 1]}")
-            lines.append(f"times[{n}]: " +
-                         ",".join(str(t) for t in sched.times[n - 1]))
+            yield f"eps[{n}]: {sched.eps[n - 1]}"
+            yield (f"times[{n}]: " +
+                   ",".join(str(t) for t in sched.times[n - 1]))
     for b in traj.manifest.blocks:
         extra = ""
         if traj.family == FAMILY_LOG_M:
             extra = f" outer-gap-start={b.end}"
-        lines.append(
-            f"block[{b.level}]: start={b.start} end={b.end} "
-            f"times={','.join(str(t) for t in b.times)} "
-            f"pieces={','.join(str(p) for p in b.piece_starts)}" + extra)
+        yield (f"block[{b.level}]: start={b.start} end={b.end} "
+               f"times={','.join(str(t) for t in b.times)} "
+               f"pieces={','.join(str(p) for p in b.piece_starts)}" + extra)
     manifest = traj.manifest
     for (path, kind, plan, function), start, length in zip(
             manifest.walk(), manifest.starts, manifest.lengths):
@@ -126,15 +125,30 @@ def manifest_string(traj: Trajectory) -> str:
                      f"shared={int(length < plan.w)}")
         if function is not None:  # a list joins these short tuples faster
             line += " function=" + ";".join([str(v) for v in function])
-        lines.append(line)
-    body = "\n".join(lines) + "\n"
+        yield line
+
+
+def manifest_string(traj: Trajectory) -> str:
+    """Canonical manifest text for a built trajectory, hash line included."""
+    body = "\n".join(_manifest_lines(traj)) + "\n"
     return body + f"hash: {config_hash(body)}\n"
 
 
 def write_manifest(traj: Trajectory, path) -> str:
-    text = manifest_string(traj)
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
-    return text
+    """Write ``manifest_string(traj)`` to path and return its hash. The
+    lines go to the file and to the hash a batch at a time, so the whole
+    text is never held in memory."""
+    import hashlib  # as in config_hash
+
+    digest = hashlib.sha256()
+    lines = _manifest_lines(traj)
+    with open(path, "wb") as fh:
+        while batch := list(islice(lines, 4096)):
+            chunk = ("\n".join(batch) + "\n").encode("utf-8")
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(f"hash: {digest.hexdigest()}\n".encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _header_value(lines: list[str], key: str, source: str, parse=str,

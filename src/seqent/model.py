@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from itertools import accumulate, chain, islice, product, repeat
+from itertools import (
+    accumulate, chain, islice, product, repeat, zip_longest,
+)
 from operator import attrgetter
 
 from .errors import HorizonExceeded, UnknownBlock
@@ -378,9 +380,9 @@ class DenseBlock(_Frozen):
     Everything else is derived in O(n) per query (``_Layout``): pattern p
     starts at start + p * L + the glue lengths before it; ``end``
     (exclusive) follows the tail; ``piece_starts`` lists the pattern
-    starts without holding them; ``walk``, ``segment``, ``symbol_index_at``,
-    ``symbol_indices`` and ``hits`` read the segments and symbols from the
-    digits.
+    starts without holding them; ``walk``, ``segment``, ``symbol_index_at``
+    and ``hits`` read the segments and symbols from the digits, and
+    ``Trajectory.reader`` reads ``_reads`` directly at pattern starts.
     """
 
     _fields = ("level", "start", "times", "slots", "glues", "tail")
@@ -523,24 +525,6 @@ class DenseBlock(_Frozen):
             return self.glues[self._pair(p)][z]
         table, div, mod, k = self._reads[z - g]
         return table[p // div % mod][k]
-
-    def symbol_indices(self, t: int, offsets) -> list[int]:
-        """``symbol_index_at(t + o)`` for each offset, every t + o in the
-        block: from one locate and the pattern's digits when all of them
-        fall in one pattern segment."""
-        at, reads = self._at, self._reads
-        lo = min(offsets)
-        x = t + lo - self.start
-        if x < at.total:
-            p, z, g = at.locate(x)
-            z -= g + lo  # t's offset into pattern p
-            if z + lo >= 0 and z + max(offsets) < len(reads):
-                out = []
-                for o in offsets:
-                    table, div, mod, k = reads[z + o]
-                    out.append(table[p // div % mod][k])
-                return out
-        return [self.symbol_index_at(t + o) for o in offsets]
 
     def hits(self, j: int) -> list[int]:
         """The block's times of e_j, in no set order: per piece that holds
@@ -746,19 +730,49 @@ class Trajectory:
         start, first, _length = self._runs[i]
         return first + (t - start)
 
-    def symbol_indices(self, t: int, offsets) -> list[int]:
-        """``symbol_index_at(t + o)`` for each offset, in order. On the
-        dense family, offsets that fall in one block take one block
-        bisect, and in one pattern one locate there
-        (``DenseBlock.symbol_indices``)."""
-        if self.family == FAMILY_LOG_INFTY and offsets:
-            lo, hi = t + min(offsets), t + max(offsets)
-            if 0 <= lo and hi < self.n_points:
-                block = self.manifest.blocks[
-                    bisect.bisect_right(self._block_starts, lo) - 1]
-                if hi < block.end:
-                    return block.symbol_indices(t, offsets)
-        return [self.symbol_index_at(t + o) for o in offsets]
+    def reader(self, offsets):
+        """A function of a time t that gives ``symbol_index_at(t + o)`` for
+        each offset, in order (``HorizonExceeded`` past the horizon).
+
+        On the dense family it keeps the block of the last t it read, that
+        block's layout and its ``_reads`` entries at the offsets: a t that
+        starts a pattern there, every offset inside the pattern, costs one
+        locate and a table read per offset. Any other t (in a glue or the
+        tail, with an offset outside the pattern or the block, or past the
+        horizon) and the head-indexed family are read offset by offset.
+        """
+        offsets = tuple(offsets)
+        at_time = self.symbol_index_at
+
+        def each(t):
+            return [at_time(t + o) for o in offsets]
+
+        if self.family != FAMILY_LOG_INFTY or min(offsets, default=-1) < 0:
+            return each
+        last = max(offsets)
+        blocks, block_starts = self.manifest.blocks, self._block_starts
+        lo = end = total = 0  # the kept block's start, end and pattern end
+        locate = entries = None
+
+        def read(t):
+            nonlocal lo, end, total, locate, entries
+            if not lo <= t < end:
+                if not 0 <= t < self.n_points:
+                    return each(t)
+                block = blocks[bisect.bisect_right(block_starts, t) - 1]
+                lo, end, reads = block.start, block.end, block._reads
+                total, locate = block._at.total, block._at.locate
+                entries = ([reads[o] for o in offsets] if last < len(reads)
+                           else None)
+            x = t - lo
+            if x < total and entries is not None:
+                p, z, g = locate(x)
+                if z == g:  # t starts pattern p
+                    return [table[p // div % mod][k]
+                            for table, div, mod, k in entries]
+            return each(t)
+
+        return read
 
     def symbol_at(self, t: int) -> Symbol:
         idx = self.symbol_index_at(t)
@@ -976,49 +990,63 @@ def propose_realizers(block, specs, c: int):
     indices in product order, is proposed the pattern whose digits are
     sigma's centers' digits followed by zeros, and its start
     ``block.piece_starts[p]``. That needs a dense block, c <= n + 1 and
-    every center among e1 .. e(n+1). The (sigma, u) pairs come lazily, and
-    nothing of them is trusted: ``check_realizers`` decides.
+    every center among e1 .. e(n+1). When c = n + 1 and the centers are
+    e1 .. e(n+1) in order, the assignments are the patterns in order. The
+    (sigma, u) pairs come lazily, and nothing of them is trusted:
+    ``check_realizers`` decides.
     """
     if not isinstance(block, DenseBlock) or c > len(block.times):
         return None
     N = block.level + 1
     if any(s.center.kind != KIND_DENSE or s.center.index > N for s in specs):
         return None
+    sigmas = product(range(len(specs)), repeat=c)
+    if c == N and [s.center.index for s in specs] == list(range(1, N + 1)):
+        return zip(sigmas, block.piece_starts)
     places = [[(s.center.index - 1) * N ** (N - 1 - i) for s in specs]
               for i in range(c)]
     # block.piece_starts[p], without its per-index checks
-    return zip(product(range(len(specs)), repeat=c),
-               map(block.start.__add__,
-                   map(block._at.offset, map(sum, product(*places)))))
+    return zip(sigmas, map(block.start.__add__,
+                           map(block._at.offset, map(sum, product(*places)))))
 
 
 def check_realizers(J, specs, proposals, traj: Trajectory,
                     horizon: int | None = None):
-    """The first assignment whose proposed orbit start does not realize
-    it, or None when every one does.
+    """The first assignment that the proposals do not realize, or None
+    when they realize every one.
 
     ``proposals`` gives (sigma, u) pairs, sigma a tuple of indices into
-    ``specs``, one per time of J. u realizes sigma when 0 <= u, u + max(J)
-    <= horizon (the built one by default) and x(u + J[i]) lies in
-    specs[sigma[i]] for every i as ``orbit_member`` decides: at or past
-    its threshold, on its center. Centers are finite. Thresholds and
-    centers are read once per call, and each proposal's symbols with one
-    ``Trajectory.symbol_indices`` call.
+    ``specs``, one per time of J: one pair per assignment, in product
+    order (``itertools.product``). The check walks the assignments in
+    lockstep and returns the expected one where a proposal's sigma is out
+    of order or missing, or a surplus proposal's sigma. u realizes sigma
+    when 0 <= u, u + max(J) <= horizon (the built one by default) and
+    x(u + J[i]) lies in specs[sigma[i]] for every i as ``orbit_member``
+    decides: at or past its threshold, on its center. Centers are finite.
+    Thresholds and centers are read once per call, and each proposal's
+    symbols through one ``Trajectory.reader`` of J.
     """
     if any(s.center.kind == KIND_HEAD_INF for s in specs):
         raise ValueError("proposed realizers need finite centers")
     J = tuple(J)
     horizon = traj.horizon if horizon is None else min(horizon, traj.horizon)
-    last = max(J, default=0)
+    top = horizon - max(J, default=0)
     lows = [traj.level_threshold(s.level) + s.threshold_offset for s in specs]
     centers = [s.center.index for s in specs]
     # u + t >= lows[s] for every t when u + min(J) >= max(lows)
-    sure = max(lows) - min(J, default=0)
-    read = traj.symbol_indices
-    for sigma, u in proposals:
-        if (not 0 <= u <= horizon - last
-                or read(u, J) != list(map(centers.__getitem__, sigma))
+    sure = max(lows, default=0) - min(J, default=0)
+    read = traj.reader(J)
+    # each assignment and its centers at J, in lockstep with the proposals
+    for want, symbols, got in zip_longest(
+            product(range(len(specs)), repeat=len(J)),
+            map(list, product(centers, repeat=len(J))), proposals):
+        if want is None:  # a surplus proposal
+            return got[0]
+        if got is None:  # a missing one
+            return want
+        sigma, u = got
+        if (sigma != want or not 0 <= u <= top or read(u) != symbols
                 or u < sure and any(u + t < lows[s]
                                     for t, s in zip(J, sigma))):
-            return sigma
+            return want
     return None

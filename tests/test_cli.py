@@ -142,6 +142,18 @@ class TestBuild:
         assert err.startswith("Traceback")
         assert err.endswith("RuntimeError: command bug\n")
 
+    def test_the_parser_is_built_once(self, capsys, monkeypatch):
+        # later calls reuse it; a bad argument still exits 2 from it
+        seqent.cli._build_parser()
+        monkeypatch.setattr(seqent.cli.argparse, "ArgumentParser", None)
+        code, out, _ = run_cli(capsys, "build", "--family", "log-m",
+                               "--m", "2", "--kmax", "1", "--symbols", "0")
+        assert code == EXIT_PASS and out.startswith("built log-m")
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--family", "log-m", "--nmax", "x"])
+        assert exc.value.code == EXIT_INVALID
+        capsys.readouterr()
+
     def test_times_past_the_decimal_limit_are_invalid(self, tmp_path,
                                                       capsys):
         # m=5 kmax=4 builds in ~0.3 s, but its 7,837-digit times pass the

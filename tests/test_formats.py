@@ -94,9 +94,21 @@ class TestManifest:
         assert ok
         assert "byte for byte" in message
 
+    @pytest.mark.parametrize("build", ["m2k2", "dense4"])
+    def test_written_manifest_is_the_string(self, tmp_path, request, build):
+        # dense4's 6,000-odd segment lines take more than one batch
+        traj = request.getfixturevalue(build)
+        path = tmp_path / "m.txt"
+        digest = write_manifest(traj, path)
+        text = manifest_string(traj)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert text.endswith(f"\nhash: {digest}\n")
+        assert text.count("\n") > 4096 or build == "m2k2"
+
     def test_tampered_hash_detected(self, tmp_path, m2k2):
         path = tmp_path / "m.txt"
-        text = write_manifest(m2k2, path)
+        write_manifest(m2k2, path)
+        text = path.read_text(encoding="utf-8")
         path.write_text(text.replace("points:", "points: 1 #", 1),
                         encoding="utf-8")
         with pytest.raises(InvalidConfig):

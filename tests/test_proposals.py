@@ -3,10 +3,11 @@
 ``model.propose_realizers`` names, for every assignment of a dense block's
 first c slot times to distinct centers among its values, the start of the
 pattern whose digits spell the assignment; ``model.check_realizers``
-confirms each proposal by the definition, reading its symbols with one
-``Trajectory.symbol_indices`` call. Here they are pinned to
-``is_independence_set``, ``itinerary_hits`` and ``symbol_index_at``, and a
-proposer that is off by one pattern must fall back with the same output.
+confirms that the proposals cover every assignment, in order, and each one
+by the definition, reading its symbols through one ``Trajectory.reader``.
+Here they are pinned to ``is_independence_set``, ``itinerary_hits`` and
+``symbol_index_at``, and a proposer that is off by one pattern or drops
+assignments must fall back with the same output.
 """
 
 import itertools
@@ -47,6 +48,13 @@ def _shifted(block, specs, c):
             for sigma, u in got)
 
 
+def _dropped(block, specs, c):
+    """The proposer, without its last assignment: every proposal it makes
+    is right, and the check must still refuse it."""
+    got = propose_realizers(block, specs, c)
+    return None if got is None else list(got)[:-1]
+
+
 def _spy(monkeypatch, module, name):
     """The first argument of each call made through module.name."""
     calls, real = [], getattr(module, name)
@@ -71,48 +79,106 @@ def _offset_sets(block):
             (1, L - 1, L), (L, L + 3), (-1, 0, 2), tuple(range(L + 2))]
 
 
-def _agrees(traj, t, offsets):
+def _agrees(traj, read, t, offsets):
+    """read(t), from ``traj.reader(offsets)``, equals symbol_index_at at
+    each t + o, or both refuse a time past the horizon."""
     if not all(0 <= t + o < traj.n_points for o in offsets):
         with pytest.raises(HorizonExceeded):
-            traj.symbol_indices(t, offsets)
+            read(t)
         return
-    assert traj.symbol_indices(t, offsets) == [
-        traj.symbol_index_at(t + o) for o in offsets], (t, offsets)
+    assert read(t) == [traj.symbol_index_at(t + o) for o in offsets], (
+        t, offsets)
+
+
+def _glue_and_tail_times(traj):
+    manifest = traj.manifest
+    for (_, kind, _, _), start, length in zip(
+            manifest.walk(), manifest.starts, manifest.lengths):
+        if kind != "pattern":
+            yield from range(start, start + length)
 
 
 class TestSymbolIndices:
-    @pytest.mark.parametrize("nmax", [1, 2, 3])
+    """``Trajectory.reader`` against ``symbol_index_at``."""
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
     def test_every_pattern_start(self, nmax):
         traj = build_log_infty(nmax)
         for block in traj.manifest.blocks:
-            sets = _offset_sets(block)
-            for u in block.piece_starts:
-                for offsets in sets:
-                    _agrees(traj, u, offsets)
-                    _agrees(traj, u + 1, offsets)
+            for offsets in _offset_sets(block):
+                read = traj.reader(offsets)
+                for u in block.piece_starts:
+                    _agrees(traj, read, u, offsets)
+                    _agrees(traj, read, u + 1, offsets)
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
+    def test_every_glue_and_tail_time(self, nmax):
+        traj = build_log_infty(nmax)
+        times = traj.manifest.blocks[-1].times
+        for offsets in [(0,), times, (0, times[-1] + 1)]:
+            read = traj.reader(offsets)
+            for t in _glue_and_tail_times(traj):
+                _agrees(traj, read, t, offsets)
 
     @pytest.mark.parametrize("nmax", [4, 5, 6])
     def test_seeded_samples(self, nmax):
         traj = build_log_infty(nmax)
         rng = random.Random(5200 + nmax)
         for block in traj.manifest.blocks:
-            sets = _offset_sets(block)
             starts = block.piece_starts
-            for p in rng.sample(range(len(starts)), min(60, len(starts))):
-                for offsets in sets:
-                    _agrees(traj, starts[p], offsets)
-        # any time, glues and tails included, with small offset sets
+            sample = rng.sample(range(len(starts)), min(60, len(starts)))
+            for offsets in _offset_sets(block):
+                read = traj.reader(offsets)
+                for p in sample:
+                    _agrees(traj, read, starts[p], offsets)
+        # any time, glues and tails included, with small offset sets; one
+        # reader also moves between blocks in the samples' random order
+        kept = tuple(rng.sample(range(40), 4))
+        read = traj.reader(kept)
         for t in rng.sample(range(traj.n_points), 400):
-            _agrees(traj, t, tuple(rng.sample(range(-3, 40), 4)))
+            offsets = tuple(rng.sample(range(-3, 40), 4))
+            _agrees(traj, traj.reader(offsets), t, offsets)
+            _agrees(traj, read, t, kept)
+
+    def test_offsets_that_cross_a_block_edge(self, dense4):
+        # the last pattern of each block, read past the block's end into
+        # the next block, or past the horizon after the last
+        for block in dense4.manifest.blocks:
+            last = block.piece_starts[-1]
+            for offsets in [(0, block.end - last), (block.end - last - 1,),
+                            block.times + (block.end - last + 2,)]:
+                read = dense4.reader(offsets)
+                for t in (block.start, last, block.end - 1):
+                    _agrees(dense4, read, t, offsets)
 
     def test_times_past_the_horizon(self, dense2):
         h = dense2.horizon
-        assert dense2.symbol_indices(h, (0,)) == [dense2.symbol_index_at(h)]
+        assert dense2.reader((0,))(h) == [dense2.symbol_index_at(h)]
         for t, offsets in [(h, (0, 1)), (h + 1, (0,)), (h - 2, (3, 0)),
                            (0, (-1,)), (-2, (1, 2))]:
             with pytest.raises(HorizonExceeded):
-                dense2.symbol_indices(t, offsets)
-        assert dense2.symbol_indices(5, ()) == []
+                dense2.reader(offsets)(t)
+        assert dense2.reader(())(5) == []
+
+    def test_pattern_starts_take_the_tables(self):
+        # no per-offset read at a pattern start whose offsets stay in it,
+        # also for one reader that moves between blocks either way
+        traj = build_log_infty(3)
+        blocks = traj.manifest.blocks
+        want = {u: [traj.symbol_index_at(u + t) for t in block.times]
+                for block in blocks for u in block.piece_starts}
+        across = (0, 3)  # inside every pattern: block 1's are 4 long
+        moving = {u: [traj.symbol_index_at(u + o) for o in across]
+                  for u in want}
+        starts = sorted(want)
+        random.Random(5400).shuffle(starts)
+        traj.symbol_index_at = _refuse
+        for block in blocks:
+            read = traj.reader(block.times)
+            assert [read(u) for u in block.piece_starts] == [
+                want[u] for u in block.piece_starts]
+        read = traj.reader(across)
+        assert [read(u) for u in starts] == [moving[u] for u in starts]
 
     def test_head_indexed_family(self, m2k2):
         # near run boundaries, where the offsets cross into the next run
@@ -120,8 +186,9 @@ class TestSymbolIndices:
         for start, _, length in m2k2.runs:
             t = start + rng.randrange(length)
             for offsets in [(0, 3, 1, 40), (-2, 0), (length,)]:
-                _agrees(m2k2, t, offsets)
-                _agrees(m2k2, start, offsets)
+                read = m2k2.reader(offsets)
+                _agrees(m2k2, read, t, offsets)
+                _agrees(m2k2, read, start, offsets)
 
 
 class TestProposerAgainstTheFold:
@@ -200,13 +267,83 @@ class TestProposerAgainstTheFold:
             check_realizers((0,), specs, [((0,), 0)], m2k2)
 
     def test_the_check_reads_its_own_proposals(self, m2k2):
-        # any family: a run start realizes its first index
+        # any family: a run's first two times realize its first two
+        # indices, one assignment each
         start, first, _ = m2k2.runs[3]
         specs = (NeighborhoodSpec(Symbol.head(first), 1),
                  NeighborhoodSpec(Symbol.head(first + 1), 1))
-        assert check_realizers((0, 1), specs, [((0, 1), start)], m2k2) is None
-        assert check_realizers((0, 1), specs, [((0, 0), start)],
-                               m2k2) == (0, 0)
+        assert check_realizers((0,), specs, [((0,), start),
+                                             ((1,), start + 1)], m2k2) is None
+        assert check_realizers((0,), specs, [((0,), start), ((1,), start)],
+                               m2k2) == (1,)
+
+
+class TestCoverage:
+    """The proposals must name every assignment once, in product order."""
+
+    @pytest.fixture(scope="class")
+    def block3(self):
+        traj = build_log_infty(3)
+        block = traj.manifest.block(3)
+        specs = _specs(range(1, 5), 3)
+        return traj, block, specs, list(propose_realizers(block, specs, 4))
+
+    def _check(self, block3, proposals):
+        traj, block, specs, _ = block3
+        return check_realizers(block.times, specs, proposals, traj)
+
+    def test_all_proposals_pass(self, block3):
+        assert len(block3[3]) == 256
+        assert self._check(block3, block3[3]) is None
+        assert self._check(block3, iter(block3[3])) is None
+
+    def test_empty_proposals(self, block3):
+        assert self._check(block3, []) == (0, 0, 0, 0)
+
+    def test_truncated_proposals(self, block3):
+        # assignment 100 is 1,2,1,0 in base 4
+        assert self._check(block3, block3[3][:100]) == (1, 2, 1, 0)
+        assert self._check(block3, block3[3][:-1]) == (3, 3, 3, 3)
+
+    def test_repeated_proposals(self, block3):
+        first = block3[3][0]
+        assert self._check(block3, [first] * 256) == (0, 0, 0, 1)
+        assert self._check(block3, block3[3] + [first]) == (0, 0, 0, 0)
+        assert self._check(block3, block3[3][:9] + block3[3][8:-1]) == (
+            0, 0, 2, 1)
+
+    def test_reordered_proposals(self, block3):
+        proposals = list(block3[3])
+        proposals[7], proposals[30] = proposals[30], proposals[7]
+        assert self._check(block3, proposals) == (0, 0, 1, 3)
+        assert self._check(block3, proposals[::-1]) == (0, 0, 0, 0)
+
+    def test_a_mislabeled_proposal_fails(self, block3):
+        # the right start in the right place, under another sigma
+        proposals = list(block3[3])
+        proposals[5] = ((3, 3, 3, 3), proposals[5][1])
+        assert self._check(block3, proposals) == (0, 0, 1, 1)
+
+    def test_a_wrong_start_names_its_assignment(self, block3):
+        # the right sigma in the right place, with another pattern's start
+        proposals = list(block3[3])
+        sigma, _ = proposals[200]
+        proposals[200] = (sigma, proposals[201][1])
+        assert self._check(block3, proposals) == sigma
+
+    def test_full_assignments_are_every_pattern_in_order(self, dense4):
+        for block in dense4.manifest.blocks:
+            N = block.level + 1
+            got = list(propose_realizers(block, _specs(range(1, N + 1),
+                                                       block.level), N))
+            assert got == list(zip(itertools.product(range(N), repeat=N),
+                                   block.piece_starts))
+            # the same pattern starts as the digit sums, on another order
+            specs = _specs(range(N, 0, -1), block.level)
+            for sigma, u in propose_realizers(block, specs, N):
+                p = sum((N - 1 - s) * N ** (N - 1 - i)
+                        for i, s in enumerate(sigma))
+                assert u == block.piece_starts[p]
 
 
 class TestShiftedProposer:
@@ -250,6 +387,29 @@ class TestShiftedProposer:
         assert len(folds) == 3
         for path in sorted((tmp_path / "proposed").iterdir()):
             assert (tmp_path / "shifted" / path.name).read_bytes() == (
+                path.read_bytes()), path.name
+
+
+    def test_a_proposer_that_drops_an_assignment_falls_back(
+            self, tmp_path, capsys, monkeypatch):
+        argv = ["entropy", "--family", "log-infty", "--nmax", "3",
+                "--cap", "4"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        suite = ["verify", "--suite", "section3", "--nmax", "3", "--out"]
+        assert main(suite + [str(tmp_path / "proposed")]) == 0
+        capsys.readouterr()
+        for module in (seqent.entropy, seqent.checks):
+            monkeypatch.setattr(module, "propose_realizers", _dropped)
+        folds = _spy(monkeypatch, seqent.entropy, "is_independence_set")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert folds
+        folds = _spy(monkeypatch, seqent.checks, "is_independence_set")
+        assert main(suite + [str(tmp_path / "dropped")]) == 0
+        assert len(folds) == 3
+        for path in sorted((tmp_path / "proposed").iterdir()):
+            assert (tmp_path / "dropped" / path.name).read_bytes() == (
                 path.read_bytes()), path.name
 
 
